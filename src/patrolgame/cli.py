@@ -11,7 +11,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 from . import __version__
@@ -87,27 +86,14 @@ def _parse_range(text: str | int | None) -> tuple[int, ...]:
     return _parse_int_list(text)
 
 
-def _thread_cap() -> int | None:
-    raw = os.environ.get("PATROLGAME_THREADS")
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError:
-        print(f"warning: ignoring non-integer PATROLGAME_THREADS={raw!r}", file=sys.stderr)
-        return None
-    if cap < 1:
-        print(f"warning: ignoring PATROLGAME_THREADS={cap}", file=sys.stderr)
-        return None
-    return cap
-
-
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     """Fill unset flags from a JSON scenario file given with --config."""
     if not getattr(args, "config", None):
         return args
     with open(args.config, encoding="utf-8") as handle:
         scenario = json.load(handle)
+    if not isinstance(scenario, dict):
+        raise InvalidSpec("a scenario file must hold one JSON object")
     for key, value in scenario.items():
         attr = key.replace("-", "_")
         if not hasattr(args, attr):
@@ -205,6 +191,9 @@ def _uniform_bipartite_tau(n: int, B: int) -> int:
 
 
 def cmd_allocate(args: argparse.Namespace) -> int:
+    if args.family in ("star", "general"):
+        print(f"error: {args.family} allocation is unsupported", file=sys.stderr)
+        return EXIT_UNSUPPORTED
     try:
         if args.family == "complete":
             if args.n is None or args.B is None:
@@ -316,17 +305,14 @@ def _sweep_rows(args: argparse.Namespace) -> list[dict]:
                     rows.append({"family": "bipartite", "n_p": n_p, "n_q": n_q,
                                  "tau": tau, "mu": result.mu, "w": result.w,
                                  "bound": bound, "ratio": result.mu / bound})
-    else:
-        raise InvalidSpec(f"unsupported sweep family {args.family!r}")
     return rows
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    try:
-        rows = _sweep_rows(args)
-    except InvalidSpec as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    if args.family not in ("complete", "star", "bipartite"):
+        print(f"error: unsupported sweep family {args.family!r}", file=sys.stderr)
         return EXIT_UNSUPPORTED
+    rows = _sweep_rows(args)
     if len(rows) > SWEEP_ROW_LIMIT:
         print(f"error: sweep grid of {len(rows)} rows exceeds {SWEEP_ROW_LIMIT}",
               file=sys.stderr)
@@ -399,8 +385,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    args = _merge_config(args)
-    _thread_cap()
+    try:
+        args = _merge_config(args)
+    except (OSError, ValueError, InvalidSpec) as exc:
+        print(f"error: cannot read --config {args.config}: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
     try:
         return args.handler(args)
     except (InvalidSpec, ParityError, BudgetOutOfRange, DimensionMismatch,

@@ -18,10 +18,6 @@ from .graphs import GraphTopology, check_durations, is_strongly_connected
 
 ROW_SUM_TOL = 1e-9
 
-_POWER_ITERATION_CUTOFF = 200
-_POWER_ITERATION_TOL = 1e-12
-_POWER_ITERATION_CAP = 100_000
-
 
 def check_transition_matrix(P: np.ndarray, graph: GraphTopology | None = None,
                             tol: float = ROW_SUM_TOL) -> np.ndarray:
@@ -51,9 +47,9 @@ def check_transition_matrix(P: np.ndarray, graph: GraphTopology | None = None,
 def stationary_distribution(P: np.ndarray) -> np.ndarray:
     """Stationary distribution pi of an irreducible row-stochastic matrix.
 
-    Solves pi^T P = pi^T with the normalization sum(pi) = 1 by a direct
-    least-squares solve of the stacked linear system; chains larger than a
-    few hundred states fall back to averaged fixed-point iteration.
+    Solves the balance equations (P^T - I) pi = 0 with the last one replaced
+    by the normalization sum(pi) = 1, one direct solve for every chain size.
+    Irreducibility makes that square system nonsingular.
 
     Raises
     ------
@@ -64,20 +60,11 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     n = P.shape[0]
     if not is_strongly_connected(P > 0.0):
         raise NotIrreducible("transition matrix support is not strongly connected")
-    if n <= _POWER_ITERATION_CUTOFF:
-        A = np.vstack([P.T - np.eye(n), np.ones((1, n))])
-        b = np.zeros(n + 1)
-        b[-1] = 1.0
-        pi, *_ = np.linalg.lstsq(A, b, rcond=None)
-    else:
-        # Cesaro-averaged iteration stays convergent for periodic chains.
-        pi = np.full(n, 1.0 / n)
-        for _ in range(_POWER_ITERATION_CAP):
-            nxt = 0.5 * (pi + pi @ P)
-            if np.abs(nxt - pi).max() < _POWER_ITERATION_TOL:
-                pi = nxt
-                break
-            pi = nxt
+    A = P.T - np.eye(n)
+    A[-1] = 1.0
+    b = np.zeros(n)
+    b[-1] = 1.0
+    pi = np.linalg.solve(A, b)
     pi = np.clip(pi, 0.0, None)
     return pi / pi.sum()
 
@@ -90,6 +77,9 @@ def hitting_time_probabilities(P: np.ndarray, k_max: int) -> np.ndarray:
     steps.  F[0] is P itself and each successive matrix is the product of P
     with the previous one after zeroing its diagonal (walks that already
     arrived stop contributing).
+
+    This is the readable reference for the streaming kernel behind
+    `capture_cdf` and `min_capture_evaluator`, which never holds the tensor.
     """
     if k_max < 1:
         raise InvalidSpec(f"k_max must be >= 1, got {k_max}")
@@ -102,6 +92,34 @@ def hitting_time_probabilities(P: np.ndarray, k_max: int) -> np.ndarray:
         np.fill_diagonal(step, 0.0)
         np.matmul(P, step, out=F[k])
     return F
+
+
+def _capture_cdf_stack(P: np.ndarray, durations: Sequence[int]) -> np.ndarray:
+    """Capture CDFs of a (K, n, n) stack of strategies for shared durations.
+
+    Streams F_k = P offdiag(F_{k-1}) through two ping-pong buffers into a
+    running sum F_1 + ... + F_k, and copies column j out of it at k = tau_j,
+    so memory stays O(K n^2) for any tau.  Slice s equals the column sums of
+    `hitting_time_probabilities` of P[s], bit for bit: each slice takes the
+    same matrix products and the same additions in the same order.
+    """
+    K, n, _ = P.shape
+    durations = np.asarray(durations)
+    running = P.copy()
+    front = P.copy()
+    back = np.empty_like(front)
+    cdf = np.empty_like(front)
+    k = 1
+    for t in sorted(set(durations.tolist())):
+        for _ in range(k, t):
+            front.reshape(K, n * n)[:, ::n + 1] = 0.0
+            np.matmul(P, front, out=back)
+            front, back = back, front
+            running += front
+        k = t
+        ending = durations == t
+        cdf[..., ending] = running[..., ending]
+    return cdf
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,14 +140,13 @@ class CaptureReport:
 
 
 def capture_cdf(P: np.ndarray, tau: Sequence[int]) -> np.ndarray:
-    """Matrix of P(T_ij <= tau_j) for all ordered pairs, same-node pairs included."""
+    """Matrix of P(T_ij <= tau_j) for all ordered pairs, same-node pairs included.
+
+    Runs the streaming hitting-time kernel on a one-strategy stack.
+    """
     P = check_transition_matrix(P)
     durations = check_durations(tau, P.shape[0])
-    F = hitting_time_probabilities(P, max(durations))
-    cdf = np.empty_like(P)
-    for j, t in enumerate(durations):
-        cdf[:, j] = F[:t, :, j].sum(axis=0)
-    return cdf
+    return _capture_cdf_stack(P[None], durations)[0]
 
 
 def capture_probability(P: np.ndarray, tau: Sequence[int]) -> CaptureReport:
@@ -148,36 +165,15 @@ def capture_probability(P: np.ndarray, tau: Sequence[int]) -> CaptureReport:
 def min_capture_evaluator(tau: Sequence[int]):
     """Reusable evaluator P -> min capture probability for fixed durations.
 
-    Avoids building the full hitting-time tensor and reuses scratch buffers,
-    which matters when an optimizer evaluates millions of candidate matrices.
+    A thin wrapper over the same streaming kernel as `capture_cdf`, so its
+    value equals `capture_probability(P, tau).mu` exactly.  The matrix is
+    not validated; optimizers that score many candidates at once call the
+    kernel on a whole stack instead.
     """
     durations = np.asarray([int(t) for t in tau])
-    n = durations.size
-    k_max = int(durations.max())
-    # column sets shrink as k grows; None marks "all columns still counting"
-    col_sets = []
-    for k in range(1, k_max + 1):
-        cols = np.flatnonzero(durations >= k)
-        col_sets.append(None if cols.size == n else cols)
-    front = np.empty((n, n))
-    back = np.empty((n, n))
-    cdf = np.empty((n, n))
 
     def evaluate(P: np.ndarray) -> float:
-        nonlocal front, back, cdf
-        np.copyto(front, P)
-        cdf.fill(0.0)
-        for k in range(1, k_max + 1):
-            cols = col_sets[k - 1]
-            if cols is None:
-                cdf += front
-            else:
-                cdf[:, cols] += front[:, cols]
-            if k < k_max:
-                np.fill_diagonal(front, 0.0)
-                np.matmul(P, front, out=back)
-                front, back = back, front
-        return float(cdf.min())
+        return float(_capture_cdf_stack(np.asarray(P, dtype=float)[None], durations).min())
 
     return evaluate
 

@@ -33,9 +33,9 @@ from .graphs import (
     check_durations,
 )
 from .markov import (
+    _capture_cdf_stack,
     capture_probability,
     counter_stream,
-    min_capture_evaluator,
     simulate_capture,
     stationary_distribution,
 )
@@ -207,28 +207,59 @@ def _closed_form_reference(g: GraphTopology, tau: tuple[int, ...]) -> float | No
     return None
 
 
+def _sweep_candidates(P: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                      down: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Trial rows of the moves P[rows[m], cols[m]] += signs[m], all against P.
+
+    Returns the positions of the moves a serial sweep would score and their
+    clipped, renormalized rows.  It skips a downward move on a zero entry and
+    a move that leaves its row empty, as the serial sweep does.
+    """
+    lanes = np.arange(len(rows))
+    trials = P[rows]
+    tried = ~(down & (trials[lanes, cols] <= 0.0))
+    trials[lanes, cols] += signs
+    np.clip(trials, 0.0, None, out=trials)
+    totals = trials.sum(axis=1)
+    idx = np.flatnonzero(tried & (totals > 0.0))
+    return idx, trials[idx] / totals[idx, None]
+
+
 def local_search_strategy(g: GraphTopology, tau: Sequence[int], restarts: int,
                           seed: int, tolerance: float = 0.02) -> OracleReport:
     """Random-restart hill climbing over strategies supported on the graph.
 
-    Each restart samples every row uniformly from its simplex, then repeatedly
-    nudges one coordinate up or down by an annealed step (0.2 halved down to
-    1e-3), clips at zero, renormalizes the row, and keeps the move when the
-    capture probability improves.  Fully deterministic for a given seed, and
-    restarts reduce in a fixed order (larger value wins, ties go to the
-    lexicographically smaller matrix).
+    Each restart samples every row uniformly from its simplex, then sweeps
+    over the moves (row i, column c, +step then -step), each of which nudges
+    P[i, c] by an annealed step (0.2 halved down to 1e-3), clips at zero and
+    renormalizes the row.  A move is kept when it raises the capture
+    probability by more than 1e-7, and sweeps repeat until none does.
+
+    The rest of a sweep is scored as one stack through the hitting-time
+    kernel: every remaining move is built from the current P, the first one
+    in sweep order that improves is kept, and the sweep resumes after it.
+    Each move before it was scored against the same P a one-move-at-a-time
+    loop would have used, so values, the kept matrix and the evaluation count
+    (the candidates up to and including each kept move) match that loop bit
+    for bit.  Fully deterministic for a given seed, and restarts reduce in a
+    fixed order (larger value wins, ties go to the lexicographically smaller
+    matrix).
     """
     if g.n > LOCAL_SEARCH_MAX_NODES:
         raise SearchSpaceExceeded(f"local search limited to {LOCAL_SEARCH_MAX_NODES} nodes")
     if restarts < 1:
         raise InvalidSpec(f"restarts must be >= 1, got {restarts}")
     durations = check_durations(tau, g.n)
-    evaluate = min_capture_evaluator(durations)
     adjacency = g.adjacency()
     support = [np.flatnonzero(adjacency[i]) for i in range(g.n)]
     if any(cols.size == 0 for cols in support):
         raise InvalidSpec("every node needs at least one outgoing edge")
-    free_rows = [(i, cols) for i, cols in enumerate(support) if cols.size > 1]
+    # one sweep in order: (row, column) pairs of rows with a choice, each
+    # tried upward and then downward
+    moves = np.array([(i, c) for i, cols in enumerate(support) if cols.size > 1
+                      for c in cols for _ in range(2)], dtype=int).reshape(-1, 2)
+    move_row, move_col = moves.T
+    move_down = np.arange(len(moves)) % 2 == 1
 
     evaluations = 0
     best_mu = -1.0
@@ -236,34 +267,33 @@ def local_search_strategy(g: GraphTopology, tau: Sequence[int], restarts: int,
     for restart in range(restarts):
         rng = counter_stream(seed, restart)
         P = _random_feasible_strategy(rng, support, g.n)
-        mu = evaluate(P)
+        mu = float(_capture_cdf_stack(P[None], durations).min())
         evaluations += 1
         step = _STEP_INITIAL
         while step >= _STEP_FINAL:
+            signs = np.where(move_down, -step, step)
             improved = True
             while improved:
                 improved = False
-                for i, cols in free_rows:
-                    for c in cols:
-                        for sign in (step, -step):
-                            if sign < 0 and P[i, c] <= 0.0:
-                                continue
-                            original = P[i].copy()
-                            trial = original.copy()
-                            trial[c] += sign
-                            np.clip(trial, 0.0, None, out=trial)
-                            total = trial.sum()
-                            if total <= 0.0:
-                                continue
-                            trial /= total
-                            P[i] = trial
-                            value = evaluate(P)
-                            evaluations += 1
-                            if value > mu + _IMPROVEMENT_EPS:
-                                mu = value
-                                improved = True
-                            else:
-                                P[i] = original
+                start = 0
+                while start < len(moves):
+                    idx, trials = _sweep_candidates(P, move_row[start:], move_col[start:],
+                                                    move_down[start:], signs[start:])
+                    if idx.size == 0:
+                        break
+                    stack = np.repeat(P[None], idx.size, axis=0)
+                    stack[np.arange(idx.size), move_row[start + idx]] = trials
+                    values = _capture_cdf_stack(stack, durations).min(axis=(1, 2))
+                    better = np.flatnonzero(values > mu + _IMPROVEMENT_EPS)
+                    if better.size == 0:
+                        evaluations += idx.size
+                        break
+                    kept = int(better[0])
+                    evaluations += kept + 1
+                    P[move_row[start + idx[kept]]] = trials[kept]
+                    mu = float(values[kept])
+                    improved = True
+                    start += int(idx[kept]) + 1
             step *= 0.5
         if mu > best_mu or (mu == best_mu and best_P is not None
                             and tuple(P.ravel()) < tuple(best_P.ravel())):

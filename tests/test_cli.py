@@ -105,6 +105,13 @@ def test_allocate_parity_error(capsys):
     assert "even" in err
 
 
+def test_allocate_star_unsupported(capsys):
+    code, out, err = run_cli(capsys, ["allocate", "--family", "star", "--n", "3", "--B", "7"])
+    assert code == 3
+    assert out == ""
+    assert "star allocation is unsupported" in err
+
+
 def test_allocate_range_error(capsys):
     code, _, _ = run_cli(capsys, ["allocate", "--family", "complete", "--n", "3", "--B", "9"])
     assert code == 2
@@ -191,6 +198,20 @@ def test_sweep_guard(capsys):
     assert "exceeds" in err
 
 
+def test_sweep_bad_durations_are_infeasible(capsys):
+    code, out, err = run_cli(capsys, ["sweep", "--family", "complete", "--n", "3",
+                                      "--tau", "0..2"])
+    assert code == 2
+    assert out == ""
+    assert "durations" in err
+
+
+def test_sweep_unsupported_family(capsys):
+    code, _, err = run_cli(capsys, ["sweep", "--family", "general", "--n", "3", "--tau", "2"])
+    assert code == 3
+    assert "unsupported" in err
+
+
 def test_sweep_allocation_mode(capsys):
     code, out, _ = run_cli(capsys, ["sweep", "--family", "complete", "--n", "3", "--B", "5..8"])
     assert code == 0
@@ -220,6 +241,18 @@ def test_flags_override_config(capsys, tmp_path):
     assert json.loads(out)["mu"] == pytest.approx(0.6180339887, abs=1e-8)
 
 
+@pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"])
+def test_unreadable_config_is_a_one_line_error(capsys, tmp_path, content):
+    config = tmp_path / "scenario.json"
+    if content is not None:
+        config.write_text(content)
+    code, out, err = run_cli(capsys, ["solve", "--config", str(config)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_out_writes_file(capsys, tmp_path):
     target = tmp_path / "result.json"
     code, out, _ = run_cli(capsys, ["solve", "--family", "complete", "--n", "3",
@@ -236,13 +269,3 @@ def test_console_entry_point_runs():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["mu"] == pytest.approx(5 / 9, abs=1e-9)
-
-
-def test_thread_cap_env_is_tolerated(capsys, monkeypatch):
-    monkeypatch.setenv("PATROLGAME_THREADS", "2")
-    code, out, _ = run_cli(capsys, ["solve", "--family", "complete", "--n", "2", "--tau", "1,2"])
-    assert code == 0
-    monkeypatch.setenv("PATROLGAME_THREADS", "bogus")
-    code, out, err = run_cli(capsys, ["solve", "--family", "complete", "--n", "2", "--tau", "1,2"])
-    assert code == 0
-    assert "PATROLGAME_THREADS" in err

@@ -13,7 +13,7 @@ from patrolgame import (
     simulate_capture,
     stationary_distribution,
 )
-from patrolgame.markov import min_capture_evaluator
+from patrolgame.markov import _capture_cdf_stack, min_capture_evaluator
 
 TWO_CYCLE = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -88,6 +88,21 @@ def test_random_chains_satisfy_fixed_point():
         np.testing.assert_allclose(pi @ P, pi, atol=1e-9)
 
 
+def test_slowly_mixing_large_chain_solves_exactly():
+    # lazy tour: stay at i with probability s_i, else step to i+1 (mod n)
+    n = 280
+    stay = np.random.default_rng(0).uniform(0.1, 0.9, size=n)
+    P = np.zeros((n, n))
+    idx = np.arange(n)
+    P[idx, idx] = stay
+    P[idx, (idx + 1) % n] = 1.0 - stay
+    pi = stationary_distribution(P)
+    assert np.abs(pi @ P - pi).max() <= 1e-12
+    # the exact answer: pi_i proportional to 1 / (1 - s_i)
+    expected = 1.0 / (1.0 - stay)
+    np.testing.assert_allclose(pi, expected / expected.sum(), rtol=1e-10)
+
+
 # --- hitting time recursion ---------------------------------------------------
 
 def test_two_cycle_hitting_times():
@@ -130,6 +145,25 @@ def test_column_cdfs_monotone_and_bounded(n, seed):
     assert np.all(F >= -1e-15) and np.all(F <= 1 + 1e-9)
     assert np.all(cdf <= 1 + 1e-9)
     assert np.all(np.diff(cdf, axis=0) >= -1e-15)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 6), st.integers(2, 5), st.integers(0, 2 ** 31 - 1))
+def test_stack_kernel_matches_reference_recursion(n, K, seed):
+    # every slice of the streaming kernel is the running sum of the reference
+    # hitting-time tensor, stopped at each column's own duration, bit for bit
+    rng = np.random.default_rng(seed)
+    stack = np.stack([random_stochastic(rng, n) for _ in range(K)])
+    assert len({P.tobytes() for P in stack}) == K
+    tau = rng.integers(1, 9, size=n)
+    tau[:2] = (1, 8)  # mixed durations: columns stop counting at different steps
+    rng.shuffle(tau)
+    cdf = _capture_cdf_stack(stack, tau)
+    assert cdf.shape == (K, n, n)
+    for P, got in zip(stack, cdf):
+        running = np.cumsum(hitting_time_probabilities(P, int(tau.max())), axis=0)
+        for j, t in enumerate(tau):
+            np.testing.assert_array_equal(got[:, j], running[t - 1, :, j])
 
 
 def test_bipartite_parity_of_column_minimum():
@@ -234,7 +268,7 @@ def test_min_capture_evaluator_matches_report():
     evaluate = min_capture_evaluator([3, 2, 4])
     for _ in range(10):
         P = random_stochastic(rng, 3)
-        assert evaluate(P) == pytest.approx(capture_probability(P, [3, 2, 4]).mu, abs=1e-15)
+        assert evaluate(P) == capture_probability(P, [3, 2, 4]).mu
 
 
 # --- Monte Carlo simulator ----------------------------------------------------

@@ -15,6 +15,8 @@ from patrolgame import (
     local_search_strategy,
     partitions,
 )
+from patrolgame.markov import counter_stream, min_capture_evaluator
+from patrolgame.oracles import _random_feasible_strategy
 
 
 # --- partition enumeration ------------------------------------------------------
@@ -129,6 +131,72 @@ def test_local_search_bipartite_gap():
     report = local_search_strategy(g, (6, 4, 4, 4, 2), restarts=40, seed=3)
     assert report.gap is not None and report.gap <= 0.02
     assert report.agreement
+
+
+def serial_local_search(g, tau, restarts, seed):
+    """Reference: the one-move-at-a-time hill climb that the stacked sweep
+    must reproduce exactly (value, kept matrix and evaluation count)."""
+    evaluate = min_capture_evaluator(tau)
+    adjacency = g.adjacency()
+    support = [np.flatnonzero(adjacency[i]) for i in range(g.n)]
+    free_rows = [(i, cols) for i, cols in enumerate(support) if cols.size > 1]
+    evaluations = 0
+    best_mu = -1.0
+    best_P = None
+    for restart in range(restarts):
+        rng = counter_stream(seed, restart)
+        P = _random_feasible_strategy(rng, support, g.n)
+        mu = evaluate(P)
+        evaluations += 1
+        step = 0.2
+        while step >= 1e-3:
+            improved = True
+            while improved:
+                improved = False
+                for i, cols in free_rows:
+                    for c in cols:
+                        for sign in (step, -step):
+                            if sign < 0 and P[i, c] <= 0.0:
+                                continue
+                            original = P[i].copy()
+                            trial = original.copy()
+                            trial[c] += sign
+                            np.clip(trial, 0.0, None, out=trial)
+                            total = trial.sum()
+                            if total <= 0.0:
+                                continue
+                            trial /= total
+                            P[i] = trial
+                            value = evaluate(P)
+                            evaluations += 1
+                            if value > mu + 1e-7:
+                                mu = value
+                                improved = True
+                            else:
+                                P[i] = original
+            step *= 0.5
+        if mu > best_mu or (mu == best_mu and best_P is not None
+                            and tuple(P.ravel()) < tuple(best_P.ravel())):
+            best_mu = mu
+            best_P = P
+    return best_mu, best_P, evaluations
+
+
+@pytest.mark.parametrize("graph, tau", [
+    (build_star(3), (2, 2, 2)),
+    (build_star(4), (3, 2, 4, 5)),
+    (build_star(5), (2, 3, 5, 4, 4)),
+    (build_complete(3), (2, 3, 2)),
+    (build_complete(4), (2, 3, 3, 4)),
+    (build_bipartite(3, 2), (6, 4, 4, 4, 2)),
+], ids=["star3", "star4", "star5", "complete3", "complete4", "bipartite3+2"])
+def test_stacked_sweep_matches_serial_hill_climb(graph, tau):
+    for seed in (0, 5, 11):
+        report = local_search_strategy(graph, tau, restarts=3, seed=seed)
+        best_mu, best_P, evaluations = serial_local_search(graph, tau, 3, seed)
+        assert report.best_value == best_mu
+        assert report.best_candidate.tobytes() == best_P.tobytes()
+        assert report.candidates_examined == evaluations
 
 
 def test_local_search_guard_and_validation():
