@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import BudgetOutOfRange, InvalidSpec, InvalidStart, ParityError
+from .graphs import BIPARTITE, COMPLETE, GraphTopology
 from .synthesis import solve_equalized_value
 
 
@@ -35,16 +36,6 @@ class AllocationResult:
     tau_q: tuple[int, ...] | None = None
     w_p: float | None = None
     w_q: float | None = None
-
-    def to_json_dict(self) -> dict:
-        out = {"tau": list(self.tau), "B": self.B, "w": self.w, "mu": self.mu}
-        if self.B_p is not None:
-            out.update({
-                "B_p": self.B_p, "B_q": self.B_q,
-                "tau_p": list(self.tau_p), "tau_q": list(self.tau_q),
-                "w_p": self.w_p, "w_q": self.w_q,
-            })
-        return out
 
 
 def complete_allocation_value(tau: Sequence[int]) -> float:
@@ -163,6 +154,19 @@ def co_optimize_bipartite(n_p: int, n_q: int, B: int) -> AllocationResult:
         B_p=b_p, B_q=B - b_p, tau_p=side_p.tau, tau_q=side_q.tau,
         w_p=side_p.w, w_q=side_q.w,
     )
+
+
+def allocate(g: GraphTopology, B: int) -> AllocationResult:
+    """The family's optimal split of budget B over the nodes of `g`.
+
+    Complete graphs use `allocate_complete`, bipartite graphs
+    `co_optimize_bipartite`; any other family raises `InvalidSpec`.
+    """
+    if g.family == COMPLETE:
+        return allocate_complete(g.n, B)
+    if g.family == BIPARTITE:
+        return co_optimize_bipartite(g.n_p, g.n_q, B)
+    raise InvalidSpec(f"{g.family} allocation is unsupported")
 
 
 @dataclass(frozen=True)

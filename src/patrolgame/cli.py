@@ -9,21 +9,38 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
+import itertools
 import json
+import math
 import sys
 
+import numpy as np
+
 from . import __version__
-from .allocation import allocate_complete, co_optimize_bipartite
+from .allocation import allocate
 from .errors import (
+    BracketError,
     BudgetOutOfRange,
     DimensionMismatch,
     InfeasibleTau,
     InvalidSpec,
+    InvalidStart,
+    NotIrreducible,
     ParityError,
+    PatrolGameError,
     SearchSpaceExceeded,
+    TrivialGame,
 )
-from .graphs import build_bipartite, build_complete, build_star, validate_attack_durations
+from .graphs import (
+    BIPARTITE,
+    build_bipartite,
+    build_complete,
+    build_graph,
+    build_star,
+    validate_attack_durations,
+)
 from .markov import capture_probability, simulate_capture
 from .oracles import (
     BoundSuiteConfig,
@@ -31,12 +48,7 @@ from .oracles import (
     bound_suite,
     monte_carlo_suite,
 )
-from .synthesis import (
-    generic_capture_bound,
-    synthesize_bipartite,
-    synthesize_complete,
-    synthesize_star,
-)
+from .synthesis import generic_capture_bound, synthesize
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -44,23 +56,53 @@ EXIT_INFEASIBLE = 2
 EXIT_UNSUPPORTED = 3
 EXIT_GUARD = 4
 
+# the one place that decides how each package error ends the process
+_EXIT_CODES = {
+    BracketError: EXIT_FAILURE,
+    BudgetOutOfRange: EXIT_INFEASIBLE,
+    DimensionMismatch: EXIT_INFEASIBLE,
+    InfeasibleTau: EXIT_INFEASIBLE,
+    InvalidSpec: EXIT_INFEASIBLE,
+    InvalidStart: EXIT_INFEASIBLE,
+    NotIrreducible: EXIT_INFEASIBLE,
+    ParityError: EXIT_INFEASIBLE,
+    SearchSpaceExceeded: EXIT_GUARD,
+    TrivialGame: EXIT_INFEASIBLE,
+}
+
 SWEEP_ROW_LIMIT = 10_000
 _CSV_COLUMNS = ("family", "n", "n_p", "n_q", "tau", "B", "mu", "w", "bound", "ratio")
 
 
-def _round_floats(obj):
-    # 12 significant digits keeps JSON diffs stable across runs
+def _fields(obj) -> dict:
+    """A dataclass's fields in declaration order, without the ones set to None.
+
+    A field is keyed by its name, or by the "json" entry of its metadata.
+    """
+    values = ((f.metadata.get("json", f.name), getattr(obj, f.name))
+              for f in dataclasses.fields(obj))
+    return {key: value for key, value in values if value is not None}
+
+
+def _jsonable(obj):
+    """JSON-ready copy of a payload: dataclasses become dicts, arrays and
+    tuples become lists, and floats keep 12 significant digits so that
+    output is stable across runs."""
     if isinstance(obj, float):
         return float(f"{obj:.12g}")
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    elif dataclasses.is_dataclass(obj):
+        obj = _fields(obj)
     if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
+        return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
+        return [_jsonable(v) for v in obj]
     return obj
 
 
 def _dump_json(data) -> str:
-    return json.dumps(_round_floats(data), indent=2) + "\n"
+    return json.dumps(_jsonable(data), indent=2) + "\n"
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -75,14 +117,14 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in str(text).split(",") if part != "")
 
 
-def _parse_range(text: str | int | None) -> tuple[int, ...]:
+def _parse_range(text: str | int | None) -> tuple[int, ...] | range:
     """Accepts '4', '2,3,5', or '2..6' (inclusive)."""
     if text is None:
         return ()
     text = str(text)
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return tuple(range(int(lo), int(hi) + 1))
+        return range(int(lo), int(hi) + 1)
     return _parse_int_list(text)
 
 
@@ -120,14 +162,6 @@ def _build_graph_from_args(args: argparse.Namespace):
     raise InvalidSpec(f"unsupported family {family!r}")
 
 
-def _synthesize(graph, tau: tuple[int, ...]):
-    if graph.family == "complete":
-        return synthesize_complete(tau)
-    if graph.family == "star":
-        return synthesize_star(tau)
-    return synthesize_bipartite(graph, tau[:graph.n_p], tau[graph.n_p:])
-
-
 def _solve_common(args: argparse.Namespace):
     """Shared by solve and simulate: returns (graph, tau, result) or an exit code."""
     if args.family == "general":
@@ -140,12 +174,12 @@ def _solve_common(args: argparse.Namespace):
     graph = _build_graph_from_args(args)
     report = validate_attack_durations(graph, tau)
     if report.condition1_violations:
-        sys.stderr.write(_dump_json(report.to_json_dict()))
+        sys.stderr.write(_dump_json(report))
         return EXIT_INFEASIBLE
     try:
-        result = _synthesize(graph, tau)
+        result = synthesize(graph, tau)
     except InfeasibleTau as exc:
-        payload = report.to_json_dict()
+        payload = _fields(report)
         payload["nontrivial"] = False
         payload["notes"] = f"{report.notes}; {exc}"
         sys.stderr.write(_dump_json(payload))
@@ -164,11 +198,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if isinstance(outcome, int):
         return outcome
     graph, tau, result = outcome
-    payload = result.to_json_dict()
+    payload = _fields(result)
     if args.emit_cdf:
         capture = capture_probability(result.P, tau)
-        payload["worst_pair"] = list(capture.worst_pair)
-        payload["cdf"] = capture.cdf.tolist()
+        payload["worst_pair"] = capture.worst_pair
+        payload["cdf"] = capture.cdf
     _write_output(_dump_json(payload), args.out)
     return EXIT_OK
 
@@ -179,76 +213,48 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return outcome
     _, tau, result = outcome
     sim = simulate_capture(result.P, tau, trials=args.trials, seed=args.seed)
-    payload = {"mu_exact": result.mu}
-    payload.update(sim.to_json_dict())
+    payload = {"mu_exact": result.mu, **_fields(sim)}
     _write_output(_dump_json(payload), args.out)
     return EXIT_OK
-
-
-def _uniform_bipartite_tau(n: int, B: int) -> int:
-    level = B // n
-    return level - (level % 2)
 
 
 def cmd_allocate(args: argparse.Namespace) -> int:
     if args.family in ("star", "general"):
         print(f"error: {args.family} allocation is unsupported", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    try:
-        if args.family == "complete":
-            if args.n is None or args.B is None:
-                raise InvalidSpec("complete allocation needs --n and --B")
-            n, budget = int(args.n), int(args.B)
-            allocation = allocate_complete(n, budget)
-            graph = build_complete(n)
-            strategy = synthesize_complete(allocation.tau)
-            uniform_tau = (budget // n,) * n
-        else:
-            if args.np is None or args.nq is None or args.B is None:
-                raise InvalidSpec("bipartite allocation needs --np, --nq and --B")
-            budget = int(args.B)
-            allocation = co_optimize_bipartite(int(args.np), int(args.nq), budget)
-            graph = build_bipartite(int(args.np), int(args.nq))
-            strategy = synthesize_bipartite(graph, allocation.tau_p, allocation.tau_q)
-            level = _uniform_bipartite_tau(graph.n, budget)
-            uniform_tau = (level,) * graph.n
-    except (ParityError, BudgetOutOfRange, InvalidSpec) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-
-    payload = allocation.to_json_dict()
-    payload["P"] = strategy.P.tolist()
-    payload["pi"] = strategy.pi.tolist()
-    payload["optimality"] = strategy.optimality
+    sizes = ("n",) if args.family == "complete" else ("np", "nq")
+    if args.B is None or any(getattr(args, size) is None for size in sizes):
+        flags = ", ".join(f"--{size}" for size in sizes)
+        raise InvalidSpec(f"{args.family} allocation needs {flags} and --B")
+    graph = _build_graph_from_args(args)
+    budget = int(args.B)
+    allocation = allocate(graph, budget)
+    strategy = synthesize(graph, allocation.tau)
+    payload = _fields(allocation)
+    payload.update(P=strategy.P, pi=strategy.pi, optimality=strategy.optimality)
     if args.compare_uniform:
-        if min(uniform_tau) >= (2 if args.family == "bipartite" else 1):
-            uniform = _synthesize(graph, uniform_tau)
-            payload["uniform"] = {"tau": list(uniform_tau), "mu": uniform.mu}
-            payload["mu_delta"] = allocation.mu - uniform.mu
-        else:
-            payload["uniform"] = None
-            payload["mu_delta"] = None
+        # an in-range budget always leaves the uniform split feasible:
+        # B > n gives every node >= 1, B > 2n every two-sided node >= 2
+        level = budget // graph.n
+        if graph.family == BIPARTITE:
+            level -= level % 2
+        uniform = synthesize(graph, (level,) * graph.n)
+        payload["uniform"] = {"tau": (level,) * graph.n, "mu": uniform.mu}
+        payload["mu_delta"] = allocation.mu - uniform.mu
     _write_output(_dump_json(payload), args.out)
     return EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    tolerance = args.tol if args.tol is not None else 1e-10
-    try:
-        if args.suite == "bounds":
-            report = bound_suite(BoundSuiteConfig(seed=args.seed))
-        elif args.suite == "alloc-oracle":
-            report = allocation_agreement_suite(nmax=args.nmax, tolerance=tolerance)
-        elif args.suite == "montecarlo":
-            report = monte_carlo_suite(trials=args.trials, seed=args.seed)
-        else:
-            print(f"error: unknown suite {args.suite!r}", file=sys.stderr)
-            return EXIT_FAILURE
-    except SearchSpaceExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GUARD
+    if args.suite == "bounds":
+        report = bound_suite(BoundSuiteConfig(seed=args.seed))
+    elif args.suite == "alloc-oracle":
+        tolerance = args.tol if args.tol is not None else 1e-10
+        report = allocation_agreement_suite(nmax=args.nmax, tolerance=tolerance)
+    else:
+        report = monte_carlo_suite(trials=args.trials, seed=args.seed)
     if args.out:
-        _write_output(_dump_json(report.to_json_list()), args.out)
+        _write_output(_dump_json(report.checks), args.out)
     for check in report.checks:
         if not check.passed:
             print(f"FAIL {check.instance}: expected {check.expected}, got {check.actual}",
@@ -257,77 +263,43 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if report.passed else EXIT_FAILURE
 
 
-def _sweep_rows(args: argparse.Namespace) -> list[dict]:
-    taus = _parse_range(args.tau)
-    budgets = _parse_range(args.B)
-    ns = _parse_range(args.n)
-    nps = _parse_range(args.np)
-    nqs = _parse_range(args.nq)
-    rows = []
-    if args.family == "complete":
-        for n in ns:
-            if budgets:
-                for B in budgets:
-                    allocation = allocate_complete(n, B)
-                    bound = generic_capture_bound(allocation.tau)
-                    rows.append({"family": "complete", "n": n, "B": B,
-                                 "mu": allocation.mu, "w": allocation.w,
-                                 "bound": bound, "ratio": allocation.mu / bound})
-            for tau in taus:
-                result = synthesize_complete((tau,) * n)
-                bound = generic_capture_bound((tau,) * n)
-                rows.append({"family": "complete", "n": n, "tau": tau,
-                             "mu": result.mu, "w": result.w,
-                             "bound": bound, "ratio": result.mu / bound})
-    elif args.family == "star":
-        for n in ns:
-            for tau in taus:
-                result = synthesize_star((tau,) * n)
-                bound = generic_capture_bound((tau,) * n)
-                rows.append({"family": "star", "n": n, "tau": tau,
-                             "mu": result.mu, "w": result.w,
-                             "bound": bound, "ratio": result.mu / bound})
-    elif args.family == "bipartite":
-        for n_p in nps:
-            for n_q in nqs:
-                graph = build_bipartite(n_p, n_q)
-                if budgets:
-                    for B in budgets:
-                        allocation = co_optimize_bipartite(n_p, n_q, B)
-                        bound = generic_capture_bound(allocation.tau)
-                        rows.append({"family": "bipartite", "n_p": n_p, "n_q": n_q,
-                                     "B": B, "mu": allocation.mu, "w": allocation.w,
-                                     "bound": bound, "ratio": allocation.mu / bound})
-                for tau in taus:
-                    uniform = (tau,) * graph.n
-                    result = synthesize_bipartite(graph, uniform[:n_p], uniform[n_p:])
-                    bound = generic_capture_bound(uniform)
-                    rows.append({"family": "bipartite", "n_p": n_p, "n_q": n_q,
-                                 "tau": tau, "mu": result.mu, "w": result.w,
-                                 "bound": bound, "ratio": result.mu / bound})
-    return rows
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
+    """One CSV row per size cell and budget, then per cell and uniform tau."""
     if args.family not in ("complete", "star", "bipartite"):
         print(f"error: unsupported sweep family {args.family!r}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    rows = _sweep_rows(args)
-    if len(rows) > SWEEP_ROW_LIMIT:
-        print(f"error: sweep grid of {len(rows)} rows exceeds {SWEEP_ROW_LIMIT}",
+    budgets, taus = _parse_range(args.B), _parse_range(args.tau)
+    if budgets and args.family == "star":
+        print("error: star allocation is unsupported", file=sys.stderr)
+        return EXIT_UNSUPPORTED
+    if args.family == "bipartite":
+        names, ranges = ("n_p", "n_q"), (_parse_range(args.np), _parse_range(args.nq))
+    else:
+        names, ranges = ("n",), (_parse_range(args.n),)
+    count = math.prod(len(r) for r in ranges) * (len(budgets) + len(taus))
+    if count > SWEEP_ROW_LIMIT:
+        print(f"error: sweep grid of {count} rows exceeds {SWEEP_ROW_LIMIT}",
               file=sys.stderr)
         return EXIT_GUARD
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=_CSV_COLUMNS, lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        formatted = {}
-        for key in _CSV_COLUMNS:
-            value = row.get(key, "")
-            if isinstance(value, float):
-                value = f"{value:.12g}"
-            formatted[key] = value
-        writer.writerow(formatted)
+    for sizes in itertools.product(*ranges):
+        cell = dict(zip(names, sizes))
+        graph = build_graph({"family": args.family, **cell})
+        points = []
+        for B in budgets:
+            allocation = allocate(graph, B)
+            points.append(("B", B, allocation, allocation.tau))
+        for tau in taus:
+            uniform = (tau,) * graph.n
+            points.append(("tau", tau, synthesize(graph, uniform), uniform))
+        for key, value, result, durations in points:
+            bound = generic_capture_bound(durations)
+            row = {"family": args.family, **cell, key: value,
+                   "mu": result.mu, "w": result.w, "bound": bound, "ratio": result.mu / bound}
+            writer.writerow({k: f"{v:.12g}" if isinstance(v, float) else v
+                             for k, v in row.items()})
     _write_output(buffer.getvalue(), args.out)
     return EXIT_OK
 
@@ -340,7 +312,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--nq", dest="nq")
     parser.add_argument("--tau")
     parser.add_argument("--B", dest="B")
-    parser.add_argument("--edges")
     parser.add_argument("--trials", type=int, default=100_000)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--tol", type=float)
@@ -392,8 +363,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INFEASIBLE
     try:
         return args.handler(args)
-    except (InvalidSpec, ParityError, BudgetOutOfRange, DimensionMismatch,
-            InfeasibleTau, ValueError) as exc:
+    except PatrolGameError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return _EXIT_CODES[type(exc)]
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
 

@@ -205,14 +205,6 @@ class FeasibilityReport:
     condition2_holds: bool
     notes: str
 
-    def to_json_dict(self) -> dict:
-        return {
-            "nontrivial": self.nontrivial,
-            "condition1_violations": list(self.condition1_violations),
-            "condition2_holds": self.condition2_holds,
-            "notes": self.notes,
-        }
-
 
 def validate_attack_durations(g: GraphTopology, tau: Sequence[int]) -> FeasibilityReport:
     """Check the nontriviality of a game instance.

@@ -135,9 +135,6 @@ class CaptureReport:
     worst_pair: tuple[int, int]
     cdf: np.ndarray
 
-    def to_json_dict(self) -> dict:
-        return {"mu": self.mu, "worst_pair": list(self.worst_pair), "cdf": self.cdf.tolist()}
-
 
 def capture_cdf(P: np.ndarray, tau: Sequence[int]) -> np.ndarray:
     """Matrix of P(T_ij <= tau_j) for all ordered pairs, same-node pairs included.
@@ -186,14 +183,6 @@ class SimulationReport:
     overall: float
     trials: int
     seed: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "estimates": self.estimates.tolist(),
-            "overall": self.overall,
-            "trials": self.trials,
-            "seed": self.seed,
-        }
 
 
 def counter_stream(seed: int, index: int) -> np.random.Generator:

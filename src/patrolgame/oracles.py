@@ -8,7 +8,7 @@ and the bound suite sweeps every claimed inequality over finite ranges.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -25,7 +25,7 @@ from .errors import InvalidSpec, ParityError, SearchSpaceExceeded
 from .graphs import (
     BIPARTITE,
     COMPLETE,
-    STAR,
+    GENERAL,
     GraphTopology,
     build_bipartite,
     build_complete,
@@ -57,19 +57,6 @@ class OracleReport:
     closed_form_value: float | None = None
     agreement: bool | None = None
     gap: float | None = None
-
-    def to_json_dict(self) -> dict:
-        candidate = self.best_candidate
-        if isinstance(candidate, np.ndarray):
-            candidate = candidate.tolist()
-        return {
-            "best_value": self.best_value,
-            "best_candidate": candidate,
-            "candidates_examined": self.candidates_examined,
-            "closed_form_value": self.closed_form_value,
-            "agreement": self.agreement,
-            "gap": self.gap,
-        }
 
 
 def partitions(total: int, parts: int, minimum: int = 1,
@@ -186,6 +173,12 @@ def exhaustive_side_allocation(n_side: int, B_side: int,
     )
 
 
+def _support(g: GraphTopology) -> list[np.ndarray]:
+    """Columns each row of a strategy on `g` may put mass on (0-indexed)."""
+    adjacency = g.adjacency()
+    return [np.flatnonzero(adjacency[i]) for i in range(g.n)]
+
+
 def _random_feasible_strategy(rng: np.random.Generator,
                               support: list[np.ndarray], n: int) -> np.ndarray:
     P = np.zeros((n, n))
@@ -195,16 +188,6 @@ def _random_feasible_strategy(rng: np.random.Generator,
         else:
             P[i, cols] = rng.dirichlet(np.ones(cols.size))
     return P
-
-
-def _closed_form_reference(g: GraphTopology, tau: tuple[int, ...]) -> float | None:
-    if g.family == COMPLETE:
-        return synthesis.synthesize_complete(tau).mu
-    if g.family == STAR:
-        return synthesis.synthesize_star(tau).mu
-    if g.family == BIPARTITE:
-        return synthesis.synthesize_bipartite(g, tau[:g.n_p], tau[g.n_p:]).mu
-    return None
 
 
 def _sweep_candidates(P: np.ndarray, rows: np.ndarray, cols: np.ndarray,
@@ -250,8 +233,7 @@ def local_search_strategy(g: GraphTopology, tau: Sequence[int], restarts: int,
     if restarts < 1:
         raise InvalidSpec(f"restarts must be >= 1, got {restarts}")
     durations = check_durations(tau, g.n)
-    adjacency = g.adjacency()
-    support = [np.flatnonzero(adjacency[i]) for i in range(g.n)]
+    support = _support(g)
     if any(cols.size == 0 for cols in support):
         raise InvalidSpec("every node needs at least one outgoing edge")
     # one sweep in order: (row, column) pairs of rows with a choice, each
@@ -299,7 +281,7 @@ def local_search_strategy(g: GraphTopology, tau: Sequence[int], restarts: int,
                             and tuple(P.ravel()) < tuple(best_P.ravel())):
             best_mu = mu
             best_P = P
-    reference = _closed_form_reference(g, durations)
+    reference = None if g.family == GENERAL else synthesis.synthesize(g, durations).mu
     gap = None if reference is None else abs(reference - best_mu)
     return OracleReport(
         best_value=best_mu, best_candidate=best_P,
@@ -315,11 +297,7 @@ class CheckResult:
     instance: str
     expected: str
     actual: float
-    passed: bool
-
-    def to_json_dict(self) -> dict:
-        return {"instance": self.instance, "expected": self.expected,
-                "actual": self.actual, "pass": self.passed}
+    passed: bool = field(metadata={"json": "pass"})
 
 
 @dataclass(frozen=True)
@@ -338,9 +316,6 @@ class SuiteReport:
         good = sum(c.passed for c in self.checks)
         total = len(self.checks)
         return f"PASS {good}/{total}" if good == total else f"FAIL {good}/{total}"
-
-    def to_json_list(self) -> list[dict]:
-        return [c.to_json_dict() for c in self.checks]
 
 
 @dataclass(frozen=True)
@@ -366,9 +341,7 @@ def _random_instance(rng: np.random.Generator, n_max: int, tau_max: int):
                             int(rng.integers(1, n_max // 2 + 1)))
     else:
         g = build_star(int(rng.integers(2, n_max + 1)))
-    adjacency = g.adjacency()
-    support = [np.flatnonzero(adjacency[i]) for i in range(g.n)]
-    P = _random_feasible_strategy(rng, support, g.n)
+    P = _random_feasible_strategy(rng, _support(g), g.n)
     tau = tuple(int(t) for t in rng.integers(1, tau_max + 1, size=g.n))
     return g, P, tau
 
@@ -476,10 +449,7 @@ def monte_carlo_suite(trials: int = 100_000, seed: int = 7,
     for idx in range(instances):
         rng = counter_stream(seed, 90_000 + idx)
         n = int(rng.integers(3, 5))
-        graph = build_complete(n)
-        adjacency = graph.adjacency()
-        support = [np.flatnonzero(adjacency[i]) for i in range(n)]
-        P = _random_feasible_strategy(rng, support, n)
+        P = _random_feasible_strategy(rng, _support(build_complete(n)), n)
         tau = tuple(int(t) for t in rng.integers(2, 5, size=n))
         exact = capture_probability(P, tau).cdf
         sim = simulate_capture(P, tau, trials=trials, seed=seed + idx)

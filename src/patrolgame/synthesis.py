@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BracketError, DimensionMismatch, InfeasibleTau, InvalidSpec, TrivialGame
-from .graphs import BIPARTITE, STAR, GraphTopology, check_durations
+from .graphs import BIPARTITE, COMPLETE, STAR, GraphTopology, check_durations
 
 BISECTION_TOL = 1e-12
 BISECTION_MAX_ITER = 200
@@ -105,21 +105,6 @@ class StrategyResult:
     optimality: str
     w_p: float | None = None
     w_q: float | None = None
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "P": self.P.tolist(),
-            "pi": self.pi.tolist(),
-            "mu": self.mu,
-            "w": self.w,
-            "subopt_lb": self.subopt_lb,
-            "optimality": self.optimality,
-        }
-        if self.w_p is not None:
-            out["w_p"] = self.w_p
-        if self.w_q is not None:
-            out["w_q"] = self.w_q
-        return out
 
 
 def generic_capture_bound(tau: Sequence[int]) -> float:
@@ -215,6 +200,24 @@ def synthesize_star(tau: Sequence[int]) -> StrategyResult:
                           optimality=OPTIMAL)
 
 
+def synthesize(g: GraphTopology, tau: Sequence[int]) -> StrategyResult:
+    """The family's strategy for `g`: complete, star or bipartite.
+
+    Two-sided durations are read P side first, as the graph numbers its
+    nodes.  Raises `InvalidSpec` for the general family, which has no
+    synthesis, and `DimensionMismatch` when tau does not match the graph.
+    """
+    if len(tau) != g.n:
+        raise DimensionMismatch(f"expected {g.n} durations, got {len(tau)}")
+    if g.family == COMPLETE:
+        return synthesize_complete(tau)
+    if g.family == STAR:
+        return synthesize_star(tau)
+    if g.family == BIPARTITE:
+        return synthesize_bipartite(g, tau[:g.n_p], tau[g.n_p:])
+    raise InvalidSpec(f"no strategy synthesis for the {g.family} family")
+
+
 @dataclass(frozen=True, eq=False)
 class BaselineResult:
     """Uniform cross-block bipartite strategy with its constant-factor guarantee."""
@@ -226,17 +229,6 @@ class BaselineResult:
     tau: int
     ratio: float
     guarantee: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "P": self.P.tolist(),
-            "pi": self.pi.tolist(),
-            "mu": self.mu,
-            "w": self.w,
-            "tau": self.tau,
-            "ratio": self.ratio,
-            "guarantee": self.guarantee,
-        }
 
 
 def uniform_bipartite_baseline(n_p: int, n_q: int, tau: int) -> BaselineResult:
@@ -268,12 +260,6 @@ class BoundReport:
     stationary_bound: float
     generic_bound: float
     ratio: float | None = None
-
-    def to_json_dict(self) -> dict:
-        out = {"stationary_bound": self.stationary_bound, "generic_bound": self.generic_bound}
-        if self.ratio is not None:
-            out["ratio"] = self.ratio
-        return out
 
 
 def capture_upper_bound(pi: Sequence[float], tau: Sequence[int],

@@ -8,6 +8,7 @@ from patrolgame import (
     InvalidSpec,
     InvalidStart,
     ParityError,
+    allocate,
     allocate_bipartite_side,
     allocate_complete,
     bipartite_side_value,
@@ -17,7 +18,10 @@ from patrolgame import (
     synthesize_bipartite,
     synthesize_complete,
     build_bipartite,
+    build_complete,
+    build_star,
 )
+from patrolgame.cli import _jsonable
 
 GOLDEN_W = (3 - math.sqrt(5)) / 2
 
@@ -216,10 +220,17 @@ def test_side_values_monotone_in_sub_budget():
     assert all(b >= a - 1e-12 for a, b in zip(w_qs, w_qs[1:]))
 
 
+def test_allocate_dispatches_on_family():
+    assert allocate(build_complete(3), 7) == allocate_complete(3, 7)
+    assert allocate(build_bipartite(3, 2), 20) == co_optimize_bipartite(3, 2, 20)
+    with pytest.raises(InvalidSpec, match="star allocation is unsupported"):
+        allocate(build_star(3), 7)
+
+
 def test_allocation_json_shape():
-    payload = co_optimize_bipartite(3, 2, 20).to_json_dict()
+    payload = _jsonable(co_optimize_bipartite(3, 2, 20))
     assert set(payload) == {"tau", "B", "w", "mu", "B_p", "B_q", "tau_p", "tau_q", "w_p", "w_q"}
-    payload = allocate_complete(3, 7).to_json_dict()
+    payload = _jsonable(allocate_complete(3, 7))
     assert set(payload) == {"tau", "B", "w", "mu"}
 
 

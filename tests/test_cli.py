@@ -5,8 +5,9 @@ import sys
 import numpy as np
 import pytest
 
-from patrolgame import capture_probability
-from patrolgame.cli import main
+import patrolgame.cli
+from patrolgame import PatrolGameError, capture_probability
+from patrolgame.cli import _EXIT_CODES, main
 
 pytestmark = pytest.mark.usefixtures("capsys")
 
@@ -34,7 +35,7 @@ def test_solve_complete(capsys):
 
 
 def test_solve_general_unsupported(capsys):
-    code, _, err = run_cli(capsys, ["solve", "--family", "general", "--edges", "1-2,2-1"])
+    code, _, err = run_cli(capsys, ["solve", "--family", "general"])
     assert code == 3
     assert err
 
@@ -198,6 +199,32 @@ def test_sweep_guard(capsys):
     assert "exceeds" in err
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("the guard must reject the grid before any row is computed")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--family", "bipartite", "--np", "3..12", "--nq", "2..11",
+     "--B", "30,32", "--tau", "2..100"],
+    ["sweep", "--family", "complete", "--n", "1..1000000000000", "--tau", "2"],
+], ids=["mixed-budget-and-tau", "huge-range"])
+def test_sweep_guard_computes_no_row(capsys, monkeypatch, argv):
+    monkeypatch.setattr(patrolgame.cli, "synthesize", _must_not_run)
+    monkeypatch.setattr(patrolgame.cli, "allocate", _must_not_run)
+    code, out, err = run_cli(capsys, argv)
+    assert code == 4
+    assert out == ""
+    assert "exceeds" in err
+
+
+def test_sweep_star_budget_unsupported(capsys):
+    code, out, err = run_cli(capsys, ["sweep", "--family", "star", "--n", "3",
+                                      "--tau", "2", "--B", "5..7"])
+    assert code == 3
+    assert out == ""
+    assert "star allocation is unsupported" in err
+
+
 def test_sweep_bad_durations_are_infeasible(capsys):
     code, out, err = run_cli(capsys, ["sweep", "--family", "complete", "--n", "3",
                                       "--tau", "0..2"])
@@ -219,6 +246,21 @@ def test_sweep_allocation_mode(capsys):
     assert len(lines) == 5
     budgets = [int(line.split(",")[5]) for line in lines[1:]]
     assert budgets == [5, 6, 7, 8]
+
+
+# --- exit codes -------------------------------------------------------------------
+
+def test_every_package_error_has_one_exit_code():
+    for error in PatrolGameError.__subclasses__():
+        assert error in _EXIT_CODES, error.__name__
+        assert _EXIT_CODES[error] in (1, 2, 3, 4)
+
+
+def test_unknown_suite_is_rejected_by_the_parser(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "nope"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 # --- config file and output ------------------------------------------------------

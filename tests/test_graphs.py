@@ -14,6 +14,7 @@ from patrolgame import (
     min_full_tour_length,
     validate_attack_durations,
 )
+from patrolgame.cli import _jsonable
 
 
 def test_complete_has_all_pairs_and_self_loops():
@@ -150,6 +151,6 @@ def test_complete_never_violates_condition1(n, durations):
 
 def test_report_json_shape():
     report = validate_attack_durations(build_star(3), [2, 1, 2])
-    payload = report.to_json_dict()
+    payload = _jsonable(report)
     assert set(payload) == {"nontrivial", "condition1_violations", "condition2_holds", "notes"}
     assert payload["condition1_violations"] == [2]

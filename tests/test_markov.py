@@ -13,6 +13,7 @@ from patrolgame import (
     simulate_capture,
     stationary_distribution,
 )
+from patrolgame.cli import _jsonable
 from patrolgame.markov import _capture_cdf_stack, min_capture_evaluator
 
 TWO_CYCLE = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -242,7 +243,7 @@ def test_capture_report_consistency():
     F = hitting_time_probabilities(P, max(tau))
     for col, t in enumerate(tau):
         np.testing.assert_allclose(report.cdf[:, col], F[:t, :, col].sum(axis=0), atol=1e-15)
-    payload = report.to_json_dict()
+    payload = _jsonable(report)
     assert set(payload) == {"mu", "worst_pair", "cdf"}
 
 

@@ -15,6 +15,7 @@ from patrolgame import (
     local_search_strategy,
     partitions,
 )
+from patrolgame.cli import _jsonable
 from patrolgame.markov import counter_stream, min_capture_evaluator
 from patrolgame.oracles import _random_feasible_strategy
 
@@ -206,7 +207,7 @@ def test_local_search_guard_and_validation():
 
 def test_oracle_report_json():
     report = exhaustive_allocation("complete", 3, 7)
-    payload = report.to_json_dict()
+    payload = _jsonable(report)
     assert set(payload) == {"best_value", "best_candidate", "candidates_examined",
                             "closed_form_value", "agreement", "gap"}
 
@@ -219,7 +220,7 @@ def test_bound_suite_small_config_passes():
     report = bound_suite(cfg)
     assert report.passed
     assert report.summary.startswith("PASS")
-    rows = report.to_json_list()
+    rows = _jsonable(report.checks)
     assert all(set(r) == {"instance", "expected", "actual", "pass"} for r in rows)
 
 

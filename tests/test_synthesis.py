@@ -11,6 +11,8 @@ from patrolgame import (
     InvalidSpec,
     TrivialGame,
     build_bipartite,
+    build_complete,
+    build_general,
     build_star,
     capture_probability,
     capture_upper_bound,
@@ -18,6 +20,7 @@ from patrolgame import (
     solve_equalized_value,
     solve_monotone_increasing,
     stationary_distribution,
+    synthesize,
     synthesize_bipartite,
     synthesize_complete,
     synthesize_star,
@@ -212,6 +215,28 @@ def test_bipartite_dimension_check():
     g = build_bipartite(3, 2)
     with pytest.raises(DimensionMismatch):
         synthesize_bipartite(g, [4, 4], [4, 4])
+
+
+# --- family dispatch -------------------------------------------------------------
+
+@pytest.mark.parametrize("graph, tau, direct", [
+    (build_complete(3), (3, 2, 2), lambda: synthesize_complete((3, 2, 2))),
+    (build_star(4), (2, 2, 3, 4), lambda: synthesize_star((2, 2, 3, 4))),
+    (build_bipartite(3, 2), (6, 4, 4, 4, 2),
+     lambda: synthesize_bipartite(build_bipartite(3, 2), (6, 4, 4), (4, 2))),
+], ids=["complete", "star", "bipartite"])
+def test_synthesize_dispatches_on_family(graph, tau, direct):
+    result, expected = synthesize(graph, tau), direct()
+    assert result.P.tobytes() == expected.P.tobytes()
+    assert (result.mu, result.w, result.optimality) == (expected.mu, expected.w,
+                                                        expected.optimality)
+
+
+def test_synthesize_rejects_general_and_wrong_length():
+    with pytest.raises(InvalidSpec):
+        synthesize(build_general(3, [(1, 2), (2, 3), (3, 1)]), (3, 3, 3))
+    with pytest.raises(DimensionMismatch):
+        synthesize(build_complete(3), (2, 2))
 
 
 # --- star graphs ----------------------------------------------------------------
