@@ -33,14 +33,7 @@ from .errors import (
     SearchSpaceExceeded,
     TrivialGame,
 )
-from .graphs import (
-    BIPARTITE,
-    build_bipartite,
-    build_complete,
-    build_graph,
-    build_star,
-    validate_attack_durations,
-)
+from .graphs import BIPARTITE, build_bipartite, build_graph, validate_attack_durations
 from .markov import capture_probability, simulate_capture
 from .oracles import (
     BoundSuiteConfig,
@@ -149,16 +142,13 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
 
 def _build_graph_from_args(args: argparse.Namespace):
     family = args.family
-    if family == "complete":
+    if family in ("complete", "star"):
         n = int(args.n) if args.n is not None else len(_parse_int_list(args.tau))
-        return build_complete(n)
+        return build_graph({"family": family, "n": n})
     if family == "bipartite":
         if args.np is None or args.nq is None:
             raise InvalidSpec("bipartite needs --np and --nq")
         return build_bipartite(int(args.np), int(args.nq))
-    if family == "star":
-        n = int(args.n) if args.n is not None else len(_parse_int_list(args.tau))
-        return build_star(n)
     raise InvalidSpec(f"unsupported family {family!r}")
 
 

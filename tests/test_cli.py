@@ -217,6 +217,14 @@ def test_sweep_guard_computes_no_row(capsys, monkeypatch, argv):
     assert "exceeds" in err
 
 
+def test_sweep_range_past_machine_size_is_a_one_line_error(capsys):
+    code, out, err = run_cli(capsys, ["sweep", "--family", "complete",
+                                      "--n", f"1..{10 ** 30}", "--tau", "2"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_sweep_star_budget_unsupported(capsys):
     code, out, err = run_cli(capsys, ["sweep", "--family", "star", "--n", "3",
                                       "--tau", "2", "--B", "5..7"])
