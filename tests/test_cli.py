@@ -200,7 +200,7 @@ def test_sweep_guard(capsys):
 
 
 def _must_not_run(*args, **kwargs):
-    raise AssertionError("the guard must reject the grid before any row is computed")
+    raise AssertionError("the guard must reject the grid before any graph or row is built")
 
 
 @pytest.mark.parametrize("argv", [
@@ -211,6 +211,7 @@ def _must_not_run(*args, **kwargs):
 def test_sweep_guard_computes_no_row(capsys, monkeypatch, argv):
     monkeypatch.setattr(patrolgame.cli, "synthesize", _must_not_run)
     monkeypatch.setattr(patrolgame.cli, "allocate", _must_not_run)
+    monkeypatch.setattr(patrolgame.cli, "build_graph", _must_not_run)
     code, out, err = run_cli(capsys, argv)
     assert code == 4
     assert out == ""
