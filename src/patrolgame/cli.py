@@ -153,7 +153,8 @@ def _build_graph_from_args(args: argparse.Namespace):
 
 
 def _solve_common(args: argparse.Namespace):
-    """Shared by solve and simulate: returns (graph, tau, result) or an exit code."""
+    """Shared by solve and simulate: returns (tau, result, capture) or an exit
+    code; `capture` is the recursion report the closed form was checked against."""
     if args.family == "general":
         print("error: no strategy synthesis for the general family", file=sys.stderr)
         return EXIT_UNSUPPORTED
@@ -175,22 +176,21 @@ def _solve_common(args: argparse.Namespace):
         sys.stderr.write(_dump_json(payload))
         return EXIT_INFEASIBLE
     tol = args.tol if args.tol is not None else 1e-9
-    recursion_mu = capture_probability(result.P, tau).mu
-    if abs(recursion_mu - result.mu) > tol:
-        print(f"error: closed form {result.mu} disagrees with recursion {recursion_mu}",
+    capture = capture_probability(result.P, tau)
+    if abs(capture.mu - result.mu) > tol:
+        print(f"error: closed form {result.mu} disagrees with recursion {capture.mu}",
               file=sys.stderr)
         return EXIT_FAILURE
-    return graph, tau, result
+    return tau, result, capture
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
     outcome = _solve_common(args)
     if isinstance(outcome, int):
         return outcome
-    graph, tau, result = outcome
+    _, result, capture = outcome
     payload = _fields(result)
     if args.emit_cdf:
-        capture = capture_probability(result.P, tau)
         payload["worst_pair"] = capture.worst_pair
         payload["cdf"] = capture.cdf
     _write_output(_dump_json(payload), args.out)
@@ -201,7 +201,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     outcome = _solve_common(args)
     if isinstance(outcome, int):
         return outcome
-    _, tau, result = outcome
+    tau, result, _ = outcome
     sim = simulate_capture(result.P, tau, trials=args.trials, seed=args.seed)
     payload = {"mu_exact": result.mu, **_fields(sim)}
     _write_output(_dump_json(payload), args.out)

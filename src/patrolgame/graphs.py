@@ -8,7 +8,6 @@ the center as the single P-side node.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -137,17 +136,19 @@ def build_graph(spec: Mapping) -> GraphTopology:
 
 
 def _bfs_distances(adj: np.ndarray, source: int) -> np.ndarray:
-    """Hop distances from `source` (0-indexed) to all nodes; -1 if unreachable."""
-    n = adj.shape[0]
-    dist = np.full(n, -1, dtype=int)
+    """Hop distances from `source` (0-indexed) to all nodes; -1 if unreachable.
+
+    Level-synchronous: each level expands the whole frontier in one array
+    expression, so the Python loop runs once per level, not once per node.
+    """
+    dist = np.full(adj.shape[0], -1, dtype=int)
     dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in np.flatnonzero(adj[u]):
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(v)
+    frontier = dist == 0
+    level = 0
+    while frontier.any():
+        level += 1
+        frontier = adj[frontier].any(axis=0) & (dist < 0)
+        dist[frontier] = level
     return dist
 
 

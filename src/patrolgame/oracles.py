@@ -85,23 +85,33 @@ def _composition_count(total: int, parts: int) -> int:
     return math.comb(total - 1, parts - 1)
 
 
-def _best_complete_multiset(n: int, B: int) -> tuple[float, tuple[int, ...]]:
+def _guarded(count: int, guard: int) -> int:
+    """`count` compositions, or SearchSpaceExceeded if they are more than `guard`."""
+    if count > guard:
+        raise SearchSpaceExceeded(f"{count} compositions exceed the guard {guard}")
+    return count
+
+
+def _best_multiset(n: int, total: int, step: int, value) -> tuple[float, tuple[int, ...]]:
+    """Lowest `value` over the multisets of n positive multiples of `step`
+    that sum to `total`, and the first multiset that attains it."""
     best = None
-    for tau in partitions(B, n, minimum=1):
-        w = complete_allocation_value(tau)
+    for parts in partitions(total // step, n, minimum=1):
+        tau = tuple(step * t for t in parts)
+        w = value(tau)
         if best is None or w < best[0]:
             best = (w, tau)
     return best
 
 
-def _best_side_multiset(n_side: int, B_side: int) -> tuple[float, tuple[int, ...]]:
-    best = None
-    for half in partitions(B_side // 2, n_side, minimum=1):
-        tau = tuple(2 * t for t in half)
-        w = bipartite_side_value(tau)
-        if best is None or w < best[0]:
-            best = (w, tau)
-    return best
+def _report(best_value: float, best_candidate, count: int, closed_form_value: float,
+            tolerance: float) -> OracleReport:
+    gap = abs(closed_form_value - best_value)
+    return OracleReport(
+        best_value=best_value, best_candidate=best_candidate,
+        candidates_examined=count, closed_form_value=closed_form_value,
+        agreement=gap <= tolerance, gap=gap,
+    )
 
 
 def exhaustive_allocation(family: str, sizes: int | Sequence[int], B: int,
@@ -116,41 +126,25 @@ def exhaustive_allocation(family: str, sizes: int | Sequence[int], B: int,
     """
     if family == COMPLETE:
         n = int(sizes[0]) if isinstance(sizes, Sequence) else int(sizes)
-        count = _composition_count(B, n)
-        if count > guard:
-            raise SearchSpaceExceeded(f"{count} compositions exceed the guard {guard}")
-        best_w, best_tau = _best_complete_multiset(n, B)
-        closed = allocate_complete(n, B)
-        gap = abs(closed.mu - (1.0 - best_w))
-        return OracleReport(
-            best_value=1.0 - best_w, best_candidate=best_tau,
-            candidates_examined=count, closed_form_value=closed.mu,
-            agreement=gap <= tolerance, gap=gap,
-        )
+        count = _guarded(_composition_count(B, n), guard)
+        best_w, best_tau = _best_multiset(n, B, 1, complete_allocation_value)
+        return _report(1.0 - best_w, best_tau, count, allocate_complete(n, B).mu, tolerance)
     if family == BIPARTITE:
         n_p, n_q = (int(s) for s in sizes)
         if B % 2:
             raise ParityError(f"bipartite budget must be even, got {B}")
         splits = range(2 * n_p, B - 2 * n_q + 1, 2)
-        count = sum(
+        count = _guarded(sum(
             _composition_count(b_p // 2, n_p) * _composition_count((B - b_p) // 2, n_q)
-            for b_p in splits)
-        if count > guard:
-            raise SearchSpaceExceeded(f"{count} compositions exceed the guard {guard}")
+            for b_p in splits), guard)
         best = None
         for b_p in splits:
-            w_p, tau_p = _best_side_multiset(n_p, b_p)
-            w_q, tau_q = _best_side_multiset(n_q, B - b_p)
+            w_p, tau_p = _best_multiset(n_p, b_p, 2, bipartite_side_value)
+            w_q, tau_q = _best_multiset(n_q, B - b_p, 2, bipartite_side_value)
             mu = 1.0 - max(w_p, w_q)
             if best is None or mu > best[0]:
                 best = (mu, (b_p, tau_p, tau_q))
-        closed = co_optimize_bipartite(n_p, n_q, B)
-        gap = abs(closed.mu - best[0])
-        return OracleReport(
-            best_value=best[0], best_candidate=best[1],
-            candidates_examined=count, closed_form_value=closed.mu,
-            agreement=gap <= tolerance, gap=gap,
-        )
+        return _report(*best, count, co_optimize_bipartite(n_p, n_q, B).mu, tolerance)
     raise InvalidSpec(f"no exhaustive allocation for family {family!r}")
 
 
@@ -160,17 +154,10 @@ def exhaustive_side_allocation(n_side: int, B_side: int,
     """Enumerate all even allocations of one bipartite side against the rule."""
     if B_side % 2:
         raise ParityError(f"side budget must be even, got {B_side}")
-    count = _composition_count(B_side // 2, n_side)
-    if count > guard:
-        raise SearchSpaceExceeded(f"{count} compositions exceed the guard {guard}")
-    best_w, best_tau = _best_side_multiset(n_side, B_side)
-    closed = allocate_bipartite_side(n_side, B_side)
-    gap = abs(closed.w - best_w)
-    return OracleReport(
-        best_value=best_w, best_candidate=best_tau,
-        candidates_examined=count, closed_form_value=closed.w,
-        agreement=gap <= tolerance, gap=gap,
-    )
+    count = _guarded(_composition_count(B_side // 2, n_side), guard)
+    best_w, best_tau = _best_multiset(n_side, B_side, 2, bipartite_side_value)
+    return _report(best_w, best_tau, count, allocate_bipartite_side(n_side, B_side).w,
+                   tolerance)
 
 
 def _support(g: GraphTopology) -> list[np.ndarray]:
@@ -409,8 +396,13 @@ def allocation_agreement_suite(nmax: int = 4, tolerance: float = 1e-10) -> Suite
 
     Complete graphs run up to `nmax` nodes over every in-range budget; side
     allocations and the sub-budget bisection run both sides up to
-    min(nmax, 4) over every valid even budget.
+    min(nmax, 4) over every valid even budget.  Only complete graphs can
+    outgrow `ENUMERATION_GUARD`, so their counts are checked, in suite order,
+    before anything is enumerated.
     """
+    for n in range(2, nmax + 1):
+        for B in range(n + 1, n * n):
+            _guarded(_composition_count(B, n), ENUMERATION_GUARD)
     checks = []
     for n in range(2, nmax + 1):
         for B in range(n + 1, n * n):

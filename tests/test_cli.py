@@ -34,6 +34,22 @@ def test_solve_complete(capsys):
     assert json.loads(out)["mu"] == pytest.approx(5 / 9, abs=1e-9)
 
 
+def test_solve_emit_cdf_runs_the_recursion_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(P, tau):
+        calls.append(1)
+        return capture_probability(P, tau)
+
+    monkeypatch.setattr(patrolgame.cli, "capture_probability", counted)
+    code, out, _ = run_cli(capsys, ["solve", "--family", "star", "--n", "4",
+                                    "--tau", "3,2,4,5", "--emit-cdf"])
+    assert code == 0
+    payload = json.loads(out)
+    assert len(calls) == 1
+    assert min(map(min, payload["cdf"])) == pytest.approx(payload["mu"], abs=1e-9)
+
+
 def test_solve_general_unsupported(capsys):
     code, _, err = run_cli(capsys, ["solve", "--family", "general"])
     assert code == 3
@@ -197,6 +213,13 @@ def test_sweep_guard(capsys):
                                     "--n", "2..200", "--tau", "1..100"])
     assert code == 4
     assert "exceeds" in err
+
+
+def test_verify_alloc_oracle_past_the_guard(capsys):
+    code, out, err = run_cli(capsys, ["verify", "--suite", "alloc-oracle", "--nmax", "7"])
+    assert code == 4
+    assert out == ""
+    assert err == "error: 10737573 compositions exceed the guard 10000000\n"
 
 
 def _must_not_run(*args, **kwargs):

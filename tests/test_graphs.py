@@ -1,6 +1,10 @@
+from collections import deque
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import patrolgame.graphs
 from patrolgame import (
     DimensionMismatch,
     InvalidSpec,
@@ -88,6 +92,74 @@ def test_eccentricities():
     # star leaves sit two hops from each other, the center one hop from all
     assert eccentricities(build_star(3).adjacency()).tolist() == [1, 2, 2]
     assert eccentricities(build_bipartite(3, 2).adjacency()).tolist() == [2, 2, 2, 2, 2]
+    assert eccentricities(build_complete(1).adjacency()).tolist() == [0]
+    assert eccentricities(build_bipartite(1, 1).adjacency()).tolist() == [1, 1]
+    assert eccentricities(build_star(2).adjacency()).tolist() == [1, 1]
+
+
+def test_eccentricities_reject_graph_not_strongly_connected():
+    adj = np.zeros((3, 3), dtype=bool)
+    adj[0, 1] = adj[1, 2] = True
+    with pytest.raises(InvalidSpec):
+        eccentricities(adj)
+
+
+def _reference_distances(adj, source):
+    # plain queue BFS, one node at a time
+    dist = [-1] * len(adj)
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in range(len(adj)):
+            if adj[u][v] and dist[v] < 0:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
+@st.composite
+def digraphs(draw):
+    """Boolean adjacency on 1-30 nodes: random edges (self-loops allowed),
+    sometimes threaded on a random Hamiltonian cycle so that it is strongly
+    connected, otherwise often with nodes that cannot be reached."""
+    n = draw(st.integers(1, 30))
+    adj = np.zeros((n, n), dtype=bool)
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=3 * n)):
+        adj[i, j] = True
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(n)))
+        adj[order, np.roll(order, -1)] = True
+    return adj
+
+
+@given(digraphs())
+def test_bfs_matches_reference_queue_bfs(adj):
+    n = adj.shape[0]
+    reference = [_reference_distances(adj, s) for s in range(n)]
+    for s in range(n):
+        assert patrolgame.graphs._bfs_distances(adj, s).tolist() == reference[s]
+    reverse = _reference_distances(adj.T, 0)
+    connected = min(reference[0]) >= 0 and min(reverse) >= 0
+    assert is_strongly_connected(adj) == connected
+    if connected:
+        assert eccentricities(adj).tolist() == [max(d) for d in reference]
+    else:
+        with pytest.raises(InvalidSpec):
+            eccentricities(adj)
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 280])
+def test_lazy_tour_support_connectivity(n):
+    # stay at i or step to i+1 (mod n); without one ring edge the tour breaks
+    idx = np.arange(n)
+    adj = np.zeros((n, n), dtype=bool)
+    adj[idx, idx] = True
+    adj[idx, (idx + 1) % n] = True
+    assert is_strongly_connected(adj)
+    adj[n - 1, 0] = False
+    assert not is_strongly_connected(adj)
 
 
 def test_min_full_tour_lengths():

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import patrolgame.oracles
 from patrolgame import (
     BoundSuiteConfig,
     SearchSpaceExceeded,
     allocate_complete,
+    allocation_agreement_suite,
     bound_suite,
     build_bipartite,
     build_complete,
@@ -62,6 +64,16 @@ def test_exhaustive_bipartite_reference():
     assert tau_p == (6, 4, 4)
     assert tau_q == (4, 2)
     assert report.agreement
+
+
+def test_alloc_suite_guard_enumerates_nothing(monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the guard must reject the suite before any enumeration")
+
+    monkeypatch.setattr(patrolgame.oracles, "_best_multiset", must_not_run)
+    with pytest.raises(SearchSpaceExceeded,
+                       match="^10737573 compositions exceed the guard 10000000$"):
+        allocation_agreement_suite(nmax=7)
 
 
 def test_exhaustive_guard():
