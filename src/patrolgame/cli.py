@@ -8,6 +8,7 @@ output.  Randomness never comes from the clock: the seed defaults to 0.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
@@ -107,37 +108,17 @@ def _write_output(text: str, out: str | None) -> None:
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in str(text).split(",") if part != "")
+    return tuple(int(part) for part in text.split(",") if part != "")
 
 
-def _parse_range(text: str | int | None) -> tuple[int, ...] | range:
+def _parse_range(text: str | None) -> tuple[int, ...] | range:
     """Accepts '4', '2,3,5', or '2..6' (inclusive)."""
     if text is None:
         return ()
-    text = str(text)
     if ".." in text:
         lo, hi = text.split("..", 1)
         return range(int(lo), int(hi) + 1)
     return _parse_int_list(text)
-
-
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset flags from a JSON scenario file given with --config."""
-    if not getattr(args, "config", None):
-        return args
-    with open(args.config, encoding="utf-8") as handle:
-        scenario = json.load(handle)
-    if not isinstance(scenario, dict):
-        raise InvalidSpec("a scenario file must hold one JSON object")
-    for key, value in scenario.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
-            continue
-        if getattr(args, attr) in (None, False):
-            if attr == "tau" and isinstance(value, (list, tuple)):
-                value = ",".join(str(v) for v in value)
-            setattr(args, attr, value)
-    return args
 
 
 def _build_graph_from_args(args: argparse.Namespace):
@@ -175,9 +156,8 @@ def _solve_common(args: argparse.Namespace):
         payload["notes"] = f"{report.notes}; {exc}"
         sys.stderr.write(_dump_json(payload))
         return EXIT_INFEASIBLE
-    tol = args.tol if args.tol is not None else 1e-9
     capture = capture_probability(result.P, tau)
-    if abs(capture.mu - result.mu) > tol:
+    if abs(capture.mu - result.mu) > args.tol:
         print(f"error: closed form {result.mu} disagrees with recursion {capture.mu}",
               file=sys.stderr)
         return EXIT_FAILURE
@@ -239,8 +219,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.suite == "bounds":
         report = bound_suite(BoundSuiteConfig(seed=args.seed))
     elif args.suite == "alloc-oracle":
-        tolerance = args.tol if args.tol is not None else 1e-10
-        report = allocation_agreement_suite(nmax=args.nmax, tolerance=tolerance)
+        report = allocation_agreement_suite(nmax=args.nmax, tolerance=args.tol)
     else:
         report = monte_carlo_suite(trials=args.trials, seed=args.seed)
     if args.out:
@@ -268,9 +247,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         names, ranges = ("n",), (_parse_range(args.n),)
     count = math.prod(len(r) for r in ranges) * (len(budgets) + len(taus))
     if count > SWEEP_ROW_LIMIT:
-        print(f"error: sweep grid of {count} rows exceeds {SWEEP_ROW_LIMIT}",
-              file=sys.stderr)
-        return EXIT_GUARD
+        raise SearchSpaceExceeded(f"sweep grid of {count} rows exceeds {SWEEP_ROW_LIMIT}")
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=_CSV_COLUMNS, lineterminator="\n")
     writer.writeheader()
@@ -294,63 +271,87 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    # sizes, budget, and tau accept "4", "2,3,5", or "2..6" (ranges only in sweep)
-    parser.add_argument("--family", choices=("complete", "bipartite", "star", "general"))
-    parser.add_argument("--n")
-    parser.add_argument("--np", dest="np")
-    parser.add_argument("--nq", dest="nq")
-    parser.add_argument("--tau")
-    parser.add_argument("--B", dest="B")
-    parser.add_argument("--trials", type=int, default=100_000)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--tol", type=float)
-    parser.add_argument("--out")
-    parser.add_argument("--config")
+# every flag; sizes, budget and tau take "4", "2,3,5", or "2..6" (ranges only in sweep)
+_FLAGS = {
+    "family": {"choices": ("complete", "bipartite", "star", "general")},
+    "n": {}, "np": {}, "nq": {}, "tau": {}, "B": {},
+    "suite": {"choices": ("bounds", "alloc-oracle", "montecarlo"), "required": True},
+    "trials": {"type": int, "default": 100_000},
+    "seed": {"type": int, "default": 0},
+    "tol": {"type": float},
+    "nmax": {"type": int, "default": 4},
+    "emit-cdf": {"action": "store_true"},
+    "compare-uniform": {"action": "store_true"},
+    "out": {}, "config": {},
+}
+
+# each subcommand: handler, help line, exactly the flags the handler reads, own defaults
+_COMMANDS = {
+    "solve": (cmd_solve, "synthesize a patrol strategy",
+              "family n np nq tau tol out config emit-cdf", {"tol": 1e-9}),
+    "allocate": (cmd_allocate, "optimally split a defense budget",
+                 "family n np nq B out config compare-uniform", {}),
+    "simulate": (cmd_simulate, "Monte Carlo check of a strategy",
+                 "family n np nq tau trials seed tol out config", {"tol": 1e-9}),
+    "verify": (cmd_verify, "run a verification suite",
+               "trials seed tol out config suite nmax", {"tol": 1e-10}),
+    "sweep": (cmd_sweep, "emit CSV rows over a parameter grid",
+              "family n np nq tau B out config", {}),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _scenario_value(flag: str, value):
+    """A --config value, converted and checked the way the flag's own is."""
+    spec = _FLAGS[flag]
+    if spec.get("action") == "store_true":
+        if isinstance(value, bool):
+            return value
+    elif isinstance(value, (str, int, float, list)) and not isinstance(value, bool):
+        text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+        with contextlib.suppress(ValueError):
+            parsed = spec.get("type", str)(text)
+            if "choices" not in spec or parsed in spec["choices"]:
+                return parsed
+    raise InvalidSpec(f"invalid --{flag} value {value!r}")
+
+
+def _scenario_defaults(command: str, path: str) -> dict:
+    """Scenario values for `command`'s flags except --config; other keys are ignored."""
+    with open(path, encoding="utf-8") as handle:
+        scenario = json.load(handle)
+    if not isinstance(scenario, dict):
+        raise InvalidSpec("a scenario file must hold one JSON object")
+    scenario = {key.replace("_", "-"): value for key, value in scenario.items()}
+    return {flag.replace("-", "_"): _scenario_value(flag, scenario[flag])
+            for flag in _COMMANDS[command][2].split() if flag in scenario and flag != "config"}
+
+
+def build_parser(scenario: dict[str, dict] | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser; `scenario` maps a subcommand to defaults that replace its own."""
     parser = argparse.ArgumentParser(
         prog="patrolgame",
         description="Patrol strategies and defense placement for surveillance games")
     parser.add_argument("--version", action="version", version=__version__)
     commands = parser.add_subparsers(dest="command", required=True)
-
-    solve = commands.add_parser("solve", help="synthesize a patrol strategy")
-    _add_common_flags(solve)
-    solve.add_argument("--emit-cdf", action="store_true", dest="emit_cdf")
-    solve.set_defaults(handler=cmd_solve)
-
-    allocate = commands.add_parser("allocate", help="optimally split a defense budget")
-    _add_common_flags(allocate)
-    allocate.add_argument("--compare-uniform", action="store_true", dest="compare_uniform")
-    allocate.set_defaults(handler=cmd_allocate)
-
-    simulate = commands.add_parser("simulate", help="Monte Carlo check of a strategy")
-    _add_common_flags(simulate)
-    simulate.set_defaults(handler=cmd_simulate)
-
-    verify = commands.add_parser("verify", help="run a verification suite")
-    _add_common_flags(verify)
-    verify.add_argument("--suite", choices=("bounds", "alloc-oracle", "montecarlo"),
-                        required=True)
-    verify.add_argument("--nmax", type=int, default=4)
-    verify.set_defaults(handler=cmd_verify)
-
-    sweep = commands.add_parser("sweep", help="emit CSV rows over a parameter grid")
-    _add_common_flags(sweep)
-    sweep.set_defaults(handler=cmd_sweep)
-
+    for name, (handler, help_text, flags, defaults) in _COMMANDS.items():
+        # no abbreviations: `verify --n 3` must not become `--nmax 3`
+        command = commands.add_parser(name, help=help_text, allow_abbrev=False)
+        for flag in flags.split():
+            command.add_argument(f"--{flag}", **_FLAGS[flag])
+        command.set_defaults(handler=handler, **{**defaults, **(scenario or {}).get(name, {})})
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        args = _merge_config(args)
-    except (OSError, ValueError, InvalidSpec) as exc:
-        print(f"error: cannot read --config {args.config}: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    if args.config:
+        try:
+            defaults = _scenario_defaults(args.command, args.config)
+        except (OSError, ValueError, InvalidSpec) as exc:
+            print(f"error: cannot read --config {args.config}: {exc}", file=sys.stderr)
+            return EXIT_INFEASIBLE
+        # parsing again with the scenario as defaults lets every given flag win
+        args = build_parser({args.command: defaults}).parse_args(argv)
     try:
         return args.handler(args)
     except PatrolGameError as exc:

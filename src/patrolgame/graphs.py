@@ -185,15 +185,15 @@ def min_full_tour_length(g: GraphTopology) -> int | None:
     return None
 
 
-def check_durations(tau: Sequence[int], n: int, minimum: int = 1) -> tuple[int, ...]:
+def check_durations(tau: Sequence[int], n: int) -> tuple[int, ...]:
     """Validate an attack-duration vector and return it as a tuple of ints."""
     out = tuple(int(t) for t in tau)
     if len(out) != n:
         raise DimensionMismatch(f"expected {n} durations, got {len(out)}")
     if any(t != float(orig) for t, orig in zip(out, tau)):
         raise InvalidSpec("attack durations must be integers")
-    if any(t < minimum for t in out):
-        raise InvalidSpec(f"attack durations must all be >= {minimum}: {out}")
+    if any(t < 1 for t in out):
+        raise InvalidSpec(f"attack durations must all be >= 1: {out}")
     return out
 
 

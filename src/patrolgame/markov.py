@@ -19,8 +19,7 @@ from .graphs import GraphTopology, check_durations, is_strongly_connected
 ROW_SUM_TOL = 1e-9
 
 
-def check_transition_matrix(P: np.ndarray, graph: GraphTopology | None = None,
-                            tol: float = ROW_SUM_TOL) -> np.ndarray:
+def check_transition_matrix(P: np.ndarray, graph: GraphTopology | None = None) -> np.ndarray:
     """Validate a row-stochastic matrix, optionally against a graph's support.
 
     Returns the matrix as a float64 ndarray.  Raises `DimensionMismatch` for
@@ -32,12 +31,12 @@ def check_transition_matrix(P: np.ndarray, graph: GraphTopology | None = None,
         raise DimensionMismatch(f"transition matrix must be square, got shape {P.shape}")
     if graph is not None and P.shape[0] != graph.n:
         raise DimensionMismatch(f"matrix is {P.shape[0]}x{P.shape[0]} but graph has {graph.n} nodes")
-    if np.any(P < -tol) or np.any(P > 1 + tol):
+    if np.any(P < -ROW_SUM_TOL) or np.any(P > 1 + ROW_SUM_TOL):
         raise InvalidSpec("transition probabilities must lie in [0, 1]")
-    if np.any(np.abs(P.sum(axis=1) - 1.0) > tol):
+    if np.any(np.abs(P.sum(axis=1) - 1.0) > ROW_SUM_TOL):
         raise InvalidSpec("every row must sum to 1")
     if graph is not None:
-        off_support = ~graph.adjacency() & (P > tol)
+        off_support = ~graph.adjacency() & (P > ROW_SUM_TOL)
         if off_support.any():
             i, j = np.argwhere(off_support)[0]
             raise InvalidSpec(f"probability mass on non-edge ({i + 1}, {j + 1})")

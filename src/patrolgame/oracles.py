@@ -42,6 +42,7 @@ from .markov import (
 
 ENUMERATION_GUARD = 10_000_000
 LOCAL_SEARCH_MAX_NODES = 8
+LOCAL_SEARCH_TOLERANCE = 0.02
 _IMPROVEMENT_EPS = 1e-7
 _STEP_INITIAL = 0.2
 _STEP_FINAL = 1e-3
@@ -85,10 +86,10 @@ def _composition_count(total: int, parts: int) -> int:
     return math.comb(total - 1, parts - 1)
 
 
-def _guarded(count: int, guard: int) -> int:
-    """`count` compositions, or SearchSpaceExceeded if they are more than `guard`."""
-    if count > guard:
-        raise SearchSpaceExceeded(f"{count} compositions exceed the guard {guard}")
+def _guarded(count: int) -> int:
+    """`count` compositions, or SearchSpaceExceeded past `ENUMERATION_GUARD`."""
+    if count > ENUMERATION_GUARD:
+        raise SearchSpaceExceeded(f"{count} compositions exceed the guard {ENUMERATION_GUARD}")
     return count
 
 
@@ -115,8 +116,7 @@ def _report(best_value: float, best_candidate, count: int, closed_form_value: fl
 
 
 def exhaustive_allocation(family: str, sizes: int | Sequence[int], B: int,
-                          tolerance: float = 1e-10,
-                          guard: int = ENUMERATION_GUARD) -> OracleReport:
+                          tolerance: float = 1e-10) -> OracleReport:
     """Search every feasible allocation and compare to the closed-form rule.
 
     Complete graphs enumerate all compositions of B with entries >= 1;
@@ -126,7 +126,7 @@ def exhaustive_allocation(family: str, sizes: int | Sequence[int], B: int,
     """
     if family == COMPLETE:
         n = int(sizes[0]) if isinstance(sizes, Sequence) else int(sizes)
-        count = _guarded(_composition_count(B, n), guard)
+        count = _guarded(_composition_count(B, n))
         best_w, best_tau = _best_multiset(n, B, 1, complete_allocation_value)
         return _report(1.0 - best_w, best_tau, count, allocate_complete(n, B).mu, tolerance)
     if family == BIPARTITE:
@@ -136,7 +136,7 @@ def exhaustive_allocation(family: str, sizes: int | Sequence[int], B: int,
         splits = range(2 * n_p, B - 2 * n_q + 1, 2)
         count = _guarded(sum(
             _composition_count(b_p // 2, n_p) * _composition_count((B - b_p) // 2, n_q)
-            for b_p in splits), guard)
+            for b_p in splits))
         best = None
         for b_p in splits:
             w_p, tau_p = _best_multiset(n_p, b_p, 2, bipartite_side_value)
@@ -149,12 +149,11 @@ def exhaustive_allocation(family: str, sizes: int | Sequence[int], B: int,
 
 
 def exhaustive_side_allocation(n_side: int, B_side: int,
-                               tolerance: float = 1e-10,
-                               guard: int = ENUMERATION_GUARD) -> OracleReport:
+                               tolerance: float = 1e-10) -> OracleReport:
     """Enumerate all even allocations of one bipartite side against the rule."""
     if B_side % 2:
         raise ParityError(f"side budget must be even, got {B_side}")
-    count = _guarded(_composition_count(B_side // 2, n_side), guard)
+    count = _guarded(_composition_count(B_side // 2, n_side))
     best_w, best_tau = _best_multiset(n_side, B_side, 2, bipartite_side_value)
     return _report(best_w, best_tau, count, allocate_bipartite_side(n_side, B_side).w,
                    tolerance)
@@ -196,7 +195,7 @@ def _sweep_candidates(P: np.ndarray, rows: np.ndarray, cols: np.ndarray,
 
 
 def local_search_strategy(g: GraphTopology, tau: Sequence[int], restarts: int,
-                          seed: int, tolerance: float = 0.02) -> OracleReport:
+                          seed: int) -> OracleReport:
     """Random-restart hill climbing over strategies supported on the graph.
 
     Each restart samples every row uniformly from its simplex, then sweeps
@@ -273,7 +272,7 @@ def local_search_strategy(g: GraphTopology, tau: Sequence[int], restarts: int,
     return OracleReport(
         best_value=best_mu, best_candidate=best_P,
         candidates_examined=evaluations, closed_form_value=reference,
-        agreement=None if gap is None else gap <= tolerance, gap=gap,
+        agreement=None if gap is None else gap <= LOCAL_SEARCH_TOLERANCE, gap=gap,
     )
 
 
@@ -402,7 +401,7 @@ def allocation_agreement_suite(nmax: int = 4, tolerance: float = 1e-10) -> Suite
     """
     for n in range(2, nmax + 1):
         for B in range(n + 1, n * n):
-            _guarded(_composition_count(B, n), ENUMERATION_GUARD)
+            _guarded(_composition_count(B, n))
     checks = []
     for n in range(2, nmax + 1):
         for B in range(n + 1, n * n):

@@ -30,8 +30,7 @@ EVEN_TAU_GUARANTEE = 0.5 * (1.0 - 1.0 / np.e)
 
 
 def solve_monotone_increasing(g: Callable[[float], float], target: float,
-                              lo: float, hi: float, tol: float,
-                              max_iter: int = BISECTION_MAX_ITER) -> float:
+                              lo: float, hi: float, tol: float) -> float:
     """Solve g(x) = target for a strictly increasing g by bisection.
 
     Stops when the residual |g(x) - target| drops below tol * max(1, |target|)
@@ -50,7 +49,7 @@ def solve_monotone_increasing(g: Callable[[float], float], target: float,
         if target - g_hi <= tol * scale:
             return hi
         raise BracketError(f"g(hi)={g_hi} below target {target}")
-    for _ in range(max_iter):
+    for _ in range(BISECTION_MAX_ITER):
         mid = 0.5 * (lo + hi)
         value = g(mid)
         if abs(value - target) <= tol * scale or hi - lo <= tol:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import pytest
 
 import patrolgame.cli
 from patrolgame import PatrolGameError, capture_probability
-from patrolgame.cli import _EXIT_CODES, main
+from patrolgame.cli import _EXIT_CODES, build_parser, main
 
 pytestmark = pytest.mark.usefixtures("capsys")
 
@@ -295,7 +296,52 @@ def test_unknown_suite_is_rejected_by_the_parser(capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
+# --- flag surface ------------------------------------------------------------------
+
+_GRAPH = {"--family", "--n", "--np", "--nq"}
+_IO = {"--out", "--config"}
+
+
+def test_each_subcommand_takes_exactly_the_flags_its_handler_reads():
+    commands = next(action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    options = {name: {flag for action in parser._actions for flag in action.option_strings}
+               - {"-h", "--help"} for name, parser in commands.choices.items()}
+    assert options == {
+        "solve": _GRAPH | _IO | {"--tau", "--tol", "--emit-cdf"},
+        "allocate": _GRAPH | _IO | {"--B", "--compare-uniform"},
+        "simulate": _GRAPH | _IO | {"--tau", "--tol", "--trials", "--seed"},
+        "verify": _IO | {"--suite", "--seed", "--trials", "--tol", "--nmax"},
+        "sweep": _GRAPH | _IO | {"--tau", "--B"},
+    }
+    assert sum(map(len, options.values())) == 42
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--family", "star", "--n", "3", "--tau", "2,2,2", "--trials", "7"],
+    ["solve", "--family", "star", "--n", "3", "--tau", "2,2,2", "--B", "9"],
+    ["allocate", "--family", "complete", "--n", "3", "--B", "7", "--tau", "1"],
+    ["allocate", "--family", "complete", "--n", "3", "--B", "7", "--seed", "3"],
+    ["simulate", "--family", "complete", "--n", "3", "--tau", "2,2,2", "--B", "9"],
+    ["verify", "--suite", "bounds", "--family", "complete"],
+    ["verify", "--suite", "bounds", "--n", "3"],
+    ["sweep", "--family", "complete", "--n", "3", "--tau", "2", "--seed", "3"],
+    ["sweep", "--family", "complete", "--n", "3", "--tau", "2", "--tol", "1e-3"],
+], ids=lambda argv: f"{argv[0]} {argv[-2]}")
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
+
+
 # --- config file and output ------------------------------------------------------
+
+def _scenario(tmp_path, **values) -> str:
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(values))
+    return str(config)
+
 
 def test_config_file_supplies_defaults(capsys, tmp_path):
     config = tmp_path / "scenario.json"
@@ -325,6 +371,44 @@ def test_unreadable_config_is_a_one_line_error(capsys, tmp_path, content):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_scenario_trials_and_nmax_apply(capsys, tmp_path):
+    config = _scenario(tmp_path, family="complete", n=3, tau=[2, 2, 2], trials=50, nmax=2)
+    code, out, _ = run_cli(capsys, ["simulate", "--config", config])
+    assert code == 0
+    assert json.loads(out)["trials"] == 50
+    _, expected, _ = run_cli(capsys, ["verify", "--suite", "alloc-oracle", "--nmax", "2"])
+    code, out, _ = run_cli(capsys, ["verify", "--suite", "alloc-oracle", "--config", config])
+    assert code == 0
+    assert out == expected
+
+
+def test_explicit_seed_zero_beats_the_scenario_seed(capsys, tmp_path):
+    config = _scenario(tmp_path, family="complete", n=3, tau=[2, 2, 2], trials=500, seed=5)
+    flags = ["simulate", "--family", "complete", "--n", "3", "--tau", "2,2,2", "--trials", "500"]
+    _, seed0, _ = run_cli(capsys, flags + ["--seed", "0"])
+    _, seed5, _ = run_cli(capsys, flags + ["--seed", "5"])
+    assert seed0 != seed5
+    assert run_cli(capsys, ["simulate", "--config", config])[1] == seed5
+    assert run_cli(capsys, ["simulate", "--config", config, "--seed", "0"])[1] == seed0
+
+
+@pytest.mark.parametrize("trials", [1.5, "many"])
+def test_bad_scenario_value_is_a_one_line_error(capsys, tmp_path, trials):
+    config = _scenario(tmp_path, family="complete", n=3, tau=[2, 2, 2], trials=trials)
+    code, out, err = run_cli(capsys, ["simulate", "--config", config])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot read --config {config}: invalid --trials value {trials!r}\n"
+
+
+def test_scenario_keys_the_subcommand_does_not_read_are_ignored(capsys, tmp_path):
+    config = _scenario(tmp_path, family="star", n=3, tau=[2, 4, 2], handler="cmd_sweep",
+                       command="allocate", config="missing.json", suite="nope", colour="red")
+    code, out, _ = run_cli(capsys, ["solve", "--config", config])
+    assert code == 0
+    assert json.loads(out)["mu"] == pytest.approx(0.6180339887, abs=1e-8)
 
 
 def test_out_writes_file(capsys, tmp_path):

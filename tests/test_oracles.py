@@ -78,7 +78,7 @@ def test_alloc_suite_guard_enumerates_nothing(monkeypatch):
 
 def test_exhaustive_guard():
     with pytest.raises(SearchSpaceExceeded):
-        exhaustive_allocation("complete", 12, 100, guard=10_000)
+        exhaustive_allocation("complete", 12, 100)
 
 
 def test_complete_rule_agrees_with_enumeration():
