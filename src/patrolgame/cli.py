@@ -78,33 +78,77 @@ def _fields(obj) -> dict:
     return {key: value for key, value in values if value is not None}
 
 
-def _jsonable(obj):
-    """JSON-ready copy of a payload: dataclasses become dicts, arrays and
-    tuples become lists, and floats keep 12 significant digits so that
-    output is stable across runs."""
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(token: str) -> str:
+    """json's spelling of the float that a "%.12g" token denotes."""
+    # fixed notation with a point holds at most 12 digits, which is already
+    # the shortest repr of the float it parses to
+    if "." in token and "e" not in token:
+        return token
+    return _NONFINITE.get(token) or repr(float(token))
+
+
+def _write_json(obj, newline: str, parts: list[str]) -> None:
+    """Append `obj` as indent-2 JSON; `newline` is a line break plus the
+    indentation of the line `obj` starts on."""
     if isinstance(obj, float):
-        return float(f"{obj:.12g}")
+        parts.append(_float_text("%.12g" % obj))
+        return
     if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
+        if obj.dtype.kind != "f" or obj.ndim == 0:
+            obj = obj.tolist()
+        elif obj.ndim == 1 and obj.size:
+            # one formatting pass per row of floats
+            inner = newline + "  "
+            tokens = map(_float_text, map("%.12g".__mod__, obj.tolist()))
+            parts.append(f"[{inner}{(',' + inner).join(tokens)}{newline}]")
+            return
     elif dataclasses.is_dataclass(obj):
         obj = _fields(obj)
     if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+        items = [(json.dumps(key) + ": ", value) for key, value in obj.items()]
+        brackets = "{}"
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        items = [("", value) for value in obj]
+        brackets = "[]"
+    else:
+        parts.append(json.dumps(obj))
+        return
+    if not items:
+        parts.append(brackets)
+        return
+    inner = newline + "  "
+    parts.append(brackets[0])
+    for index, (key, value) in enumerate(items):
+        parts.append(("," if index else "") + inner + key)
+        _write_json(value, inner, parts)
+    parts.append(newline + brackets[1])
 
 
 def _dump_json(data) -> str:
-    return json.dumps(_jsonable(data), indent=2) + "\n"
+    """`data` as indent-2 JSON text with a final newline, every float rounded
+    to 12 significant digits so that output is stable across runs.
+
+    Dataclasses become objects of their `_fields`; arrays and tuples become
+    lists.  The text is what `json.dumps(..., indent=2)` gives for that data.
+    """
+    parts: list[str] = []
+    _write_json(data, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
 
 
 def _write_output(text: str, out: str | None) -> None:
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise InvalidSpec(f"cannot write --out {out}: {exc.strerror}") from exc
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -271,6 +315,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _tolerance(text: str) -> float:
+    """A --tol value; nan is refused, because every comparison with it is false."""
+    with contextlib.suppress(ValueError):
+        if 0 <= (value := float(text)) < math.inf:
+            return value
+    raise argparse.ArgumentTypeError(f"must be a finite number >= 0, not {text!r}")
+
+
 # every flag; sizes, budget and tau take "4", "2,3,5", or "2..6" (ranges only in sweep)
 _FLAGS = {
     "family": {"choices": ("complete", "bipartite", "star", "general")},
@@ -278,7 +330,7 @@ _FLAGS = {
     "suite": {"choices": ("bounds", "alloc-oracle", "montecarlo"), "required": True},
     "trials": {"type": int, "default": 100_000},
     "seed": {"type": int, "default": 0},
-    "tol": {"type": float},
+    "tol": {"type": _tolerance},
     "nmax": {"type": int, "default": 4},
     "emit-cdf": {"action": "store_true"},
     "compare-uniform": {"action": "store_true"},
@@ -308,7 +360,7 @@ def _scenario_value(flag: str, value):
             return value
     elif isinstance(value, (str, int, float, list)) and not isinstance(value, bool):
         text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
-        with contextlib.suppress(ValueError):
+        with contextlib.suppress(ValueError, argparse.ArgumentTypeError):
             parsed = spec.get("type", str)(text)
             if "choices" not in spec or parsed in spec["choices"]:
                 return parsed
@@ -327,7 +379,11 @@ def _scenario_defaults(command: str, path: str) -> dict:
 
 
 def build_parser(scenario: dict[str, dict] | None = None) -> argparse.ArgumentParser:
-    """The CLI's parser; `scenario` maps a subcommand to defaults that replace its own."""
+    """The CLI's parser; `scenario` maps a subcommand to defaults that replace its own.
+
+    Without `scenario` no flag is required: the parse that finds --config must
+    not reject a required flag that the scenario file may supply.
+    """
     parser = argparse.ArgumentParser(
         prog="patrolgame",
         description="Patrol strategies and defense placement for surveillance games")
@@ -336,21 +392,29 @@ def build_parser(scenario: dict[str, dict] | None = None) -> argparse.ArgumentPa
     for name, (handler, help_text, flags, defaults) in _COMMANDS.items():
         # no abbreviations: `verify --n 3` must not become `--nmax 3`
         command = commands.add_parser(name, help=help_text, allow_abbrev=False)
+        overrides = (scenario or {}).get(name, {})
         for flag in flags.split():
-            command.add_argument(f"--{flag}", **_FLAGS[flag])
-        command.set_defaults(handler=handler, **{**defaults, **(scenario or {}).get(name, {})})
+            spec = _FLAGS[flag]
+            if spec.get("required"):
+                spec = {**spec, "required": scenario is not None and flag not in overrides}
+            command.add_argument(f"--{flag}", **spec)
+        command.set_defaults(handler=handler, **{**defaults, **overrides})
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    defaults = {}
     if args.config:
         try:
             defaults = _scenario_defaults(args.command, args.config)
         except (OSError, ValueError, InvalidSpec) as exc:
             print(f"error: cannot read --config {args.config}: {exc}", file=sys.stderr)
             return EXIT_INFEASIBLE
-        # parsing again with the scenario as defaults lets every given flag win
+    if args.config or any(spec.get("required") and getattr(args, flag, "") is None
+                          for flag, spec in _FLAGS.items()):
+        # parsing again with the scenario as defaults lets every given flag win,
+        # and rejects a required flag that neither supplies
         args = build_parser({args.command: defaults}).parse_args(argv)
     try:
         return args.handler(args)

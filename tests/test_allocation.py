@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -21,7 +22,7 @@ from patrolgame import (
     build_complete,
     build_star,
 )
-from patrolgame.cli import _jsonable
+from patrolgame.cli import _dump_json
 
 GOLDEN_W = (3 - math.sqrt(5)) / 2
 
@@ -228,9 +229,9 @@ def test_allocate_dispatches_on_family():
 
 
 def test_allocation_json_shape():
-    payload = _jsonable(co_optimize_bipartite(3, 2, 20))
+    payload = json.loads(_dump_json(co_optimize_bipartite(3, 2, 20)))
     assert set(payload) == {"tau", "B", "w", "mu", "B_p", "B_q", "tau_p", "tau_q", "w_p", "w_q"}
-    payload = _jsonable(allocate_complete(3, 7))
+    payload = json.loads(_dump_json(allocate_complete(3, 7)))
     assert set(payload) == {"tau", "B", "w", "mu"}
 
 

@@ -335,6 +335,20 @@ def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(capsys, argv):
     assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--family", "star", "--n", "3", "--tau", "2,2,2", "--tol", "nan"],
+    ["solve", "--family", "star", "--n", "3", "--tau", "2,2,2", "--tol", "-1"],
+    ["verify", "--suite", "bounds", "--tol", "inf"],
+], ids=lambda argv: f"{argv[0]} --tol {argv[-1]}")
+def test_tol_must_be_finite_and_not_negative(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --tol: must be a finite number >= 0, not '{argv[-1]}'" in err
+    assert "Traceback" not in err
+
+
 # --- config file and output ------------------------------------------------------
 
 def _scenario(tmp_path, **values) -> str:
@@ -403,6 +417,33 @@ def test_bad_scenario_value_is_a_one_line_error(capsys, tmp_path, trials):
     assert err == f"error: cannot read --config {config}: invalid --trials value {trials!r}\n"
 
 
+def test_scenario_tol_is_checked_like_the_flag(capsys, tmp_path):
+    config = _scenario(tmp_path, family="star", n=3, tau=[2, 2, 2], tol="nan")
+    code, out, err = run_cli(capsys, ["solve", "--config", config])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot read --config {config}: invalid --tol value 'nan'\n"
+
+
+def test_scenario_suite_applies(capsys, tmp_path):
+    _, expected, _ = run_cli(capsys, ["verify", "--suite", "alloc-oracle", "--nmax", "2"])
+    config = _scenario(tmp_path, suite="alloc-oracle", nmax=2)
+    assert run_cli(capsys, ["verify", "--config", config]) == (0, expected, "")
+    # the flag still wins over the scenario's suite
+    config = _scenario(tmp_path, suite="bounds", nmax=2)
+    assert run_cli(capsys, ["verify", "--config", config, "--suite", "alloc-oracle"]) == (
+        0, expected, "")
+
+
+@pytest.mark.parametrize("config", [None, {"nmax": 2}])
+def test_verify_needs_a_suite_from_the_flag_or_the_scenario(capsys, tmp_path, config):
+    argv = ["verify"] if config is None else ["verify", "--config", _scenario(tmp_path, **config)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "the following arguments are required: --suite" in capsys.readouterr().err
+
+
 def test_scenario_keys_the_subcommand_does_not_read_are_ignored(capsys, tmp_path):
     config = _scenario(tmp_path, family="star", n=3, tau=[2, 4, 2], handler="cmd_sweep",
                        command="allocate", config="missing.json", suite="nope", colour="red")
@@ -418,6 +459,15 @@ def test_out_writes_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["mu"] == pytest.approx(5 / 9, abs=1e-9)
+
+
+def test_unwritable_out_is_a_one_line_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "result.json"
+    code, out, err = run_cli(capsys, ["solve", "--family", "star", "--n", "3",
+                                      "--tau", "2,2,2", "--out", str(target)])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot write --out {target}: No such file or directory\n"
 
 
 def test_console_entry_point_runs():

@@ -1,3 +1,4 @@
+import json
 from collections import deque
 
 import numpy as np
@@ -18,7 +19,7 @@ from patrolgame import (
     min_full_tour_length,
     validate_attack_durations,
 )
-from patrolgame.cli import _jsonable
+from patrolgame.cli import _dump_json
 
 
 def test_complete_has_all_pairs_and_self_loops():
@@ -223,6 +224,6 @@ def test_complete_never_violates_condition1(n, durations):
 
 def test_report_json_shape():
     report = validate_attack_durations(build_star(3), [2, 1, 2])
-    payload = _jsonable(report)
+    payload = json.loads(_dump_json(report))
     assert set(payload) == {"nontrivial", "condition1_violations", "condition2_holds", "notes"}
     assert payload["condition1_violations"] == [2]

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +15,7 @@ from patrolgame import (
     simulate_capture,
     stationary_distribution,
 )
-from patrolgame.cli import _jsonable
+from patrolgame.cli import _dump_json
 from patrolgame.markov import _capture_cdf_stack, min_capture_evaluator
 
 TWO_CYCLE = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -243,7 +245,7 @@ def test_capture_report_consistency():
     F = hitting_time_probabilities(P, max(tau))
     for col, t in enumerate(tau):
         np.testing.assert_allclose(report.cdf[:, col], F[:t, :, col].sum(axis=0), atol=1e-15)
-    payload = _jsonable(report)
+    payload = json.loads(_dump_json(report))
     assert set(payload) == {"mu", "worst_pair", "cdf"}
 
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from patrolgame import (
     local_search_strategy,
     partitions,
 )
-from patrolgame.cli import _jsonable
+from patrolgame.cli import _dump_json
 from patrolgame.markov import counter_stream, min_capture_evaluator
 from patrolgame.oracles import _random_feasible_strategy
 
@@ -219,7 +221,7 @@ def test_local_search_guard_and_validation():
 
 def test_oracle_report_json():
     report = exhaustive_allocation("complete", 3, 7)
-    payload = _jsonable(report)
+    payload = json.loads(_dump_json(report))
     assert set(payload) == {"best_value", "best_candidate", "candidates_examined",
                             "closed_form_value", "agreement", "gap"}
 
@@ -232,7 +234,7 @@ def test_bound_suite_small_config_passes():
     report = bound_suite(cfg)
     assert report.passed
     assert report.summary.startswith("PASS")
-    rows = _jsonable(report.checks)
+    rows = json.loads(_dump_json(report.checks))
     assert all(set(r) == {"instance", "expected", "actual", "pass"} for r in rows)
 
 
