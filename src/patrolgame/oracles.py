@@ -46,6 +46,7 @@ LOCAL_SEARCH_TOLERANCE = 0.02
 _IMPROVEMENT_EPS = 1e-7
 _STEP_INITIAL = 0.2
 _STEP_FINAL = 1e-3
+_LOCKSTEP_WIDTH = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,22 +177,21 @@ def _random_feasible_strategy(rng: np.random.Generator,
     return P
 
 
-def _sweep_candidates(P: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                      down: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Trial rows of the moves P[rows[m], cols[m]] += signs[m], all against P.
+def _sweep_candidates(rows: np.ndarray, cols: np.ndarray, down: np.ndarray,
+                      signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Trial rows of the moves rows[m, cols[m]] += signs[m]; overwrites `rows`.
 
     Returns the positions of the moves a serial sweep would score and their
     clipped, renormalized rows.  It skips a downward move on a zero entry and
     a move that leaves its row empty, as the serial sweep does.
     """
     lanes = np.arange(len(rows))
-    trials = P[rows]
-    tried = ~(down & (trials[lanes, cols] <= 0.0))
-    trials[lanes, cols] += signs
-    np.clip(trials, 0.0, None, out=trials)
-    totals = trials.sum(axis=1)
+    tried = ~(down & (rows[lanes, cols] <= 0.0))
+    rows[lanes, cols] += signs
+    np.clip(rows, 0.0, None, out=rows)
+    totals = rows.sum(axis=1)
     idx = np.flatnonzero(tried & (totals > 0.0))
-    return idx, trials[idx] / totals[idx, None]
+    return idx, rows[idx] / totals[idx, None]
 
 
 def local_search_strategy(g: GraphTopology, tau: Sequence[int], restarts: int,
@@ -204,21 +204,30 @@ def local_search_strategy(g: GraphTopology, tau: Sequence[int], restarts: int,
     renormalizes the row.  A move is kept when it raises the capture
     probability by more than 1e-7, and sweeps repeat until none does.
 
-    The rest of a sweep is scored as one stack through the hitting-time
-    kernel: every remaining move is built from the current P, the first one
-    in sweep order that improves is kept, and the sweep resumes after it.
-    Each move before it was scored against the same P a one-move-at-a-time
-    loop would have used, so values, the kept matrix and the evaluation count
-    (the candidates up to and including each kept move) match that loop bit
-    for bit.  Fully deterministic for a given seed, and restarts reduce in a
-    fixed order (larger value wins, ties go to the lexicographically smaller
-    matrix).
+    Restarts climb in lockstep rounds, at most `_LOCKSTEP_WIDTH` at a time;
+    a finished restart hands its slot to the next one, so memory does not
+    grow with `restarts`.  Each round builds every move left in the current
+    sweep of every live restart, from that restart's own P and step, and
+    scores them, with the first P of each newly admitted restart, in one
+    kernel call.  Each restart keeps its first improving move in sweep order
+    and resumes its sweep after it.  Every slice of the stack is computed as
+    it would be alone, and each move before the kept one was scored against
+    the same P a one-move-at-a-time loop would have used, so values, the kept
+    matrix and the evaluation count (the candidates up to and including each
+    kept move) match that loop bit for bit.  Restart r draws from
+    `counter_stream(seed, r)`, and the result is the restart a reduction in
+    restart order keeps: larger value wins, ties go to the lexicographically
+    smaller matrix, then to the earlier restart.
+
+    The closed-form reference is computed first, so an infeasible tau fails
+    before any restart runs.
     """
     if g.n > LOCAL_SEARCH_MAX_NODES:
         raise SearchSpaceExceeded(f"local search limited to {LOCAL_SEARCH_MAX_NODES} nodes")
     if restarts < 1:
         raise InvalidSpec(f"restarts must be >= 1, got {restarts}")
     durations = check_durations(tau, g.n)
+    reference = None if g.family == GENERAL else synthesis.synthesize(g, durations).mu
     support = _support(g)
     if any(cols.size == 0 for cols in support):
         raise InvalidSpec("every node needs at least one outgoing edge")
@@ -229,45 +238,79 @@ def local_search_strategy(g: GraphTopology, tau: Sequence[int], restarts: int,
     move_row, move_col = moves.T
     move_down = np.arange(len(moves)) % 2 == 1
 
+    # one slot per live restart: its matrix, value, step, next move in the
+    # sweep, whether this sweep improved, and whether its first P is unscored
+    width = min(restarts, _LOCKSTEP_WIDTH)
+    P = np.empty((width, g.n, g.n))
+    mu = np.empty(width)
+    step = np.empty(width)
+    start = np.zeros(width, dtype=int)
+    improved = np.zeros(width, dtype=bool)
+    fresh = np.zeros(width, dtype=bool)
+    owner = np.full(width, -1)
+    admitted = 0
     evaluations = 0
-    best_mu = -1.0
-    best_P = None
-    for restart in range(restarts):
-        rng = counter_stream(seed, restart)
-        P = _random_feasible_strategy(rng, support, g.n)
-        mu = float(_capture_cdf_stack(P[None], durations).min())
-        evaluations += 1
-        step = _STEP_INITIAL
-        while step >= _STEP_FINAL:
-            signs = np.where(move_down, -step, step)
-            improved = True
-            while improved:
-                improved = False
-                start = 0
-                while start < len(moves):
-                    idx, trials = _sweep_candidates(P, move_row[start:], move_col[start:],
-                                                    move_down[start:], signs[start:])
-                    if idx.size == 0:
-                        break
-                    stack = np.repeat(P[None], idx.size, axis=0)
-                    stack[np.arange(idx.size), move_row[start + idx]] = trials
-                    values = _capture_cdf_stack(stack, durations).min(axis=(1, 2))
-                    better = np.flatnonzero(values > mu + _IMPROVEMENT_EPS)
-                    if better.size == 0:
-                        evaluations += idx.size
-                        break
-                    kept = int(better[0])
-                    evaluations += kept + 1
-                    P[move_row[start + idx[kept]]] = trials[kept]
-                    mu = float(values[kept])
-                    improved = True
-                    start += int(idx[kept]) + 1
-            step *= 0.5
-        if mu > best_mu or (mu == best_mu and best_P is not None
-                            and tuple(P.ravel()) < tuple(best_P.ravel())):
-            best_mu = mu
-            best_P = P
-    reference = None if g.family == GENERAL else synthesis.synthesize(g, durations).mu
+    best_key = best_P = None
+    while True:
+        if admitted < restarts:
+            free = np.flatnonzero(owner < 0)[:restarts - admitted]
+            for slot in free:
+                P[slot] = _random_feasible_strategy(counter_stream(seed, admitted),
+                                                    support, g.n)
+                owner[slot] = admitted
+                admitted += 1
+            fresh[free] = True
+            step[free] = _STEP_INITIAL
+        live = owner >= 0
+        if not live.any():
+            break
+        new = np.flatnonzero(fresh)
+        climbing = np.flatnonzero(live & ~fresh)
+
+        # the rest of each climbing restart's sweep, restart by restart: the
+        # lanes of slot s hold moves start[s], start[s] + 1, ..., in order
+        counts = len(moves) - start[climbing]
+        lane_slot = np.repeat(climbing, counts)
+        offsets = np.cumsum(counts) - counts - start[climbing]
+        lane_move = np.arange(counts.sum()) - np.repeat(offsets, counts)
+        idx, trials = _sweep_candidates(
+            P[lane_slot, move_row[lane_move]], move_col[lane_move], move_down[lane_move],
+            np.where(move_down[lane_move], -step[lane_slot], step[lane_slot]))
+        cand_slot, cand_move = lane_slot[idx], lane_move[idx]
+        stack = P[np.concatenate([new, cand_slot])]
+        stack[np.arange(new.size, len(stack)), move_row[cand_move]] = trials
+        values = _capture_cdf_stack(stack, durations).min(axis=(1, 2))
+        mu[new] = values[:new.size]
+        fresh[new] = False
+        values = values[new.size:]
+
+        better = np.flatnonzero(values > mu[cand_slot] + _IMPROVEMENT_EPS)
+        kept_slot, first = np.unique(cand_slot[better], return_index=True)
+        kept = better[first]
+        # a restart's evaluations are its candidates up to and including the
+        # kept one; the ones after it are scored again against the new P
+        unscored = np.searchsorted(cand_slot, kept_slot, side="right") - kept - 1
+        evaluations += new.size + cand_slot.size - int(unscored.sum())
+        P[kept_slot, move_row[cand_move[kept]]] = trials[kept]
+        mu[kept_slot] = values[kept]
+        improved[kept_slot] = True
+        start[kept_slot] = cand_move[kept] + 1
+
+        # a sweep ends when nothing in it improves or its last move is kept;
+        # a sweep without a kept move halves the step
+        ended = np.zeros(width, dtype=bool)
+        ended[climbing] = True
+        ended[kept_slot] = start[kept_slot] == len(moves)
+        halved = ended & ~improved
+        step[halved] *= 0.5
+        start[ended] = 0
+        improved[ended] = False
+        for slot in np.flatnonzero(halved & (step < _STEP_FINAL)):
+            key = (-float(mu[slot]), tuple(P[slot].ravel().tolist()), int(owner[slot]))
+            if best_key is None or key < best_key:
+                best_key, best_P = key, P[slot].copy()
+            owner[slot] = -1
+    best_mu = -best_key[0]
     gap = None if reference is None else abs(reference - best_mu)
     return OracleReport(
         best_value=best_mu, best_candidate=best_P,
@@ -397,8 +440,11 @@ def allocation_agreement_suite(nmax: int = 4, tolerance: float = 1e-10) -> Suite
     allocations and the sub-budget bisection run both sides up to
     min(nmax, 4) over every valid even budget.  Only complete graphs can
     outgrow `ENUMERATION_GUARD`, so their counts are checked, in suite order,
-    before anything is enumerated.
+    before anything is enumerated.  An `nmax` below 2 would build no
+    instance and raises `InvalidSpec` instead of passing vacuously.
     """
+    if nmax < 2:
+        raise InvalidSpec(f"nmax must be >= 2, got {nmax}")
     for n in range(2, nmax + 1):
         for B in range(n + 1, n * n):
             _guarded(_composition_count(B, n))

@@ -223,6 +223,14 @@ def test_verify_alloc_oracle_past_the_guard(capsys):
     assert err == "error: 10737573 compositions exceed the guard 10000000\n"
 
 
+@pytest.mark.parametrize("nmax", ["1", "-3"])
+def test_verify_alloc_oracle_without_instances(capsys, nmax):
+    code, out, err = run_cli(capsys, ["verify", "--suite", "alloc-oracle", "--nmax", nmax])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: nmax must be >= 2, got {nmax}\n"
+
+
 def _must_not_run(*args, **kwargs):
     raise AssertionError("the guard must reject the grid before any graph or row is built")
 

@@ -6,6 +6,8 @@ import pytest
 import patrolgame.oracles
 from patrolgame import (
     BoundSuiteConfig,
+    InfeasibleTau,
+    InvalidSpec,
     SearchSpaceExceeded,
     allocate_complete,
     allocation_agreement_suite,
@@ -78,6 +80,12 @@ def test_alloc_suite_guard_enumerates_nothing(monkeypatch):
         allocation_agreement_suite(nmax=7)
 
 
+@pytest.mark.parametrize("nmax", [1, 0, -3])
+def test_alloc_suite_without_instances_is_rejected(nmax):
+    with pytest.raises(InvalidSpec, match=f"^nmax must be >= 2, got {nmax}$"):
+        allocation_agreement_suite(nmax=nmax)
+
+
 def test_exhaustive_guard():
     with pytest.raises(SearchSpaceExceeded):
         exhaustive_allocation("complete", 12, 100)
@@ -148,21 +156,20 @@ def test_local_search_bipartite_gap():
     assert report.agreement
 
 
-def serial_local_search(g, tau, restarts, seed):
-    """Reference: the one-move-at-a-time hill climb that the stacked sweep
-    must reproduce exactly (value, kept matrix and evaluation count)."""
+def serial_restarts(g, tau, restarts, seed):
+    """Reference: the one-move-at-a-time hill climb that the lockstep rounds
+    must reproduce exactly.  Returns (value, kept matrix, evaluations) for
+    each restart in restart order."""
     evaluate = min_capture_evaluator(tau)
     adjacency = g.adjacency()
     support = [np.flatnonzero(adjacency[i]) for i in range(g.n)]
     free_rows = [(i, cols) for i, cols in enumerate(support) if cols.size > 1]
-    evaluations = 0
-    best_mu = -1.0
-    best_P = None
+    finals = []
     for restart in range(restarts):
         rng = counter_stream(seed, restart)
         P = _random_feasible_strategy(rng, support, g.n)
         mu = evaluate(P)
-        evaluations += 1
+        evaluations = 1
         step = 0.2
         while step >= 1e-3:
             improved = True
@@ -190,11 +197,26 @@ def serial_local_search(g, tau, restarts, seed):
                             else:
                                 P[i] = original
             step *= 0.5
+        finals.append((mu, P, evaluations))
+    return finals
+
+
+def serial_local_search(finals):
+    """The fixed-order reduction over `serial_restarts` results: larger value
+    wins, ties go to the lexicographically smaller matrix."""
+    best_mu = -1.0
+    best_P = None
+    for mu, P, _ in finals:
         if mu > best_mu or (mu == best_mu and best_P is not None
                             and tuple(P.ravel()) < tuple(best_P.ravel())):
             best_mu = mu
             best_P = P
-    return best_mu, best_P, evaluations
+    return best_mu, best_P, sum(e for _, _, e in finals)
+
+
+# restart counts up to one past a full lockstep window, so a finished restart
+# hands its slot to a new one while the others still climb
+RESTART_COUNTS = (1, 3, 8, patrolgame.oracles._LOCKSTEP_WIDTH + 1)
 
 
 @pytest.mark.parametrize("graph, tau", [
@@ -204,14 +226,67 @@ def serial_local_search(g, tau, restarts, seed):
     (build_complete(3), (2, 3, 2)),
     (build_complete(4), (2, 3, 3, 4)),
     (build_bipartite(3, 2), (6, 4, 4, 4, 2)),
-], ids=["star3", "star4", "star5", "complete3", "complete4", "bipartite3+2"])
+    (build_bipartite(1, 1), (2, 2)),
+], ids=["star3", "star4", "star5", "complete3", "complete4", "bipartite3+2",
+        "bipartite1+1"])
 def test_stacked_sweep_matches_serial_hill_climb(graph, tau):
     for seed in (0, 5, 11):
-        report = local_search_strategy(graph, tau, restarts=3, seed=seed)
-        best_mu, best_P, evaluations = serial_local_search(graph, tau, 3, seed)
-        assert report.best_value == best_mu
-        assert report.best_candidate.tobytes() == best_P.tobytes()
-        assert report.candidates_examined == evaluations
+        finals = serial_restarts(graph, tau, max(RESTART_COUNTS), seed)
+        for restarts in RESTART_COUNTS:
+            report = local_search_strategy(graph, tau, restarts=restarts, seed=seed)
+            best_mu, best_P, evaluations = serial_local_search(finals[:restarts])
+            assert report.best_value == best_mu
+            assert report.best_candidate.tobytes() == best_P.tobytes()
+            assert report.candidates_examined == evaluations
+
+
+def test_search_without_a_free_row_scores_each_restart_once():
+    # every node of K1,1 has one edge, so no move exists
+    report = local_search_strategy(build_bipartite(1, 1), (2, 2), restarts=5, seed=0)
+    assert report.candidates_examined == 5
+    assert report.best_value == 1.0
+
+
+def test_tied_restarts_reduce_to_the_lexicographically_smaller_matrix():
+    # with durations this long every capture probability of these restarts
+    # rounds to 1.0, so restarts 3 and 4 tie and the later one wins on its matrix
+    graph, tau, restarts, seed = build_star(3), (2, 400, 400), 6, 3
+    finals = serial_restarts(graph, tau, restarts, seed)
+    best_mu, best_P, evaluations = serial_local_search(finals)
+    tied = [r for r, (mu, _, _) in enumerate(finals) if mu == best_mu]
+    assert tied == [3, 4]
+    assert tuple(finals[4][1].ravel()) < tuple(finals[3][1].ravel())
+    report = local_search_strategy(graph, tau, restarts=restarts, seed=seed)
+    assert report.best_value == best_mu == 1.0
+    assert report.best_candidate.tobytes() == best_P.tobytes() == finals[4][1].tobytes()
+    assert report.candidates_examined == evaluations
+
+
+def test_lockstep_width_does_not_grow_with_restarts(monkeypatch):
+    largest = []
+    kernel = patrolgame.oracles._capture_cdf_stack
+
+    def recording(P, durations):
+        largest[-1] = max(largest[-1], len(P))
+        return kernel(P, durations)
+
+    monkeypatch.setattr(patrolgame.oracles, "_capture_cdf_stack", recording)
+    for restarts in (20, 200):
+        largest.append(0)
+        local_search_strategy(build_complete(4), (2, 3, 3, 4), restarts=restarts, seed=1)
+    # K4 has self-loops, so 4 rows of 4 entries give 32 moves; the largest
+    # round scores the whole first sweep of a full window
+    width = patrolgame.oracles._LOCKSTEP_WIDTH
+    assert largest == [width * 32, width * 32]
+
+
+def test_infeasible_tau_fails_before_any_restart(monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the closed form must reject tau before any kernel call")
+
+    monkeypatch.setattr(patrolgame.oracles, "_capture_cdf_stack", must_not_run)
+    with pytest.raises(InfeasibleTau):
+        local_search_strategy(build_star(2), (1, 1), restarts=3, seed=0)
 
 
 def test_local_search_guard_and_validation():
