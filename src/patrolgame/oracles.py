@@ -188,7 +188,7 @@ def _sweep_candidates(rows: np.ndarray, cols: np.ndarray, down: np.ndarray,
     lanes = np.arange(len(rows))
     tried = ~(down & (rows[lanes, cols] <= 0.0))
     rows[lanes, cols] += signs
-    np.clip(rows, 0.0, None, out=rows)
+    np.maximum(rows, 0.0, out=rows)
     totals = rows.sum(axis=1)
     idx = np.flatnonzero(tried & (totals > 0.0))
     return idx, rows[idx] / totals[idx, None]
@@ -238,78 +238,86 @@ def local_search_strategy(g: GraphTopology, tau: Sequence[int], restarts: int,
     move_row, move_col = moves.T
     move_down = np.arange(len(moves)) % 2 == 1
 
-    # one slot per live restart: its matrix, value, step, next move in the
-    # sweep, whether this sweep improved, and whether its first P is unscored
+    sweep = np.arange(len(moves))
+    sign = np.where(move_down, -1.0, 1.0)
+
+    # one slot per live restart.  Matrices and values are arrays, because a
+    # round gathers from them lane by lane; the rest of a slot's state (its
+    # restart, step, next move in the sweep and whether this sweep improved)
+    # is a handful of scalars, kept as lists and stepped in Python
     width = min(restarts, _LOCKSTEP_WIDTH)
     P = np.empty((width, g.n, g.n))
     mu = np.empty(width)
-    step = np.empty(width)
-    start = np.zeros(width, dtype=int)
-    improved = np.zeros(width, dtype=bool)
-    fresh = np.zeros(width, dtype=bool)
-    owner = np.full(width, -1)
+    owner = [-1] * width
+    step = [0.0] * width
+    start = [0] * width
+    improved = [False] * width
     admitted = 0
     evaluations = 0
     best_key = best_P = None
     while True:
-        if admitted < restarts:
-            free = np.flatnonzero(owner < 0)[:restarts - admitted]
-            for slot in free:
+        new = []
+        for slot in range(width):
+            if owner[slot] < 0 and admitted < restarts:
                 P[slot] = _random_feasible_strategy(counter_stream(seed, admitted),
                                                     support, g.n)
-                owner[slot] = admitted
+                owner[slot], step[slot], start[slot], improved[slot] = (
+                    admitted, _STEP_INITIAL, 0, False)
+                new.append(slot)
                 admitted += 1
-            fresh[free] = True
-            step[free] = _STEP_INITIAL
-        live = owner >= 0
-        if not live.any():
+        climbing = [slot for slot in range(width) if owner[slot] >= 0 and slot not in new]
+        if not new and not climbing:
             break
-        new = np.flatnonzero(fresh)
-        climbing = np.flatnonzero(live & ~fresh)
 
         # the rest of each climbing restart's sweep, restart by restart: the
         # lanes of slot s hold moves start[s], start[s] + 1, ..., in order
-        counts = len(moves) - start[climbing]
-        lane_slot = np.repeat(climbing, counts)
-        offsets = np.cumsum(counts) - counts - start[climbing]
-        lane_move = np.arange(counts.sum()) - np.repeat(offsets, counts)
+        counts = [len(moves) - start[slot] for slot in climbing]
+        lane_slot = np.repeat(np.array(climbing, dtype=int), counts)
+        lane_move = np.concatenate([sweep[start[slot]:] for slot in climbing] or [sweep[:0]])
+        lane_step = np.repeat([step[slot] for slot in climbing], counts)
         idx, trials = _sweep_candidates(
             P[lane_slot, move_row[lane_move]], move_col[lane_move], move_down[lane_move],
-            np.where(move_down[lane_move], -step[lane_slot], step[lane_slot]))
+            sign[lane_move] * lane_step)
         cand_slot, cand_move = lane_slot[idx], lane_move[idx]
-        stack = P[np.concatenate([new, cand_slot])]
-        stack[np.arange(new.size, len(stack)), move_row[cand_move]] = trials
+        stack = P[np.concatenate((np.array(new, dtype=int), cand_slot))]
+        stack[np.arange(len(new), len(stack)), move_row[cand_move]] = trials
         values = _capture_cdf_stack(stack, durations).min(axis=(1, 2))
-        mu[new] = values[:new.size]
-        fresh[new] = False
-        values = values[new.size:]
+        mu[new] = values[:len(new)]
+        values = values[len(new):]
 
+        # each restart keeps its first improving candidate in sweep order
         better = np.flatnonzero(values > mu[cand_slot] + _IMPROVEMENT_EPS)
-        kept_slot, first = np.unique(cand_slot[better], return_index=True)
-        kept = better[first]
-        # a restart's evaluations are its candidates up to and including the
-        # kept one; the ones after it are scored again against the new P
-        unscored = np.searchsorted(cand_slot, kept_slot, side="right") - kept - 1
-        evaluations += new.size + cand_slot.size - int(unscored.sum())
-        P[kept_slot, move_row[cand_move[kept]]] = trials[kept]
-        mu[kept_slot] = values[kept]
-        improved[kept_slot] = True
-        start[kept_slot] = cand_move[kept] + 1
+        kept = {}
+        for candidate, slot in zip(better.tolist(), cand_slot[better].tolist()):
+            kept.setdefault(slot, candidate)
+        kept_slot, kept_cand = list(kept), list(kept.values())
+        kept_move = cand_move[kept_cand]
+        P[kept_slot, move_row[kept_move]] = trials[kept_cand]
+        mu[kept_slot] = values[kept_cand]
+        next_move = dict(zip(kept_slot, (kept_move + 1).tolist()))
 
-        # a sweep ends when nothing in it improves or its last move is kept;
-        # a sweep without a kept move halves the step
-        ended = np.zeros(width, dtype=bool)
-        ended[climbing] = True
-        ended[kept_slot] = start[kept_slot] == len(moves)
-        halved = ended & ~improved
-        step[halved] *= 0.5
-        start[ended] = 0
-        improved[ended] = False
-        for slot in np.flatnonzero(halved & (step < _STEP_FINAL)):
-            key = (-float(mu[slot]), tuple(P[slot].ravel().tolist()), int(owner[slot]))
-            if best_key is None or key < best_key:
-                best_key, best_P = key, P[slot].copy()
-            owner[slot] = -1
+        # a restart's evaluations are its candidates up to and including the
+        # kept one; the ones after it are scored again against the new P.  A
+        # sweep ends when nothing in it improves or its last move is kept, and
+        # a sweep without a kept move halves the step.
+        evaluations += len(new) + len(cand_slot)
+        per_slot = np.bincount(cand_slot, minlength=width).tolist()
+        end = 0
+        for slot in climbing:
+            end += per_slot[slot]
+            if slot in kept:
+                evaluations -= end - 1 - kept[slot]
+                start[slot], improved[slot] = next_move[slot], True
+                if start[slot] < len(moves):
+                    continue
+            elif not improved[slot]:
+                step[slot] *= 0.5
+                if step[slot] < _STEP_FINAL:
+                    key = (-float(mu[slot]), tuple(P[slot].ravel().tolist()), owner[slot])
+                    if best_key is None or key < best_key:
+                        best_key, best_P = key, P[slot].copy()
+                    owner[slot] = -1
+            start[slot], improved[slot] = 0, False
     best_mu = -best_key[0]
     gap = None if reference is None else abs(reference - best_mu)
     return OracleReport(
