@@ -22,7 +22,6 @@ import numpy as np
 from . import __version__
 from .allocation import allocate
 from .errors import (
-    BracketError,
     BudgetOutOfRange,
     DimensionMismatch,
     InfeasibleTau,
@@ -52,7 +51,6 @@ EXIT_GUARD = 4
 
 # the one place that decides how each package error ends the process
 _EXIT_CODES = {
-    BracketError: EXIT_FAILURE,
     BudgetOutOfRange: EXIT_INFEASIBLE,
     DimensionMismatch: EXIT_INFEASIBLE,
     InfeasibleTau: EXIT_INFEASIBLE,

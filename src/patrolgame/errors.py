@@ -17,10 +17,6 @@ class NotIrreducible(PatrolGameError):
     """The transition matrix support is not strongly connected."""
 
 
-class BracketError(PatrolGameError):
-    """Root-finding bracket does not contain the target value."""
-
-
 class InfeasibleTau(PatrolGameError):
     """Attack durations make the capture probability identically zero."""
 

@@ -53,18 +53,6 @@ class GraphTopology:
             adj[i - 1, j - 1] = True
         return adj
 
-    @property
-    def p_nodes(self) -> tuple[int, ...]:
-        if self.n_p is None:
-            raise InvalidSpec(f"family {self.family!r} has no side partition")
-        return tuple(range(1, self.n_p + 1))
-
-    @property
-    def q_nodes(self) -> tuple[int, ...]:
-        if self.n_q is None:
-            raise InvalidSpec(f"family {self.family!r} has no side partition")
-        return tuple(range(self.n_p + 1, self.n + 1))
-
 
 def build_complete(n: int) -> GraphTopology:
     """Complete digraph on n nodes, self-loops included at every node."""

@@ -68,39 +68,15 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     return pi / pi.sum()
 
 
-def hitting_time_probabilities(P: np.ndarray, k_max: int) -> np.ndarray:
-    """First-hitting-time probability matrices for 1 <= k <= k_max.
-
-    Returns an array F of shape (k_max, n, n) with F[k-1][i, j] equal to the
-    probability that the first arrival at j after leaving i takes exactly k
-    steps.  F[0] is P itself and each successive matrix is the product of P
-    with the previous one after zeroing its diagonal (walks that already
-    arrived stop contributing).
-
-    This is the readable reference for the streaming kernel behind
-    `capture_cdf` and `min_capture_evaluator`, which never holds the tensor.
-    """
-    if k_max < 1:
-        raise InvalidSpec(f"k_max must be >= 1, got {k_max}")
-    P = check_transition_matrix(P)
-    n = P.shape[0]
-    F = np.empty((k_max, n, n))
-    F[0] = P
-    for k in range(1, k_max):
-        step = F[k - 1].copy()
-        np.fill_diagonal(step, 0.0)
-        np.matmul(P, step, out=F[k])
-    return F
-
-
 def _capture_cdf_stack(P: np.ndarray, durations: Sequence[int]) -> np.ndarray:
     """Capture CDFs of a (K, n, n) stack of strategies for shared durations.
 
-    Streams F_k = P offdiag(F_{k-1}) through two ping-pong buffers into a
-    running sum F_1 + ... + F_k, and copies column j out of it at k = tau_j,
-    so memory stays O(K n^2) for any tau.  Slice s equals the column sums of
-    `hitting_time_probabilities` of P[s], bit for bit: each slice takes the
-    same matrix products and the same additions in the same order.
+    F_k[i, j], the probability that the first arrival at j after leaving i
+    takes exactly k steps, follows F_1 = P and F_k = P offdiag(F_{k-1}).
+    The kernel streams F_k through two ping-pong buffers into a running sum
+    F_1 + ... + F_k and copies column j out of it at k = tau_j, so memory
+    stays O(K n^2) for any tau.  Each slice takes the same matrix products
+    and additions, in the same order, as that slice alone.
     """
     K, n, _ = P.shape
     durations = np.asarray(durations)
@@ -200,9 +176,10 @@ def simulate_capture(P: np.ndarray, tau: Sequence[int], trials: int, seed: int) 
 
     For each ordered pair (i, j), `trials` walks leave node i (the first step
     is drawn from row i) and the estimate is the fraction that reach j within
-    tau_j steps.  Each pair consumes its own counter-based random stream, and
-    each trial a fixed block of it, so results are bitwise reproducible and
-    independent of evaluation order.
+    tau_j steps.  Each pair consumes its own counter-based random stream, one
+    uniform per trial and step, drawn a step at a time so that memory does
+    not grow with tau; results are bitwise reproducible and independent of
+    evaluation order.
     """
     if trials < 1:
         raise InvalidSpec(f"trials must be >= 1, got {trials}")
@@ -216,14 +193,13 @@ def simulate_capture(P: np.ndarray, tau: Sequence[int], trials: int, seed: int) 
     for i in range(n):
         for j in range(n):
             rng = counter_stream(seed, i * n + j)
-            uniforms = rng.random((durations[j], trials))
             states = np.full(trials, i)
             captured = np.zeros(trials, dtype=bool)
-            for k in range(durations[j]):
+            for _ in range(durations[j]):
                 active = np.flatnonzero(~captured)
                 if active.size == 0:
                     break
-                u = uniforms[k, active]
+                u = rng.random(trials)[active]
                 nxt = (u[:, None] >= cum[states[active]]).sum(axis=1)
                 np.minimum(nxt, n - 1, out=nxt)
                 states[active] = nxt

@@ -12,53 +12,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import BracketError, DimensionMismatch, InfeasibleTau, InvalidSpec, TrivialGame
+from .errors import DimensionMismatch, InfeasibleTau, InvalidSpec, TrivialGame
 from .graphs import BIPARTITE, COMPLETE, STAR, GraphTopology, check_durations
 
 BISECTION_TOL = 1e-12
-BISECTION_MAX_ITER = 200
 
 OPTIMAL = "optimal"
 HEURISTIC = "heuristic"
 
 ODD_TAU_GUARANTEE = 1.0 / 3.0
 EVEN_TAU_GUARANTEE = 0.5 * (1.0 - 1.0 / np.e)
-
-
-def solve_monotone_increasing(g: Callable[[float], float], target: float,
-                              lo: float, hi: float, tol: float) -> float:
-    """Solve g(x) = target for a strictly increasing g by bisection.
-
-    Stops when the residual |g(x) - target| drops below tol * max(1, |target|)
-    or the bracket narrows to tol.  Raises `BracketError` when the target is
-    not enclosed by [g(lo), g(hi)].
-    """
-    if hi < lo:
-        raise BracketError(f"empty bracket [{lo}, {hi}]")
-    scale = max(1.0, abs(target))
-    g_lo, g_hi = g(lo), g(hi)
-    if g_lo > target:
-        if g_lo - target <= tol * scale:
-            return lo
-        raise BracketError(f"g(lo)={g_lo} exceeds target {target}")
-    if g_hi < target:
-        if target - g_hi <= tol * scale:
-            return hi
-        raise BracketError(f"g(hi)={g_hi} below target {target}")
-    for _ in range(BISECTION_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        value = g(mid)
-        if abs(value - target) <= tol * scale or hi - lo <= tol:
-            return mid
-        if value < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 @lru_cache(maxsize=None)
@@ -80,11 +47,18 @@ def solve_equalized_value(exponents: tuple[int, ...]) -> float:
         return 0.0
     inv = np.array([1.0 / e for e in m])
     target = float(len(m) - 1)
-
-    def g(w: float) -> float:
-        return float(np.sum(w ** inv))
-
-    return solve_monotone_increasing(g, target, 0.0, 1.0, BISECTION_TOL)
+    # bisection on [0, 1], where the left side runs from 0 to len(m) > target;
+    # the bracket is below BISECTION_TOL after 41 midpoints
+    lo, hi = 0.0, 1.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        value = float(np.sum(mid ** inv))
+        if abs(value - target) <= BISECTION_TOL * target or hi - lo <= BISECTION_TOL:
+            return mid
+        if value < target:
+            lo = mid
+        else:
+            hi = mid
 
 
 @dataclass(frozen=True, eq=False)

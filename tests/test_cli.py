@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import patrolgame.cli
+import patrolgame.oracles
 from patrolgame import PatrolGameError, capture_probability
 from patrolgame.cli import _EXIT_CODES, build_parser, main
 
@@ -164,11 +165,22 @@ def test_verify_alloc_oracle(capsys):
 
 
 def test_verify_montecarlo(capsys):
-    # frozen (trials, seed) pair verified to sit inside the 3-sigma envelope
     code, out, _ = run_cli(capsys, ["verify", "--suite", "montecarlo",
                                     "--trials", "40000", "--seed", "1"])
     assert code == 0
     assert out.strip().startswith("PASS")
+
+
+def test_verify_montecarlo_fails_a_simulator_one_step_short(capsys, monkeypatch):
+    real = patrolgame.oracles.simulate_capture
+    monkeypatch.setattr(patrolgame.oracles, "simulate_capture",
+                        lambda P, tau, trials, seed: real(P, [t - 1 for t in tau], trials, seed))
+    code, out, err = run_cli(capsys, ["verify", "--suite", "montecarlo",
+                                      "--trials", "2000", "--seed", "1"])
+    assert code == 1
+    assert out == "FAIL 0/20\n"
+    lines = err.splitlines()
+    assert len(lines) == 20 and all(line.startswith("FAIL montecarlo[") for line in lines)
 
 
 def test_verify_writes_report_file(capsys, tmp_path):

@@ -34,10 +34,10 @@ def test_bipartite_has_only_cross_edges():
     assert g.n == 5
     assert len(g.edges) == 12
     assert all(i != j for i, j in g.edges)
-    p, q = set(g.p_nodes), set(g.q_nodes)
-    assert p == {1, 2, 3} and q == {4, 5}
+    assert (g.n_p, g.n_q) == (3, 2)
+    # nodes 1..n_p are the P side
     for i, j in g.edges:
-        assert (i in p) != (j in p)
+        assert (i <= g.n_p) != (j <= g.n_p)
 
 
 def test_star_edge_set():

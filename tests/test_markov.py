@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from patrolgame import (
     build_bipartite,
     capture_probability,
     check_transition_matrix,
-    hitting_time_probabilities,
     simulate_capture,
     stationary_distribution,
 )
@@ -19,6 +19,25 @@ from patrolgame.cli import _dump_json
 from patrolgame.markov import _capture_cdf_stack, min_capture_evaluator
 
 TWO_CYCLE = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def hitting_time_probabilities(P, k_max):
+    """Reference recursion: F[k-1][i, j] is the probability that the first
+    arrival at j after leaving i takes exactly k steps, for 1 <= k <= k_max.
+
+    F[0] is P itself and each successive matrix is the product of P with the
+    previous one after zeroing its diagonal (walks that already arrived stop
+    contributing).  The streaming kernel never holds this tensor.
+    """
+    P = check_transition_matrix(P)
+    n = P.shape[0]
+    F = np.empty((k_max, n, n))
+    F[0] = P
+    for k in range(1, k_max):
+        step = F[k - 1].copy()
+        np.fill_diagonal(step, 0.0)
+        np.matmul(P, step, out=F[k])
+    return F
 
 
 def random_stochastic(rng, n):
@@ -132,11 +151,6 @@ def test_recursion_identity_holds():
     for k in range(1, 5):
         step = F[k - 1] - np.diag(np.diag(F[k - 1]))
         np.testing.assert_allclose(F[k], P @ step, atol=1e-15)
-
-
-def test_k_max_must_be_positive():
-    with pytest.raises(InvalidSpec):
-        hitting_time_probabilities(TWO_CYCLE, 0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -311,6 +325,22 @@ def test_simulation_matches_exact_within_three_sigma():
         sim = simulate_capture(P, tau, trials=trials, seed=seed)
         sigma = np.sqrt(np.clip(exact * (1 - exact), 0, None) / trials)
         assert np.all(np.abs(sim.estimates - exact) <= 3 * sigma + 1e-12)
+
+
+def test_simulation_memory_does_not_grow_with_tau():
+    # the walk draws its uniforms one step at a time, not as a (tau, trials) block
+    P = np.full((3, 3), 1 / 3)
+
+    def peak_bytes(tau):
+        tracemalloc.start()
+        try:
+            simulate_capture(P, [tau] * 3, trials=20_000, seed=0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    simulate_capture(P, [2] * 3, trials=10, seed=0)
+    assert peak_bytes(64) <= 1.1 * peak_bytes(2)
 
 
 def test_simulation_validates_input():

@@ -1,4 +1,5 @@
 import json
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -19,11 +20,13 @@ from patrolgame import (
     exhaustive_allocation,
     exhaustive_side_allocation,
     local_search_strategy,
+    monte_carlo_suite,
     partitions,
+    simulate_capture,
 )
 from patrolgame.cli import _dump_json
 from patrolgame.markov import counter_stream, min_capture_evaluator
-from patrolgame.oracles import _random_feasible_strategy
+from patrolgame.oracles import MONTE_CARLO_FALSE_ALARM, _random_feasible_strategy
 
 
 # --- partition enumeration ------------------------------------------------------
@@ -304,9 +307,8 @@ def test_oracle_report_json():
 # --- bound suite ----------------------------------------------------------------
 
 def test_bound_suite_small_config_passes():
-    cfg = BoundSuiteConfig(random_p_instances=40, appendix_side_max=4,
-                           complete_n_values=(2, 3), ratio_tau_draws=2)
-    report = bound_suite(cfg)
+    # the config's one setting is the seed
+    report = bound_suite(BoundSuiteConfig(seed=1))
     assert report.passed
     assert report.summary.startswith("PASS")
     rows = json.loads(_dump_json(report.checks))
@@ -314,11 +316,39 @@ def test_bound_suite_small_config_passes():
 
 
 def test_bound_suite_counts_by_section():
-    cfg = BoundSuiteConfig(random_p_instances=5, appendix_side_max=2,
-                           complete_n_values=(2,), ratio_tau_draws=1)
-    report = bound_suite(cfg)
+    report = bound_suite()
+    assert report.summary == "PASS 1291/1291"
     names = [c.instance for c in report.checks]
-    assert sum(1 for s in names if s.startswith("stationary-bound")) == 5
-    assert sum(1 for s in names if s.startswith("complete-ratio")) == 1
-    assert sum(1 for s in names if s.startswith("allocation-floor")) == 1  # n=2: B=3 only
-    assert sum(1 for s in names if s.startswith("baseline-ratio")) == 3  # n=4: tau in 2..4
+    assert sum(1 for s in names if s.startswith("stationary-bound")) == 500
+    assert sum(1 for s in names if s.startswith("complete-ratio")) == 20  # n=2..5, 5 draws
+    assert sum(1 for s in names if s.startswith("allocation-floor")) == 36  # n < B < n^2
+    assert sum(1 for s in names if s.startswith("baseline-ratio")) == 735  # sides 2..8
+
+
+# --- Monte Carlo suite ------------------------------------------------------------
+
+def _one_step_short(P, tau, trials, seed):
+    return simulate_capture(P, [t - 1 for t in tau], trials, seed)
+
+
+def _lazier(P, tau, trials, seed):
+    # P perturbed by delta = 0.02: every step stays put with extra probability delta
+    return simulate_capture(0.98 * P + 0.02 * np.eye(len(P)), tau, trials, seed)
+
+
+@pytest.mark.parametrize("defect", [_one_step_short, _lazier])
+def test_monte_carlo_suite_fails_a_planted_defect(monkeypatch, defect):
+    monkeypatch.setattr(patrolgame.oracles, "simulate_capture", defect)
+    # at the default trials every instance must fail, not only the run
+    report = monte_carlo_suite(seed=7, instances=3)
+    assert not any(c.passed for c in report.checks), report.checks
+
+
+def test_monte_carlo_suite_limit_follows_the_pair_count():
+    # Bonferroni over the pairs of the run: 3 instances of 3 or 4 nodes
+    report = monte_carlo_suite(trials=2000, seed=7, instances=3)
+    pairs = sum(int(c.instance.split("n=")[1].split()[0]) ** 2 for c in report.checks)
+    z = NormalDist().inv_cdf(1 - MONTE_CARLO_FALSE_ALARM / (2 * pairs))
+    assert all(c.expected.endswith(f"<= {z / 3:.6g}") for c in report.checks)
+    with pytest.raises(InvalidSpec):
+        monte_carlo_suite(instances=0)

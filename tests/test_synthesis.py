@@ -2,10 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from patrolgame import (
-    BracketError,
     DimensionMismatch,
     InfeasibleTau,
     InvalidSpec,
@@ -18,7 +17,6 @@ from patrolgame import (
     capture_upper_bound,
     generic_capture_bound,
     solve_equalized_value,
-    solve_monotone_increasing,
     stationary_distribution,
     synthesize,
     synthesize_bipartite,
@@ -43,39 +41,45 @@ def cubic_oracle_w322():
 
 # --- bisection ---------------------------------------------------------------
 
-def test_bisection_linear():
-    assert solve_monotone_increasing(lambda w: 2 * w, 1.0, 0.0, 1.0, 1e-12) == pytest.approx(0.5, abs=1e-12)
+def reference_bisection(g, target, lo, hi, tol):
+    """Generic bisection for a strictly increasing g, with bracket checks and
+    an iteration cap: the reference that `solve_equalized_value` folds in."""
+    assert lo <= hi
+    scale = max(1.0, abs(target))
+    g_lo, g_hi = g(lo), g(hi)
+    if g_lo > target:
+        assert g_lo - target <= tol * scale
+        return lo
+    if g_hi < target:
+        assert target - g_hi <= tol * scale
+        return hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        value = g(mid)
+        if abs(value - target) <= tol * scale or hi - lo <= tol:
+            return mid
+        if value < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
-def test_bisection_sqrt():
-    root = solve_monotone_increasing(lambda w: 3 * math.sqrt(w), 2.0, 0.0, 1.0, 1e-12)
-    assert root == pytest.approx(4 / 9, abs=1e-10)
+def reference_equalized_value(exponents):
+    if len(exponents) == 1:
+        return 0.0
+    inv = np.array([1.0 / e for e in sorted(exponents)])
+    return reference_bisection(lambda w: float(np.sum(w ** inv)), float(len(inv) - 1),
+                               0.0, 1.0, 1e-12)
 
 
-def test_bisection_mixed_powers():
-    root = solve_monotone_increasing(lambda w: math.sqrt(w) + w, 1.0, 0.0, 1.0, 1e-12)
-    assert root == pytest.approx(GOLDEN_W, abs=1e-10)
-
-
-def test_bisection_bracket_violations():
-    with pytest.raises(BracketError):
-        solve_monotone_increasing(lambda w: w, 2.0, 0.0, 1.0, 1e-12)
-    with pytest.raises(BracketError):
-        solve_monotone_increasing(lambda w: w + 1.0, 0.5, 0.0, 1.0, 1e-12)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.floats(0.1, 5.0), min_size=1, max_size=4),
-       st.floats(0.05, 0.95))
-def test_bisection_postcondition(coeffs, frac):
-    def g(x):
-        return sum(c * x ** (i + 1) for i, c in enumerate(coeffs))
-
-    target = frac * g(1.0)
-    root = solve_monotone_increasing(g, target, 0.0, 1.0, 1e-10)
-    # the crossing sits within 1e-6 of the returned root (monotone sandwich)
-    assert g(max(root - 1e-6, 0.0)) <= target + 1e-8
-    assert g(min(root + 1e-6, 1.0)) >= target - 1e-8
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 400), min_size=1, max_size=300))
+@example([1] * 300)
+@example(list(range(101, 401)))
+def test_equalized_value_matches_reference_bisection(exponents):
+    # bit for bit: the same midpoints and the same stop test
+    assert solve_equalized_value(tuple(exponents)) == reference_equalized_value(exponents)
 
 
 def test_equalized_value_against_polynomial_oracle():
