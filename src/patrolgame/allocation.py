@@ -1,10 +1,11 @@
 """Integer allocation of a defense budget over nodes.
 
 Interpreting each attack duration as the strength of the defenses at that
-node, the best split of a total budget B is as even as possible: on complete
-graphs the entries differ by at most one, on each bipartite side they are
-even and differ by at most two.  The pairwise-balancing procedure justifies
-both rules and is kept as a checkable construction.
+node, the best split of a total budget B is one rule: count B in units of
+the family's step (1 on complete graphs, 2 on each bipartite side) and split
+the units as evenly as possible, so entries differ by at most one unit.
+The pairwise-balancing procedure justifies the rule and is kept as a
+checkable construction.
 """
 
 from __future__ import annotations
@@ -38,6 +39,12 @@ class AllocationResult:
     w_q: float | None = None
 
 
+def _near_uniform(n: int, units: int) -> tuple[int, ...]:
+    """`units` split over n entries as evenly as possible, largest first."""
+    q, r = divmod(units, n)
+    return (q + 1,) * r + (q,) * (n - r)
+
+
 def complete_allocation_value(tau: Sequence[int]) -> float:
     """Game value w of a complete-graph allocation: sum_i w**(1/tau_i) = n - 1."""
     return solve_equalized_value(tuple(sorted(int(t) for t in tau)))
@@ -55,7 +62,7 @@ def bipartite_side_value(tau_side: Sequence[int]) -> float:
 
 
 def allocate_complete(n: int, B: int) -> AllocationResult:
-    """Optimal placement on a complete graph: B mod n nodes get one extra unit.
+    """Optimal placement on a complete graph: B units of 1 split near-uniformly.
 
     Valid for budgets strictly between n (anything less cannot give every
     node a unit) and n*n (anything more makes the game trivial).
@@ -64,12 +71,8 @@ def allocate_complete(n: int, B: int) -> AllocationResult:
         raise InvalidSpec(f"complete-graph allocation needs n >= 2, got {n}")
     if not n < B < n * n:
         raise BudgetOutOfRange(f"budget must satisfy {n} < B < {n * n}, got {B}")
-    high, rem = divmod(B, n)
-    if rem:
-        tau = (high + 1,) * rem + (high,) * (n - rem)
-    else:
-        tau = (high,) * n
-    w = complete_allocation_value(tau)
+    tau = _near_uniform(n, B)
+    w = solve_equalized_value(tau[::-1])
     return AllocationResult(tau=tau, B=B, w=w, mu=1.0 - w)
 
 
@@ -83,11 +86,10 @@ class SideAllocation:
 
 
 def allocate_bipartite_side(n_side: int, B_side: int) -> SideAllocation:
-    """Optimal even placement on one side: entries differ by at most two.
+    """Optimal even placement on one side: B/2 units of 2 split near-uniformly.
 
-    The per-node values are ceil(B/n) and floor(B/n) rounded outward to even,
-    with the count of high entries fixed by the budget.  The degenerate
-    all-twos budget B_side = 2*n_side is accepted because the co-optimization
+    Entries are even and differ by at most two.  The degenerate all-twos
+    budget B_side = 2*n_side is accepted because the co-optimization
     brackets start there.
     """
     if n_side < 1:
@@ -96,29 +98,20 @@ def allocate_bipartite_side(n_side: int, B_side: int) -> SideAllocation:
         raise ParityError(f"side budget must be even, got {B_side}")
     if B_side < 2 * n_side:
         raise BudgetOutOfRange(f"side budget {B_side} cannot give {n_side} nodes >= 2 each")
-    high, rem = divmod(B_side, n_side)
-    low = high
-    if high % 2:
-        high += 1
-        low -= 1
-    elif rem:
-        high += 2
-    if high == low:
-        count_high = n_side
-    else:
-        count_high = (B_side - n_side * low) // 2
-    tau = (high,) * count_high + (low,) * (n_side - count_high)
-    assert sum(tau) == B_side
-    return SideAllocation(tau=tau, B=B_side, w=bipartite_side_value(tau))
+    units = _near_uniform(n_side, B_side // 2)
+    # tuple() of a list: from a generator, bipartite sweeps kept ~1 MB more resident
+    return SideAllocation(tau=tuple([2 * u for u in units]), B=B_side,
+                          w=solve_equalized_value(units[::-1]))
 
 
 def co_optimize_bipartite(n_p: int, n_q: int, B: int) -> AllocationResult:
     """Best even split of B across the two sides of a complete bipartite graph.
 
-    Bisects on the P-side sub-budget: the P-side value falls and the Q-side
-    value rises as budget moves to P, so the overall value max(w_p, w_q) is
-    minimized where they cross.  Both surviving bracket ends are evaluated
-    and the better one returned (ties go to the smaller sub-budget).
+    Bisects on the P-side sub-budget, counted in units of 2: the P-side value
+    falls and the Q-side value rises as budget moves to P, so the overall
+    value max(w_p, w_q) is minimized where they cross.  Both surviving
+    bracket ends are evaluated and the better one returned (ties go to the
+    smaller sub-budget).
     """
     if n_p < 1 or n_q < 1:
         raise InvalidSpec(f"side sizes must be >= 1, got ({n_p}, {n_q})")
@@ -129,29 +122,27 @@ def co_optimize_bipartite(n_p: int, n_q: int, B: int) -> AllocationResult:
     if not lo_limit < B < hi_limit:
         raise BudgetOutOfRange(f"budget must satisfy {lo_limit} < B < {hi_limit}, got {B}")
 
-    lb, ub = 2 * n_p, B - 2 * n_q
-    while ub - lb > 2:
-        b_p = (lb + ub) // 2
-        if b_p % 2:
-            b_p += 1
-        side_p = allocate_bipartite_side(n_p, b_p)
-        side_q = allocate_bipartite_side(n_q, B - b_p)
+    lb, ub = n_p, B // 2 - n_q
+    while ub - lb > 1:
+        mid = (lb + ub + 1) // 2
+        side_p = allocate_bipartite_side(n_p, 2 * mid)
+        side_q = allocate_bipartite_side(n_q, B - 2 * mid)
         if side_p.w < side_q.w:
-            ub = b_p
+            ub = mid
         else:
-            lb = b_p
+            lb = mid
 
     best = None
-    for b_p in sorted({lb, ub}):
-        side_p = allocate_bipartite_side(n_p, b_p)
-        side_q = allocate_bipartite_side(n_q, B - b_p)
+    for units in sorted({lb, ub}):
+        side_p = allocate_bipartite_side(n_p, 2 * units)
+        side_q = allocate_bipartite_side(n_q, B - 2 * units)
         w = max(side_p.w, side_q.w)
         if best is None or w < best[0] - 1e-12:
-            best = (w, b_p, side_p, side_q)
-    w, b_p, side_p, side_q = best
+            best = (w, side_p, side_q)
+    w, side_p, side_q = best
     return AllocationResult(
         tau=side_p.tau + side_q.tau, B=B, w=w, mu=1.0 - w,
-        B_p=b_p, B_q=B - b_p, tau_p=side_p.tau, tau_q=side_q.tau,
+        B_p=side_p.B, B_q=side_q.B, tau_p=side_p.tau, tau_q=side_q.tau,
         w_p=side_p.w, w_q=side_q.w,
     )
 
@@ -189,10 +180,11 @@ class BalancingTrace:
 
 
 def pairwise_balance(tau: Sequence[int], step: int) -> BalancingTrace:
-    """Move `step` units from a largest to a smallest entry until balanced.
+    """Move one unit of `step` from a largest to a smallest entry until the
+    entries, counted in units, differ by at most one.
 
-    Each transfer strictly lowers the solved value w, which is how the
-    closed-form placement rules are proved optimal.  Step 1 balances a
+    Each transfer strictly lowers w, solved on the units, which is how the
+    near-uniform placement rule is proved optimal.  Step 1 balances a
     complete-graph allocation (entries >= 1), step 2 one even bipartite side
     (entries even and >= 2).
     """
@@ -201,19 +193,14 @@ def pairwise_balance(tau: Sequence[int], step: int) -> BalancingTrace:
     current = [int(t) for t in tau]
     if not current:
         raise InvalidSpec("allocation must be nonempty")
-    if step == 1 and min(current) < 1:
-        raise InvalidStart(f"entries must be >= 1: {current}")
-    if step == 2 and any(t < 2 or t % 2 for t in current):
-        raise InvalidStart(f"entries must be even and >= 2: {current}")
-
-    def value(alloc: list[int]) -> float:
-        if step == 1:
-            return complete_allocation_value(alloc)
-        return bipartite_side_value(alloc)
-
-    states = [(tuple(current), value(current))]
-    while max(current) - min(current) > step:
-        current[current.index(max(current))] -= step
-        current[current.index(min(current))] += step
-        states.append((tuple(current), value(current)))
-    return BalancingTrace(states=tuple(states))
+    if any(t < step or t % step for t in current):
+        raise InvalidStart(f"entries must be {'>= 1' if step == 1 else 'even and >= 2'}: {current}")
+    units = [t // step for t in current]
+    states = []
+    while True:
+        states.append((tuple(step * u for u in units),
+                       solve_equalized_value(tuple(sorted(units)))))
+        if max(units) - min(units) <= 1:
+            return BalancingTrace(states=tuple(states))
+        units[units.index(max(units))] -= 1
+        units[units.index(min(units))] += 1

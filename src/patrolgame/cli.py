@@ -284,9 +284,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print("error: star allocation is unsupported", file=sys.stderr)
         return EXIT_UNSUPPORTED
     if args.family == "bipartite":
-        names, ranges = ("n_p", "n_q"), (_parse_range(args.np), _parse_range(args.nq))
+        flags, names = ("np", "nq"), ("n_p", "n_q")
     else:
-        names, ranges = ("n",), (_parse_range(args.n),)
+        flags = names = ("n",)
+    if any(getattr(args, flag) is None for flag in flags):
+        raise InvalidSpec(f"{args.family} sweep needs {' and '.join(f'--{f}' for f in flags)}")
+    ranges = tuple(_parse_range(getattr(args, flag)) for flag in flags)
     count = math.prod(len(r) for r in ranges) * (len(budgets) + len(taus))
     if count > SWEEP_ROW_LIMIT:
         raise SearchSpaceExceeded(f"sweep grid of {count} rows exceeds {SWEEP_ROW_LIMIT}")

@@ -101,26 +101,36 @@ def build_general(n: int, edges: Iterable[Sequence[int]]) -> GraphTopology:
     return g
 
 
+def _size(spec: Mapping, key: str) -> int:
+    """`spec[key]` as an int, or `InvalidSpec` naming the key."""
+    try:
+        return int(spec[key])
+    except (KeyError, TypeError, ValueError):
+        raise InvalidSpec(f"graph descriptor needs an integer {key!r}, "
+                          f"got {spec.get(key)!r}") from None
+
+
 def build_graph(spec: Mapping) -> GraphTopology:
     """Build a graph from a JSON-style descriptor.
 
     Expected keys: ``family`` plus ``n`` (complete, star, general),
     ``n_p``/``n_q`` (bipartite, ``n`` optional as a consistency check),
-    and ``edges`` for the general family.
+    and ``edges`` for the general family.  A missing or non-integer size
+    raises `InvalidSpec` naming its key.
     """
     family = spec.get("family")
     if family not in _FAMILIES:
         raise InvalidSpec(f"unknown family {family!r}")
     if family == COMPLETE:
-        return build_complete(int(spec["n"]))
+        return build_complete(_size(spec, "n"))
     if family == BIPARTITE:
-        n_p, n_q = int(spec["n_p"]), int(spec["n_q"])
-        if "n" in spec and int(spec["n"]) != n_p + n_q:
+        n_p, n_q = _size(spec, "n_p"), _size(spec, "n_q")
+        if "n" in spec and _size(spec, "n") != n_p + n_q:
             raise InvalidSpec(f"n={spec['n']} inconsistent with n_p+n_q={n_p + n_q}")
         return build_bipartite(n_p, n_q)
     if family == STAR:
-        return build_star(int(spec["n"]))
-    return build_general(int(spec["n"]), spec.get("edges", ()))
+        return build_star(_size(spec, "n"))
+    return build_general(_size(spec, "n"), spec.get("edges", ()))
 
 
 def _bfs_distances(adj: np.ndarray, source: int) -> np.ndarray:

@@ -24,14 +24,14 @@ def check_transition_matrix(P: np.ndarray, graph: GraphTopology | None = None) -
 
     Returns the matrix as a float64 ndarray.  Raises `DimensionMismatch` for
     a non-square input and `InvalidSpec` when rows do not sum to one, entries
-    leave [0, 1], or mass sits on a non-edge of `graph`.
+    leave [0, 1] (NaN included), or mass sits on a non-edge of `graph`.
     """
     P = np.asarray(P, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise DimensionMismatch(f"transition matrix must be square, got shape {P.shape}")
     if graph is not None and P.shape[0] != graph.n:
         raise DimensionMismatch(f"matrix is {P.shape[0]}x{P.shape[0]} but graph has {graph.n} nodes")
-    if np.any(P < -ROW_SUM_TOL) or np.any(P > 1 + ROW_SUM_TOL):
+    if not np.all((P >= -ROW_SUM_TOL) & (P <= 1 + ROW_SUM_TOL)):
         raise InvalidSpec("transition probabilities must lie in [0, 1]")
     if np.any(np.abs(P.sum(axis=1) - 1.0) > ROW_SUM_TOL):
         raise InvalidSpec("every row must sum to 1")

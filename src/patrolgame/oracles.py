@@ -15,13 +15,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import synthesis
-from .allocation import (
-    allocate_bipartite_side,
-    allocate_complete,
-    bipartite_side_value,
-    co_optimize_bipartite,
-    complete_allocation_value,
-)
+from .allocation import allocate_bipartite_side, allocate_complete, co_optimize_bipartite
 from .errors import InvalidSpec, ParityError, SearchSpaceExceeded
 from .graphs import (
     BIPARTITE,
@@ -97,15 +91,14 @@ def _guarded(count: int) -> int:
     return count
 
 
-def _best_multiset(n: int, total: int, step: int, value) -> tuple[float, tuple[int, ...]]:
-    """Lowest `value` over the multisets of n positive multiples of `step`
-    that sum to `total`, and the first multiset that attains it."""
+def _best_multiset(n: int, total: int, step: int) -> tuple[float, tuple[int, ...]]:
+    """Lowest w, solved on the units, over the multisets of n positive
+    multiples of `step` that sum to `total`, and the first one attaining it."""
     best = None
     for parts in partitions(total // step, n, minimum=1):
-        tau = tuple(step * t for t in parts)
-        w = value(tau)
+        w = synthesis.solve_equalized_value(parts[::-1])
         if best is None or w < best[0]:
-            best = (w, tau)
+            best = (w, tuple(step * t for t in parts))
     return best
 
 
@@ -131,7 +124,7 @@ def exhaustive_allocation(family: str, sizes: int | Sequence[int], B: int,
     if family == COMPLETE:
         n = int(sizes[0]) if isinstance(sizes, Sequence) else int(sizes)
         count = _guarded(_composition_count(B, n))
-        best_w, best_tau = _best_multiset(n, B, 1, complete_allocation_value)
+        best_w, best_tau = _best_multiset(n, B, 1)
         return _report(1.0 - best_w, best_tau, count, allocate_complete(n, B).mu, tolerance)
     if family == BIPARTITE:
         n_p, n_q = (int(s) for s in sizes)
@@ -143,8 +136,8 @@ def exhaustive_allocation(family: str, sizes: int | Sequence[int], B: int,
             for b_p in splits))
         best = None
         for b_p in splits:
-            w_p, tau_p = _best_multiset(n_p, b_p, 2, bipartite_side_value)
-            w_q, tau_q = _best_multiset(n_q, B - b_p, 2, bipartite_side_value)
+            w_p, tau_p = _best_multiset(n_p, b_p, 2)
+            w_q, tau_q = _best_multiset(n_q, B - b_p, 2)
             mu = 1.0 - max(w_p, w_q)
             if best is None or mu > best[0]:
                 best = (mu, (b_p, tau_p, tau_q))
@@ -158,7 +151,7 @@ def exhaustive_side_allocation(n_side: int, B_side: int,
     if B_side % 2:
         raise ParityError(f"side budget must be even, got {B_side}")
     count = _guarded(_composition_count(B_side // 2, n_side))
-    best_w, best_tau = _best_multiset(n_side, B_side, 2, bipartite_side_value)
+    best_w, best_tau = _best_multiset(n_side, B_side, 2)
     return _report(best_w, best_tau, count, allocate_bipartite_side(n_side, B_side).w,
                    tolerance)
 
@@ -460,36 +453,24 @@ def allocation_agreement_suite(nmax: int = 4, tolerance: float = 1e-10) -> Suite
     """
     if nmax < 2:
         raise InvalidSpec(f"nmax must be >= 2, got {nmax}")
-    for n in range(2, nmax + 1):
-        for B in range(n + 1, n * n):
-            _guarded(_composition_count(B, n))
+    complete = [(n, B) for n in range(2, nmax + 1) for B in range(n + 1, n * n)]
+    for n, B in complete:
+        _guarded(_composition_count(B, n))
+    sides = range(2, min(nmax, 4) + 1)
+    # (instance, oracle, its arguments) in suite order
+    instances = [(f"complete n={n} B={B}", exhaustive_allocation, ("complete", n, B))
+                 for n, B in complete]
+    instances += [(f"side n={n} B={B}", exhaustive_side_allocation, (n, B))
+                  for n in sides for B in range(2 * n, 2 * n * n, 2)]
+    instances += [(f"bipartite n_p={n_p} n_q={n_q} B={B}", exhaustive_allocation,
+                   ("bipartite", (n_p, n_q), B))
+                  for n_p in sides for n_q in sides
+                  for B in range(2 * (n_p + n_q) + 2, 2 * (n_p * n_p + n_q * n_q), 2)]
     checks = []
-    for n in range(2, nmax + 1):
-        for B in range(n + 1, n * n):
-            report = exhaustive_allocation("complete", n, B, tolerance=tolerance)
-            checks.append(CheckResult(
-                instance=f"complete n={n} B={B}",
-                expected=f"gap <= {tolerance:.12g}", actual=report.gap,
-                passed=bool(report.agreement)))
-    side_max = min(nmax, 4)
-    for n_side in range(2, side_max + 1):
-        for B_side in range(2 * n_side, 2 * n_side * n_side, 2):
-            report = exhaustive_side_allocation(n_side, B_side, tolerance=tolerance)
-            checks.append(CheckResult(
-                instance=f"side n={n_side} B={B_side}",
-                expected=f"gap <= {tolerance:.12g}", actual=report.gap,
-                passed=bool(report.agreement)))
-    for n_p in range(2, side_max + 1):
-        for n_q in range(2, side_max + 1):
-            lo = 2 * (n_p + n_q)
-            hi = 2 * (n_p * n_p + n_q * n_q)
-            for B in range(lo + 2, hi, 2):
-                report = exhaustive_allocation("bipartite", (n_p, n_q), B,
-                                               tolerance=tolerance)
-                checks.append(CheckResult(
-                    instance=f"bipartite n_p={n_p} n_q={n_q} B={B}",
-                    expected=f"gap <= {tolerance:.12g}", actual=report.gap,
-                    passed=bool(report.agreement)))
+    for instance, oracle, args in instances:
+        report = oracle(*args, tolerance=tolerance)
+        checks.append(CheckResult(instance=instance, expected=f"gap <= {tolerance:.12g}",
+                                  actual=report.gap, passed=bool(report.agreement)))
     return SuiteReport(name="alloc-oracle", checks=tuple(checks))
 
 

@@ -121,6 +121,15 @@ def test_balance_terminal_matches_allocate_complete():
     assert trace.ws[-1] == pytest.approx(closed.w, abs=1e-12)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 12).map(lambda u: 2 * u), min_size=1, max_size=6))
+def test_two_sided_balance_ends_at_the_side_rule(tau):
+    trace = pairwise_balance(tau, step=2)
+    rule = allocate_bipartite_side(len(tau), sum(tau))
+    assert tuple(sorted(trace.final, reverse=True)) == rule.tau
+    assert trace.ws[-1] == rule.w
+
+
 # --- bipartite sides ---------------------------------------------------------------
 
 def test_side_reference_instances():

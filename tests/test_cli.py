@@ -221,6 +221,19 @@ def test_sweep_empty_grid(capsys):
     assert out.strip() == "family,n,n_p,n_q,tau,B,mu,w,bound,ratio"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--family", "complete", "--tau", "2"], "complete sweep needs --n"),
+    (["--family", "star", "--tau", "2"], "star sweep needs --n"),
+    (["--family", "bipartite", "--nq", "2", "--tau", "2"], "bipartite sweep needs --np and --nq"),
+    (["--family", "bipartite", "--np", "2", "--B", "10"], "bipartite sweep needs --np and --nq"),
+])
+def test_sweep_without_sizes_is_refused(capsys, argv, message):
+    code, out, err = run_cli(capsys, ["sweep", *argv])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_sweep_guard(capsys):
     code, _, err = run_cli(capsys, ["sweep", "--family", "complete",
                                     "--n", "2..200", "--tau", "1..100"])

@@ -68,6 +68,20 @@ def test_build_graph_json_descriptors():
         build_graph({"family": "ring", "n": 3})
 
 
+@pytest.mark.parametrize("spec, key", [
+    ({"family": "bipartite", "n_p": 2}, "n_q"),
+    ({"family": "bipartite", "n_q": 2}, "n_p"),
+    ({"family": "bipartite", "n_p": 2, "n_q": 3, "n": "five"}, "n"),
+    ({"family": "complete", "n": "x"}, "n"),
+    ({"family": "complete"}, "n"),
+    ({"family": "star", "n": None}, "n"),
+    ({"family": "general", "n": [3], "edges": []}, "n"),
+])
+def test_malformed_descriptor_names_the_key(spec, key):
+    with pytest.raises(InvalidSpec, match=f"integer '{key}'"):
+        build_graph(spec)
+
+
 def test_general_graph_must_be_strongly_connected():
     with pytest.raises(InvalidSpec):
         build_general(3, [[1, 2], [2, 3]])

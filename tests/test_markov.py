@@ -67,6 +67,19 @@ def test_check_transition_matrix_errors():
     check_transition_matrix(TWO_CYCLE, graph=g)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("use", [
+    lambda P: capture_probability(P, (2, 2)),
+    stationary_distribution,
+    lambda P: simulate_capture(P, (2, 2), trials=10, seed=0),
+], ids=["capture_probability", "stationary_distribution", "simulate_capture"])
+def test_non_finite_entries_are_rejected(bad, use):
+    # every comparison with NaN is false, so a range check written as
+    # "fail if out of range" would let it through
+    with pytest.raises(InvalidSpec, match=r"\[0, 1\]"):
+        use([[bad, 0.5], [0.5, 0.5]])
+
+
 # --- stationary distribution ------------------------------------------------
 
 def test_two_cycle_stationary():
