@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import BudgetOutOfRange, InvalidSpec, InvalidStart, ParityError
+from .errors import BudgetOutOfRange, InvalidSpec, InvalidStart, ParityError, Unsupported
 from .graphs import BIPARTITE, COMPLETE, GraphTopology
 from .synthesis import solve_equalized_value
 
@@ -151,13 +151,13 @@ def allocate(g: GraphTopology, B: int) -> AllocationResult:
     """The family's optimal split of budget B over the nodes of `g`.
 
     Complete graphs use `allocate_complete`, bipartite graphs
-    `co_optimize_bipartite`; any other family raises `InvalidSpec`.
+    `co_optimize_bipartite`; any other family raises `Unsupported`.
     """
     if g.family == COMPLETE:
         return allocate_complete(g.n, B)
     if g.family == BIPARTITE:
         return co_optimize_bipartite(g.n_p, g.n_q, B)
-    raise InvalidSpec(f"{g.family} allocation is unsupported")
+    raise Unsupported(f"{g.family} allocation is unsupported")
 
 
 @dataclass(frozen=True)

@@ -32,8 +32,9 @@ from .errors import (
     PatrolGameError,
     SearchSpaceExceeded,
     TrivialGame,
+    Unsupported,
 )
-from .graphs import BIPARTITE, build_bipartite, build_graph, validate_attack_durations
+from .graphs import BIPARTITE, GENERAL, build_graph, validate_attack_durations
 from .markov import capture_probability, simulate_capture
 from .oracles import (
     BoundSuiteConfig,
@@ -60,7 +61,18 @@ _EXIT_CODES = {
     ParityError: EXIT_INFEASIBLE,
     SearchSpaceExceeded: EXIT_GUARD,
     TrivialGame: EXIT_INFEASIBLE,
+    Unsupported: EXIT_UNSUPPORTED,
 }
+
+# the CLI reads no edge list, so it never builds a general graph
+_GENERAL_REFUSED = {
+    "solve": "no strategy synthesis for the general family",
+    "simulate": "no strategy synthesis for the general family",
+    "allocate": "general allocation is unsupported",
+    "sweep": "unsupported sweep family 'general'",
+}
+# each family's size flags, and the graph-descriptor key each one sets
+_SIZES = {"complete": {"n": "n"}, "star": {"n": "n"}, "bipartite": {"np": "n_p", "nq": "n_q"}}
 
 SWEEP_ROW_LIMIT = 10_000
 _CSV_COLUMNS = ("family", "n", "n_p", "n_q", "tau", "B", "mu", "w", "bound", "ratio")
@@ -163,29 +175,28 @@ def _parse_range(text: str | None) -> tuple[int, ...] | range:
     return _parse_int_list(text)
 
 
-def _build_graph_from_args(args: argparse.Namespace):
-    family = args.family
-    if family in ("complete", "star"):
-        n = int(args.n) if args.n is not None else len(_parse_int_list(args.tau))
-        return build_graph({"family": family, "n": n})
-    if family == "bipartite":
-        if args.np is None or args.nq is None:
-            raise InvalidSpec("bipartite needs --np and --nq")
-        return build_bipartite(int(args.np), int(args.nq))
-    raise InvalidSpec(f"unsupported family {family!r}")
+def _sizes(args: argparse.Namespace, command: str, parse, *extra: str, **fallback) -> dict:
+    """The family's sizes, `parse`d and keyed for `build_graph`; an unset
+    size flag takes its `fallback`.  `InvalidSpec` names every flag that
+    `command` needs when a size or an `extra` flag is still unset."""
+    flags = _SIZES.get(args.family, {})
+    sizes = {key: fallback.get(key) if getattr(args, flag) is None else getattr(args, flag)
+             for flag, key in flags.items()}
+    if None in sizes.values() or any(getattr(args, flag) is None for flag in extra):
+        *listed, last = (f"--{flag}" for flag in (*flags, *extra))
+        raise InvalidSpec(f"{args.family} {command} needs "
+                          + (f"{', '.join(listed)} and {last}" if listed else last))
+    return {key: parse(text) for key, text in sizes.items()}
 
 
 def _solve_common(args: argparse.Namespace):
     """Shared by solve and simulate: returns (tau, result, capture) or an exit
     code; `capture` is the recursion report the closed form was checked against."""
-    if args.family == "general":
-        print("error: no strategy synthesis for the general family", file=sys.stderr)
-        return EXIT_UNSUPPORTED
     if not args.tau:
         print("error: --tau is required", file=sys.stderr)
         return EXIT_INFEASIBLE
     tau = _parse_int_list(args.tau)
-    graph = _build_graph_from_args(args)
+    graph = build_graph({"family": args.family, **_sizes(args, args.command, int, n=len(tau))})
     report = validate_attack_durations(graph, tau)
     if report.condition1_violations:
         sys.stderr.write(_dump_json(report))
@@ -231,14 +242,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_allocate(args: argparse.Namespace) -> int:
-    if args.family in ("star", "general"):
-        print(f"error: {args.family} allocation is unsupported", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    sizes = ("n",) if args.family == "complete" else ("np", "nq")
-    if args.B is None or any(getattr(args, size) is None for size in sizes):
-        flags = ", ".join(f"--{size}" for size in sizes)
-        raise InvalidSpec(f"{args.family} allocation needs {flags} and --B")
-    graph = _build_graph_from_args(args)
+    graph = build_graph({"family": args.family, **_sizes(args, "allocation", int, "B")})
     budget = int(args.B)
     allocation = allocate(graph, budget)
     strategy = synthesize(graph, allocation.tau)
@@ -276,28 +280,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """One CSV row per size cell and budget, then per cell and uniform tau."""
-    if args.family not in ("complete", "star", "bipartite"):
-        print(f"error: unsupported sweep family {args.family!r}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
     budgets, taus = _parse_range(args.B), _parse_range(args.tau)
-    if budgets and args.family == "star":
-        print("error: star allocation is unsupported", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    if args.family == "bipartite":
-        flags, names = ("np", "nq"), ("n_p", "n_q")
-    else:
-        flags = names = ("n",)
-    if any(getattr(args, flag) is None for flag in flags):
-        raise InvalidSpec(f"{args.family} sweep needs {' and '.join(f'--{f}' for f in flags)}")
-    ranges = tuple(_parse_range(getattr(args, flag)) for flag in flags)
-    count = math.prod(len(r) for r in ranges) * (len(budgets) + len(taus))
+    ranges = _sizes(args, "sweep", _parse_range)
+    if args.B is None and args.tau is None:
+        raise InvalidSpec(f"{args.family} sweep needs --B or --tau")
+    count = math.prod(map(len, ranges.values())) * (len(budgets) + len(taus))
     if count > SWEEP_ROW_LIMIT:
         raise SearchSpaceExceeded(f"sweep grid of {count} rows exceeds {SWEEP_ROW_LIMIT}")
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=_CSV_COLUMNS, lineterminator="\n")
     writer.writeheader()
-    for sizes in itertools.product(*ranges):
-        cell = dict(zip(names, sizes))
+    for sizes in itertools.product(*ranges.values()):
+        cell = dict(zip(ranges, sizes))
         graph = build_graph({"family": args.family, **cell})
         points = []
         for B in budgets:
@@ -417,6 +411,9 @@ def main(argv: list[str] | None = None) -> int:
         # parsing again with the scenario as defaults lets every given flag win,
         # and rejects a required flag that neither supplies
         args = build_parser({args.command: defaults}).parse_args(argv)
+    if getattr(args, "family", None) == GENERAL:
+        print(f"error: {_GENERAL_REFUSED[args.command]}", file=sys.stderr)
+        return EXIT_UNSUPPORTED
     try:
         return args.handler(args)
     except PatrolGameError as exc:

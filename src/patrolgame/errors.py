@@ -9,6 +9,10 @@ class InvalidSpec(PatrolGameError):
     """A graph or scenario descriptor is malformed (sizes, families, durations)."""
 
 
+class Unsupported(InvalidSpec):
+    """The family has no such construction (synthesis, allocation, oracle)."""
+
+
 class DimensionMismatch(PatrolGameError):
     """Vector or matrix dimensions do not agree."""
 

@@ -8,6 +8,7 @@ the center as the single P-side node.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -89,13 +90,16 @@ def build_general(n: int, edges: Iterable[Sequence[int]]) -> GraphTopology:
     """General digraph from an explicit edge list; must be strongly connected."""
     if n < 1:
         raise InvalidSpec(f"graph needs n >= 1, got {n}")
-    edge_set = set()
-    for pair in edges:
-        i, j = int(pair[0]), int(pair[1])
+    try:
+        pairs = [tuple(map(operator.index, pair)) for pair in edges]
+    except TypeError:  # not iterable, or an entry that is not an integer
+        pairs = [()]
+    if any(len(pair) != 2 for pair in pairs):
+        raise InvalidSpec(f"edges must be pairs of integers, got {edges!r}")
+    for i, j in pairs:
         if not (1 <= i <= n and 1 <= j <= n):
             raise InvalidSpec(f"edge ({i}, {j}) out of range for n={n}")
-        edge_set.add((i, j))
-    g = GraphTopology(family=GENERAL, n=n, edges=frozenset(edge_set))
+    g = GraphTopology(family=GENERAL, n=n, edges=frozenset(pairs))
     if not is_strongly_connected(g.adjacency()):
         raise InvalidSpec("general graph must be strongly connected")
     return g

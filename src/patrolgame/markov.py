@@ -111,24 +111,17 @@ class CaptureReport:
     cdf: np.ndarray
 
 
-def capture_cdf(P: np.ndarray, tau: Sequence[int]) -> np.ndarray:
-    """Matrix of P(T_ij <= tau_j) for all ordered pairs, same-node pairs included.
-
-    Runs the streaming hitting-time kernel on a one-strategy stack.
-    """
-    P = check_transition_matrix(P)
-    durations = check_durations(tau, P.shape[0])
-    return _capture_cdf_stack(P[None], durations)[0]
-
-
 def capture_probability(P: np.ndarray, tau: Sequence[int]) -> CaptureReport:
     """Exact capture probability against an omniscient attacker.
 
     The attacker knows the strategy and the agent's position and picks the
     ordered pair (agent node i, target j) minimizing the probability that the
-    agent reaches j within tau_j steps.
+    agent reaches j within tau_j steps.  The report's `cdf`, every
+    P(T_ij <= tau_j), comes from the streaming hitting-time kernel run on a
+    one-strategy stack.
     """
-    cdf = capture_cdf(P, tau)
+    P = check_transition_matrix(P)
+    cdf = _capture_cdf_stack(P[None], check_durations(tau, P.shape[0]))[0]
     flat = int(np.argmin(cdf))
     i, j = divmod(flat, cdf.shape[1])
     return CaptureReport(mu=float(cdf[i, j]), worst_pair=(i + 1, j + 1), cdf=cdf)
@@ -137,7 +130,7 @@ def capture_probability(P: np.ndarray, tau: Sequence[int]) -> CaptureReport:
 def min_capture_evaluator(tau: Sequence[int]):
     """Reusable evaluator P -> min capture probability for fixed durations.
 
-    A thin wrapper over the same streaming kernel as `capture_cdf`, so its
+    A thin wrapper over `capture_probability`'s streaming kernel, so its
     value equals `capture_probability(P, tau).mu` exactly.  The matrix is
     not validated; optimizers that score many candidates at once call the
     kernel on a whole stack instead.

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import synthesis
 from .allocation import allocate_bipartite_side, allocate_complete, co_optimize_bipartite
-from .errors import InvalidSpec, ParityError, SearchSpaceExceeded
+from .errors import InvalidSpec, SearchSpaceExceeded, Unsupported
 from .graphs import (
     BIPARTITE,
     COMPLETE,
@@ -78,9 +78,8 @@ def partitions(total: int, parts: int, minimum: int = 1,
 
 
 def _composition_count(total: int, parts: int) -> int:
-    # ordered tuples of positive integers summing to `total` (stars and bars)
-    if total < parts:
-        return 0
+    # ordered tuples of positive integers summing to `total` (stars and bars);
+    # every caller has total >= parts
     return math.comb(total - 1, parts - 1)
 
 
@@ -119,17 +118,19 @@ def exhaustive_allocation(family: str, sizes: int | Sequence[int], B: int,
     Complete graphs enumerate all compositions of B with entries >= 1;
     bipartite graphs additionally enumerate every even split of B across the
     two sides.  Permutation invariance lets the search walk multisets while
-    `candidates_examined` reports the composition count covered.
+    `candidates_examined` reports the composition count covered.  The
+    closed form runs first, so a budget it refuses fails before the guard
+    and before anything is enumerated.
     """
     if family == COMPLETE:
         n = int(sizes[0]) if isinstance(sizes, Sequence) else int(sizes)
+        closed_form = allocate_complete(n, B).mu
         count = _guarded(_composition_count(B, n))
         best_w, best_tau = _best_multiset(n, B, 1)
-        return _report(1.0 - best_w, best_tau, count, allocate_complete(n, B).mu, tolerance)
+        return _report(1.0 - best_w, best_tau, count, closed_form, tolerance)
     if family == BIPARTITE:
         n_p, n_q = (int(s) for s in sizes)
-        if B % 2:
-            raise ParityError(f"bipartite budget must be even, got {B}")
+        closed_form = co_optimize_bipartite(n_p, n_q, B).mu
         splits = range(2 * n_p, B - 2 * n_q + 1, 2)
         count = _guarded(sum(
             _composition_count(b_p // 2, n_p) * _composition_count((B - b_p) // 2, n_q)
@@ -141,19 +142,18 @@ def exhaustive_allocation(family: str, sizes: int | Sequence[int], B: int,
             mu = 1.0 - max(w_p, w_q)
             if best is None or mu > best[0]:
                 best = (mu, (b_p, tau_p, tau_q))
-        return _report(*best, count, co_optimize_bipartite(n_p, n_q, B).mu, tolerance)
-    raise InvalidSpec(f"no exhaustive allocation for family {family!r}")
+        return _report(*best, count, closed_form, tolerance)
+    raise Unsupported(f"no exhaustive allocation for family {family!r}")
 
 
 def exhaustive_side_allocation(n_side: int, B_side: int,
                                tolerance: float = 1e-10) -> OracleReport:
-    """Enumerate all even allocations of one bipartite side against the rule."""
-    if B_side % 2:
-        raise ParityError(f"side budget must be even, got {B_side}")
+    """Enumerate all even allocations of one bipartite side against the rule,
+    which runs first, as in `exhaustive_allocation`."""
+    closed_form = allocate_bipartite_side(n_side, B_side).w
     count = _guarded(_composition_count(B_side // 2, n_side))
     best_w, best_tau = _best_multiset(n_side, B_side, 2)
-    return _report(best_w, best_tau, count, allocate_bipartite_side(n_side, B_side).w,
-                   tolerance)
+    return _report(best_w, best_tau, count, closed_form, tolerance)
 
 
 def _support(g: GraphTopology) -> list[np.ndarray]:
@@ -497,17 +497,11 @@ def monte_carlo_suite(trials: int = 100_000, seed: int = 7,
         tau = tuple(int(t) for t in rng.integers(2, 5, size=n))
         exact = capture_probability(P, tau).cdf
         sim = simulate_capture(P, tau, trials=trials, seed=seed + idx)
-        worst = 0.0
-        for i in range(n):
-            for j in range(n):
-                p = exact[i, j]
-                sigma = math.sqrt(max(p * (1.0 - p), 0.0) / trials)
-                diff = abs(sim.estimates[i, j] - p)
-                if sigma == 0.0:
-                    if diff > 0.0:
-                        worst = math.inf
-                    continue
-                worst = max(worst, diff / (3.0 * sigma))
+        diff = np.abs(sim.estimates - exact)
+        sigma = np.sqrt(np.maximum(exact * (1.0 - exact), 0.0) / trials)
+        # sigma = 0 and diff > 0 divide to inf; pairs that match score 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            worst = float(np.where(diff > 0.0, diff / (3.0 * sigma), 0.0).max())
         pairs += n * n
         worst_by_instance.append((f"montecarlo[{idx}] n={n} tau={list(tau)}", worst))
     limit = NormalDist().inv_cdf(1.0 - MONTE_CARLO_FALSE_ALARM / (2 * pairs)) / 3.0

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, InfeasibleTau, InvalidSpec, TrivialGame
+from .errors import DimensionMismatch, InfeasibleTau, InvalidSpec, TrivialGame, Unsupported
 from .graphs import BIPARTITE, COMPLETE, STAR, GraphTopology, check_durations
 
 BISECTION_TOL = 1e-12
@@ -177,7 +177,7 @@ def synthesize(g: GraphTopology, tau: Sequence[int]) -> StrategyResult:
     """The family's strategy for `g`: complete, star or bipartite.
 
     Two-sided durations are read P side first, as the graph numbers its
-    nodes.  Raises `InvalidSpec` for the general family, which has no
+    nodes.  Raises `Unsupported` for the general family, which has no
     synthesis, and `DimensionMismatch` when tau does not match the graph.
     """
     if len(tau) != g.n:
@@ -188,7 +188,7 @@ def synthesize(g: GraphTopology, tau: Sequence[int]) -> StrategyResult:
         return synthesize_star(tau)
     if g.family == BIPARTITE:
         return synthesize_bipartite(g, tau[:g.n_p], tau[g.n_p:])
-    raise InvalidSpec(f"no strategy synthesis for the {g.family} family")
+    raise Unsupported(f"no strategy synthesis for the {g.family} family")
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,6 +9,7 @@ from patrolgame import (
     InvalidSpec,
     InvalidStart,
     ParityError,
+    Unsupported,
     allocate,
     allocate_bipartite_side,
     allocate_complete,
@@ -20,7 +21,10 @@ from patrolgame import (
     synthesize_complete,
     build_bipartite,
     build_complete,
+    build_general,
     build_star,
+    exhaustive_allocation,
+    synthesize,
 )
 from patrolgame.cli import _dump_json
 
@@ -235,6 +239,17 @@ def test_allocate_dispatches_on_family():
     assert allocate(build_bipartite(3, 2), 20) == co_optimize_bipartite(3, 2, 20)
     with pytest.raises(InvalidSpec, match="star allocation is unsupported"):
         allocate(build_star(3), 7)
+
+
+def test_a_family_without_the_construction_is_unsupported():
+    ring = build_general(3, [[1, 2], [2, 3], [3, 1]])
+    calls = [(lambda: synthesize(ring, (2, 2, 2)), "no strategy synthesis for the general"),
+             (lambda: allocate(build_star(3), 7), "star allocation is unsupported"),
+             (lambda: exhaustive_allocation("star", 3, 7), "no exhaustive allocation")]
+    for call, message in calls:
+        with pytest.raises(Unsupported, match=message) as exc:
+            call()
+        assert isinstance(exc.value, InvalidSpec)
 
 
 def test_allocation_json_shape():

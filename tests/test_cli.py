@@ -131,6 +131,20 @@ def test_allocate_star_unsupported(capsys):
     assert "star allocation is unsupported" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["allocate", "--family", "star", "--B", "7"], "star allocation needs --n and --B"),
+    (["solve", "--family", "bipartite", "--np", "2", "--tau", "2,2,2"],
+     "bipartite solve needs --np and --nq"),
+    (["simulate", "--family", "bipartite", "--nq", "2", "--tau", "2,2,2"],
+     "bipartite simulate needs --np and --nq"),
+])
+def test_missing_size_names_the_command_and_its_flags(capsys, argv, message):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_allocate_range_error(capsys):
     code, _, _ = run_cli(capsys, ["allocate", "--family", "complete", "--n", "3", "--B", "9"])
     assert code == 2
@@ -226,6 +240,7 @@ def test_sweep_empty_grid(capsys):
     (["--family", "star", "--tau", "2"], "star sweep needs --n"),
     (["--family", "bipartite", "--nq", "2", "--tau", "2"], "bipartite sweep needs --np and --nq"),
     (["--family", "bipartite", "--np", "2", "--B", "10"], "bipartite sweep needs --np and --nq"),
+    (["--family", "complete", "--n", "3"], "complete sweep needs --B or --tau"),
 ])
 def test_sweep_without_sizes_is_refused(capsys, argv, message):
     code, out, err = run_cli(capsys, ["sweep", *argv])
@@ -317,7 +332,10 @@ def test_sweep_allocation_mode(capsys):
 # --- exit codes -------------------------------------------------------------------
 
 def test_every_package_error_has_one_exit_code():
-    for error in PatrolGameError.__subclasses__():
+    # the lookup is by exact type, so a subclass of a subclass needs its own entry
+    errors = PatrolGameError.__subclasses__()
+    for error in errors:
+        errors += error.__subclasses__()
         assert error in _EXIT_CODES, error.__name__
         assert _EXIT_CODES[error] in (1, 2, 3, 4)
 

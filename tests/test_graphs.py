@@ -82,6 +82,12 @@ def test_malformed_descriptor_names_the_key(spec, key):
         build_graph(spec)
 
 
+@pytest.mark.parametrize("edges", [[[1]], 5, [["a", 1]], [[1, 2, 3]], [[1.5, 2], [2, 1]]])
+def test_malformed_edge_list_is_invalid(edges):
+    with pytest.raises(InvalidSpec, match="edges must be pairs of integers"):
+        build_graph({"family": "general", "n": 2, "edges": edges})
+
+
 def test_general_graph_must_be_strongly_connected():
     with pytest.raises(InvalidSpec):
         build_general(3, [[1, 2], [2, 3]])

@@ -7,6 +7,7 @@ import pytest
 import patrolgame.oracles
 from patrolgame import (
     BoundSuiteConfig,
+    BudgetOutOfRange,
     InfeasibleTau,
     InvalidSpec,
     SearchSpaceExceeded,
@@ -92,6 +93,23 @@ def test_alloc_suite_without_instances_is_rejected(nmax):
 def test_exhaustive_guard():
     with pytest.raises(SearchSpaceExceeded):
         exhaustive_allocation("complete", 12, 100)
+
+
+def _must_not_enumerate(*args, **kwargs):
+    raise AssertionError("the closed form must refuse the instance before the guard")
+
+
+@pytest.mark.parametrize("oracle, args, error", [
+    (exhaustive_side_allocation, (3, 4), BudgetOutOfRange),
+    (exhaustive_side_allocation, (0, 4), InvalidSpec),
+    (exhaustive_allocation, ("complete", 4, 3), BudgetOutOfRange),
+    (exhaustive_allocation, ("bipartite", (2, 2), 6), BudgetOutOfRange),
+])
+def test_exhaustive_oracles_refuse_what_the_closed_form_refuses(monkeypatch, oracle, args,
+                                                               error):
+    monkeypatch.setattr(patrolgame.oracles, "_guarded", _must_not_enumerate)
+    with pytest.raises(error):
+        oracle(*args)
 
 
 def test_complete_rule_agrees_with_enumeration():
