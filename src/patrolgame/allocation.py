@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import BudgetOutOfRange, InvalidSpec, InvalidStart, ParityError, Unsupported
+from .errors import (BudgetOutOfRange, InvalidSpec, InvalidStart, ParityError, TrivialGame,
+                     Unsupported)
 from .graphs import BIPARTITE, COMPLETE, GraphTopology
 from .synthesis import solve_equalized_value
 
@@ -117,6 +118,8 @@ def co_optimize_bipartite(n_p: int, n_q: int, B: int) -> AllocationResult:
         raise InvalidSpec(f"side sizes must be >= 1, got ({n_p}, {n_q})")
     if B % 2:
         raise ParityError(f"total budget must be even, got {B}")
+    if n_p == n_q == 1:
+        raise TrivialGame("sides (1, 1): two one-node sides capture every attack at any split")
     lo_limit = 2 * (n_p + n_q)
     hi_limit = 2 * (n_p * n_p + n_q * n_q)
     if not lo_limit < B < hi_limit:

@@ -177,9 +177,14 @@ def _parse_range(text: str | None) -> tuple[int, ...] | range:
 
 def _sizes(args: argparse.Namespace, command: str, parse, *extra: str, **fallback) -> dict:
     """The family's sizes, `parse`d and keyed for `build_graph`; an unset
-    size flag takes its `fallback`.  `InvalidSpec` names every flag that
-    `command` needs when a size or an `extra` flag is still unset."""
+    size flag takes its `fallback`.  `InvalidSpec` names a size flag the
+    family does not read, or every flag that `command` needs when a size or
+    an `extra` flag is still unset."""
     flags = _SIZES.get(args.family, {})
+    stray = [flag for flag in ("n", "np", "nq")
+             if flag not in flags and getattr(args, flag) is not None]
+    if flags and stray:
+        raise InvalidSpec(f"{args.family} {command} does not read --{stray[0]}")
     sizes = {key: fallback.get(key) if getattr(args, flag) is None else getattr(args, flag)
              for flag, key in flags.items()}
     if None in sizes.values() or any(getattr(args, flag) is None for flag in extra):

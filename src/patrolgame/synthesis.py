@@ -5,7 +5,8 @@ pick the per-node entry probabilities so that every node's individual capture
 term is equal, then spend the remaining simplex mass.  Writing w for the
 common miss probability, the entry probabilities are 1 - w**(1/m_i) with
 m_i = tau_i on complete graphs and m_i = floor(tau_i / 2) on two-sided
-graphs, and w solves sum_i w**(1/m_i) = n - 1 on [0, 1].
+graphs, and w solves sum_i w**(1/m_i) = n - 1 on [0, 1].  A star is the
+two-sided graph with its center as the P side; there the strategy is optimal.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, InfeasibleTau, InvalidSpec, TrivialGame, Unsupported
-from .graphs import BIPARTITE, COMPLETE, STAR, GraphTopology, check_durations
+from .graphs import BIPARTITE, COMPLETE, STAR, GraphTopology, build_star, check_durations
 
 BISECTION_TOL = 1e-12
 
@@ -91,6 +92,10 @@ def _entry_probabilities(w: float, exponents: Sequence[int]) -> np.ndarray:
     return probs / probs.sum()
 
 
+def _subopt_lb(mu: float, durations: Sequence[int]) -> float:
+    return min(1.0, mu / generic_capture_bound(durations))
+
+
 def synthesize_complete(tau: Sequence[int]) -> StrategyResult:
     """Strategy for a complete graph: every row equals the tuned distribution pi.
 
@@ -105,72 +110,55 @@ def synthesize_complete(tau: Sequence[int]) -> StrategyResult:
     pi = _entry_probabilities(w, durations)
     P = np.tile(pi, (n, 1))
     mu = 1.0 - w
-    subopt = min(1.0, max(0.0, mu / generic_capture_bound(durations)))
-    return StrategyResult(P=P, pi=pi, mu=mu, w=w, subopt_lb=subopt, optimality=HEURISTIC)
+    return StrategyResult(P=P, pi=pi, mu=mu, w=w, subopt_lb=_subopt_lb(mu, durations),
+                          optimality=HEURISTIC)
 
 
-def _assemble_two_sided(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Block strategy: P-side rows play q across, Q-side rows play p across."""
+def _assemble_two_sided(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Block strategy (P-side rows play q, Q-side rows play p) and its stationary pi."""
     n_p, n_q = len(p), len(q)
     P = np.zeros((n_p + n_q, n_p + n_q))
     P[:n_p, n_p:] = q
     P[n_p:, :n_p] = p
-    return P
-
-
-def _two_sided_core(tau_p: Sequence[int], tau_q: Sequence[int]) -> tuple:
-    for side in (tau_p, tau_q):
-        if any(int(t) < 2 for t in side):
-            raise InfeasibleTau(
-                f"two-sided synthesis needs every tau >= 2, got {tuple(side)}: "
-                "a 2-hop target could never be reached in time")
-    m_p = tuple(int(t) // 2 for t in tau_p)
-    m_q = tuple(int(t) // 2 for t in tau_q)
-    w_p = solve_equalized_value(m_p)
-    w_q = solve_equalized_value(m_q)
-    p = _entry_probabilities(w_p, m_p)
-    q = _entry_probabilities(w_q, m_q)
-    P = _assemble_two_sided(p, q)
-    pi = np.concatenate([p / 2.0, q / 2.0])
-    return P, pi, w_p, w_q
+    return P, np.concatenate([p / 2.0, q / 2.0])
 
 
 def synthesize_bipartite(g: GraphTopology, tau_p: Sequence[int],
                          tau_q: Sequence[int]) -> StrategyResult:
-    """Strategy for a complete bipartite graph, alternating sides every step.
+    """Strategy for a two-sided graph, alternating sides every step.
 
     Each side is tuned independently: entering probabilities equalize the
     side's capture terms 1 - (1 - x_i)**floor(tau_i / 2), and the game value
-    is set by the weaker side.  Heuristic with a certified suboptimality
-    bound; see `synthesize_star` for the case where it is exactly optimal.
+    is set by the weaker side: a heuristic with a certified suboptimality
+    bound.  A star is the two-sided graph with its center as the P side; its
+    center's duration only has to reach 2, and the strategy is optimal.
     """
     if g.family not in (BIPARTITE, STAR):
         raise InvalidSpec(f"expected a bipartite or star graph, got {g.family!r}")
     durations_p = check_durations(tau_p, g.n_p)
     durations_q = check_durations(tau_q, g.n_q)
-    P, pi, w_p, w_q = _two_sided_core(durations_p, durations_q)
+    for side in (durations_p, durations_q):
+        if any(t < 2 for t in side):
+            raise InfeasibleTau(
+                f"two-sided synthesis needs every tau >= 2, got {side}: "
+                "a 2-hop target could never be reached in time")
+    m_p, m_q = (tuple(t // 2 for t in side) for side in (durations_p, durations_q))
+    w_p, w_q = solve_equalized_value(m_p), solve_equalized_value(m_q)
+    P, pi = _assemble_two_sided(_entry_probabilities(w_p, m_p), _entry_probabilities(w_q, m_q))
+    if g.family == STAR:
+        return StrategyResult(P=P, pi=pi, mu=1.0 - w_q, w=w_q, subopt_lb=1.0,
+                              optimality=OPTIMAL)
     w = max(w_p, w_q)
     mu = 1.0 - w
-    subopt = min(1.0, max(0.0, mu / generic_capture_bound(durations_p + durations_q)))
-    return StrategyResult(P=P, pi=pi, mu=mu, w=w, subopt_lb=subopt,
+    return StrategyResult(P=P, pi=pi, mu=mu, w=w,
+                          subopt_lb=_subopt_lb(mu, durations_p + durations_q),
                           optimality=HEURISTIC, w_p=w_p, w_q=w_q)
 
 
 def synthesize_star(tau: Sequence[int]) -> StrategyResult:
-    """Optimal strategy for a star graph (center is node 1).
-
-    Leaves always return to the center; the center's row is tuned over the
-    leaves exactly like one side of the bipartite construction.  The center
-    duration does not enter the equations (it only needs to be >= 2 so the
-    return time to the center is always met).
-    """
-    durations = check_durations(tau, len(tau))
-    n = len(durations)
-    if n < 2:
-        raise InvalidSpec("star synthesis needs n >= 2")
-    P, pi, _, w_q = _two_sided_core(durations[:1], durations[1:])
-    return StrategyResult(P=P, pi=pi, mu=1.0 - w_q, w=w_q, subopt_lb=1.0,
-                          optimality=OPTIMAL)
+    """Optimal strategy for a star graph (center is node 1): the two-sided
+    strategy of `synthesize_bipartite` with the center as the P side."""
+    return synthesize_bipartite(build_star(len(tau)), tau[:1], tau[1:])
 
 
 def synthesize(g: GraphTopology, tau: Sequence[int]) -> StrategyResult:
@@ -184,9 +172,7 @@ def synthesize(g: GraphTopology, tau: Sequence[int]) -> StrategyResult:
         raise DimensionMismatch(f"expected {g.n} durations, got {len(tau)}")
     if g.family == COMPLETE:
         return synthesize_complete(tau)
-    if g.family == STAR:
-        return synthesize_star(tau)
-    if g.family == BIPARTITE:
+    if g.family in (BIPARTITE, STAR):
         return synthesize_bipartite(g, tau[:g.n_p], tau[g.n_p:])
     raise Unsupported(f"no strategy synthesis for the {g.family} family")
 
@@ -217,8 +203,7 @@ def uniform_bipartite_baseline(n_p: int, n_q: int, tau: int) -> BaselineResult:
     n = n_p + n_q
     if not 2 <= tau <= 2 * n - 4:
         raise TrivialGame(f"tau={tau} outside the nontrivial range [2, {2 * n - 4}]")
-    P = _assemble_two_sided(np.full(n_p, 1.0 / n_p), np.full(n_q, 1.0 / n_q))
-    pi = np.concatenate([np.full(n_p, 0.5 / n_p), np.full(n_q, 0.5 / n_q)])
+    P, pi = _assemble_two_sided(np.full(n_p, 1.0 / n_p), np.full(n_q, 1.0 / n_q))
     mu = 1.0 - (1.0 - 1.0 / max(n_p, n_q)) ** (tau // 2)
     ratio = mu / (tau / n)
     guarantee = ODD_TAU_GUARANTEE if tau % 2 else EVEN_TAU_GUARANTEE

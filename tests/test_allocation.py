@@ -9,6 +9,7 @@ from patrolgame import (
     InvalidSpec,
     InvalidStart,
     ParityError,
+    TrivialGame,
     Unsupported,
     allocate,
     allocate_bipartite_side,
@@ -214,6 +215,8 @@ def test_co_optimize_parity_and_range():
         co_optimize_bipartite(2, 2, 8)
     with pytest.raises(BudgetOutOfRange):
         co_optimize_bipartite(2, 2, 16)
+    with pytest.raises(TrivialGame, match=r"sides \(1, 1\)"):
+        co_optimize_bipartite(1, 1, 6)
 
 
 def test_co_optimize_value_matches_strategy_evaluation():

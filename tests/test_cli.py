@@ -137,6 +137,13 @@ def test_allocate_star_unsupported(capsys):
      "bipartite solve needs --np and --nq"),
     (["simulate", "--family", "bipartite", "--nq", "2", "--tau", "2,2,2"],
      "bipartite simulate needs --np and --nq"),
+    # a size flag of another family is refused, not ignored
+    (["solve", "--family", "complete", "--n", "3", "--tau", "2,2,2", "--np", "5"],
+     "complete solve does not read --np"),
+    (["allocate", "--family", "bipartite", "--np", "2", "--nq", "2", "--n", "9", "--B", "12"],
+     "bipartite allocation does not read --n"),
+    (["sweep", "--family", "star", "--n", "3", "--nq", "2", "--tau", "2"],
+     "star sweep does not read --nq"),
 ])
 def test_missing_size_names_the_command_and_its_flags(capsys, argv, message):
     code, out, err = run_cli(capsys, argv)
@@ -145,9 +152,20 @@ def test_missing_size_names_the_command_and_its_flags(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+def test_scenario_size_of_another_family_is_refused(capsys, tmp_path):
+    config = _scenario(tmp_path, family="complete", n=3, np=5, tau=[2, 2, 2])
+    assert run_cli(capsys, ["solve", "--config", config]) == (
+        2, "", "error: complete solve does not read --np\n")
+
+
 def test_allocate_range_error(capsys):
     code, _, _ = run_cli(capsys, ["allocate", "--family", "complete", "--n", "3", "--B", "9"])
     assert code == 2
+    # two one-node sides leave no budget range: every split captures every attack
+    code, out, err = run_cli(capsys, ["allocate", "--family", "bipartite",
+                                      "--np", "1", "--nq", "1", "--B", "6"])
+    assert (code, out) == (2, "")
+    assert err == "error: sides (1, 1): two one-node sides capture every attack at any split\n"
 
 
 def test_solve_duration_length_mismatch(capsys):

@@ -206,19 +206,23 @@ def test_bipartite_recursion_agreement_random():
 
 
 def test_bipartite_on_star_graph_matches_star_solver():
-    g = build_star(4)
-    via_bipartite = synthesize_bipartite(g, [2], [2, 3, 4])
-    via_star = synthesize_star([2, 2, 3, 4])
-    assert via_bipartite.mu == pytest.approx(via_star.mu, abs=1e-12)
-    np.testing.assert_allclose(via_bipartite.P, via_star.P, atol=1e-12)
-    assert via_bipartite.optimality == "heuristic"
-    assert via_star.optimality == "optimal"
+    for tau in [(2, 2), (2, 2, 3, 4), (5, 2, 2, 2), (3, 7, 4, 9, 11, 2)]:
+        g = build_star(len(tau))
+        results = [synthesize_star(tau), synthesize(g, tau),
+                   synthesize_bipartite(g, tau[:1], tau[1:])]
+        fields = [(r.P.tobytes(), r.mu, r.w, r.subopt_lb, r.optimality, r.w_p, r.w_q)
+                  for r in results]
+        assert fields[0] == fields[1] == fields[2], tau
+        assert fields[0][3:] == (1.0, "optimal", None, None), tau
 
 
 def test_bipartite_dimension_check():
     g = build_bipartite(3, 2)
     with pytest.raises(DimensionMismatch):
         synthesize_bipartite(g, [4, 4], [4, 4])
+    # a short side is a dimension error even when the other side is infeasible
+    with pytest.raises(DimensionMismatch):
+        synthesize_bipartite(build_bipartite(1, 2), [1], [2])
 
 
 # --- family dispatch -------------------------------------------------------------
