@@ -170,17 +170,20 @@ def simulate_capture(P: np.ndarray, tau: Sequence[int], trials: int, seed: int) 
     For each ordered pair (i, j), `trials` walks leave node i (the first step
     is drawn from row i) and the estimate is the fraction that reach j within
     tau_j steps.  Each pair consumes its own counter-based random stream, one
-    uniform per trial and step, drawn a step at a time so that memory does
-    not grow with tau; results are bitwise reproducible and independent of
-    evaluation order.
+    uniform per trial and step, drawn a step at a time; results are bitwise
+    reproducible and independent of evaluation order.  A walker's next node
+    is the number of cumulative row thresholds its uniform passes, counted
+    one column at a time, so memory is O(trials) whatever n and tau are.
     """
     if trials < 1:
         raise InvalidSpec(f"trials must be >= 1, got {trials}")
     P = check_transition_matrix(P)
     n = P.shape[0]
     durations = check_durations(tau, n)
-    cum = np.cumsum(P, axis=1)
-    cum[:, -1] = 1.0
+    # u < 1 never passes the last threshold, which would be 1, so counting
+    # the first n - 1 keeps every step below n; counting column by column
+    # stays exact where a tiny admitted negative entry unsorts a row
+    thresholds = [np.ascontiguousarray(column) for column in np.cumsum(P, axis=1).T[:-1]]
 
     estimates = np.empty((n, n))
     for i in range(n):
@@ -193,8 +196,10 @@ def simulate_capture(P: np.ndarray, tau: Sequence[int], trials: int, seed: int) 
                 if active.size == 0:
                     break
                 u = rng.random(trials)[active]
-                nxt = (u[:, None] >= cum[states[active]]).sum(axis=1)
-                np.minimum(nxt, n - 1, out=nxt)
+                current = states[active]
+                nxt = np.zeros(active.size, np.intp)
+                for column in thresholds:
+                    nxt += u >= column[current]
                 states[active] = nxt
                 captured[active] = nxt == j
             estimates[i, j] = captured.mean()

@@ -53,7 +53,8 @@ def solve_equalized_value(exponents: tuple[int, ...]) -> float:
     lo, hi = 0.0, 1.0
     while True:
         mid = 0.5 * (lo + hi)
-        value = float(np.sum(mid ** inv))
+        # np.sum wraps this same reduce; calling it directly halves each step
+        value = float(np.add.reduce(mid ** inv))
         if abs(value - target) <= BISECTION_TOL * target or hi - lo <= BISECTION_TOL:
             return mid
         if value < target:

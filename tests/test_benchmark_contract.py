@@ -57,3 +57,17 @@ def test_evaluate_operation_passes_its_check_traced(tracer):
                                workloads._seeded_tau(rng, 5, 1, 3))
     assert op.check(op.run()) is None
     assert tracer.counters["markov.kernel.flops"] > 0
+
+
+def test_equalized_value_cache_can_be_cleared_and_read():
+    # run.py::run_op clears this cache before every operation and reads its
+    # hits and misses after it; without either, every benchmark op fails
+    from patrolgame.synthesis import solve_equalized_value
+
+    solve_equalized_value.cache_clear()
+    solve_equalized_value((2, 3))
+    solve_equalized_value((2, 3))
+    info = solve_equalized_value.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    solve_equalized_value.cache_clear()
+    assert solve_equalized_value.cache_info()[:] == (0, 0, None, 0)

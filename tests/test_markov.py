@@ -16,7 +16,7 @@ from patrolgame import (
     stationary_distribution,
 )
 from patrolgame.cli import _dump_json
-from patrolgame.markov import _capture_cdf_stack, min_capture_evaluator
+from patrolgame.markov import _capture_cdf_stack, counter_stream, min_capture_evaluator
 
 TWO_CYCLE = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -38,6 +38,33 @@ def hitting_time_probabilities(P, k_max):
         np.fill_diagonal(step, 0.0)
         np.matmul(P, step, out=F[k])
     return F
+
+
+def reference_walk(P, tau, trials, seed):
+    """Reference simulator: each step counts the passed thresholds of the
+    walker's cumulative row in one (walkers x n) comparison, the last
+    threshold pinned to 1.  `simulate_capture` must match it bit for bit."""
+    P = check_transition_matrix(P)
+    n = P.shape[0]
+    cum = np.cumsum(P, axis=1)
+    cum[:, -1] = 1.0
+    estimates = np.empty((n, n))
+    for i in range(n):
+        for j in range(n):
+            rng = counter_stream(seed, i * n + j)
+            states = np.full(trials, i)
+            captured = np.zeros(trials, dtype=bool)
+            for _ in range(tau[j]):
+                active = np.flatnonzero(~captured)
+                if active.size == 0:
+                    break
+                u = rng.random(trials)[active]
+                nxt = (u[:, None] >= cum[states[active]]).sum(axis=1)
+                np.minimum(nxt, n - 1, out=nxt)
+                states[active] = nxt
+                captured[active] = nxt == j
+            estimates[i, j] = captured.mean()
+    return estimates
 
 
 def random_stochastic(rng, n):
@@ -354,6 +381,37 @@ def test_simulation_memory_does_not_grow_with_tau():
 
     simulate_capture(P, [2] * 3, trials=10, seed=0)
     assert peak_bytes(64) <= 1.1 * peak_bytes(2)
+
+
+@pytest.mark.parametrize("trials", [1, 7, 500, 3000])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_walk_matches_reference_walk_bitwise(n, trials):
+    rng = np.random.default_rng(1000 * n + trials)
+    P = random_stochastic(rng, n)
+    if n >= 3:
+        # an admitted negative entry unsorts row 0's thresholds, and row 1's
+        # cumulative sum reaches 1 before its last column
+        P[0] = [0.3, -1e-10, 0.7 + 1e-10] + [0.0] * (n - 3)
+        P[1] = [0.5, 0.5] + [0.0] * (n - 2)
+    tau = [int(t) for t in rng.integers(1, 7, size=n)]
+    seed = int(rng.integers(2**31))
+    estimates = simulate_capture(P, tau, trials=trials, seed=seed).estimates
+    assert estimates.tobytes() == reference_walk(P, tau, trials, seed).tobytes()
+
+
+def test_simulation_memory_does_not_grow_with_n():
+    # a step counts one threshold column at a time, never a (walkers x n) block
+    def peak_bytes(n):
+        P = np.full((n, n), 1 / n)
+        tracemalloc.start()
+        try:
+            simulate_capture(P, [2] * n, trials=20_000, seed=0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    simulate_capture(TWO_CYCLE, [2, 2], trials=10, seed=0)
+    assert peak_bytes(16) <= 1.25 * peak_bytes(2)
 
 
 def test_simulation_validates_input():

@@ -82,6 +82,24 @@ def test_equalized_value_matches_reference_bisection(exponents):
     assert solve_equalized_value(tuple(exponents)) == reference_equalized_value(exponents)
 
 
+# w to the last bit: the 12-digit goldens alone would let a change to the
+# bisection's arithmetic drift its low bits unseen
+PINNED_W = [
+    ((1, 2), "0x1.8722191a04000p-2"),
+    ((2, 3, 3, 4), "0x1.c3033119e0000p-2"),
+    ((1, 1, 2, 3, 5, 8), "0x1.649ba40b78000p-1"),
+    ((12,) * 29, "0x1.500a1e5160000p-1"),
+    (tuple(int(m) for m in np.random.default_rng(2026).integers(1, 40, size=300)),
+     "0x1.ef9d5acac0000p-1"),
+]
+
+
+@pytest.mark.parametrize("exponents, w_hex", PINNED_W,
+                         ids=["1,2", "2,3,3,4", "fibonacci", "12x29", "seeded300"])
+def test_equalized_value_is_pinned_bitwise(exponents, w_hex):
+    assert float.hex(solve_equalized_value(exponents)) == w_hex
+
+
 def test_equalized_value_against_polynomial_oracle():
     assert solve_equalized_value((3, 2, 2)) == pytest.approx(cubic_oracle_w322(), abs=1e-11)
     assert solve_equalized_value((3, 2, 2)) == pytest.approx(W_322, abs=1e-11)
