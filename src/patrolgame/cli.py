@@ -206,14 +206,7 @@ def _solve_common(args: argparse.Namespace):
     if report.condition1_violations:
         sys.stderr.write(_dump_json(report))
         return EXIT_INFEASIBLE
-    try:
-        result = synthesize(graph, tau)
-    except InfeasibleTau as exc:
-        payload = _fields(report)
-        payload["nontrivial"] = False
-        payload["notes"] = f"{report.notes}; {exc}"
-        sys.stderr.write(_dump_json(payload))
-        return EXIT_INFEASIBLE
+    result = synthesize(graph, tau)
     capture = capture_probability(result.P, tau)
     if abs(capture.mu - result.mu) > args.tol:
         print(f"error: closed form {result.mu} disagrees with recursion {capture.mu}",

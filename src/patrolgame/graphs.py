@@ -100,8 +100,9 @@ def build_general(n: int, edges: Iterable[Sequence[int]]) -> GraphTopology:
         if not (1 <= i <= n and 1 <= j <= n):
             raise InvalidSpec(f"edge ({i}, {j}) out of range for n={n}")
     g = GraphTopology(family=GENERAL, n=n, edges=frozenset(pairs))
-    if not is_strongly_connected(g.adjacency()):
-        raise InvalidSpec("general graph must be strongly connected")
+    adj = g.adjacency()
+    if not (is_strongly_connected(adj) and adj.any(axis=1).all()):
+        raise InvalidSpec("general graph must be strongly connected with an edge out of each node")
     return g
 
 
@@ -189,10 +190,15 @@ def min_full_tour_length(g: GraphTopology) -> int | None:
 
 def check_durations(tau: Sequence[int], n: int) -> tuple[int, ...]:
     """Validate an attack-duration vector and return it as a tuple of ints."""
-    out = tuple(int(t) for t in tau)
+    try:
+        tau = tuple(tau)  # read once: a generator would skip the integer check
+        out = tuple(int(t) for t in tau)
+        integral = all(t == float(orig) for t, orig in zip(out, tau))
+    except (TypeError, ValueError, OverflowError):  # None, text, nan or inf
+        raise InvalidSpec(f"attack durations must be finite integers, got {tau!r}") from None
     if len(out) != n:
         raise DimensionMismatch(f"expected {n} durations, got {len(out)}")
-    if any(t != float(orig) for t, orig in zip(out, tau)):
+    if not integral:
         raise InvalidSpec("attack durations must be integers")
     if any(t < 1 for t in out):
         raise InvalidSpec(f"attack durations must all be >= 1: {out}")
@@ -212,20 +218,27 @@ class FeasibilityReport:
 def validate_attack_durations(g: GraphTopology, tau: Sequence[int]) -> FeasibilityReport:
     """Check the nontriviality of a game instance.
 
-    Condition 1: each node's duration must reach its eccentricity, otherwise
-    some attack can never be intercepted and the game value is zero.
+    Condition 1, exact: each tau_j must reach j's first-arrival time, the most
+    steps any node needs to first arrive at j after leaving (j's own shortest
+    return included, as in `markov`); otherwise no strategy ever intercepts
+    some attack at j, and the game value is zero.
     Condition 2: at least one duration must fall strictly below the shortest
     closed walk through all nodes, otherwise a deterministic tour intercepts
     everything.  Condition 2 is evaluated only for the named families.
     """
     durations = check_durations(tau, g.n)
-    ecc = eccentricities(g.adjacency())
-    violations = tuple(i + 1 for i in range(g.n) if durations[i] < ecc[i])
+    adj = g.adjacency()
+    if not is_strongly_connected(adj):  # a hand-built GraphTopology may not be
+        raise InvalidSpec("feasibility undefined: graph not strongly connected")
+    reverse = adj.T.copy()  # row-major, so each BFS level gathers whole rows
+    hops = (_bfs_distances(reverse, j) for j in range(g.n))  # to j from every node
+    violations = [j + 1 for j, d in enumerate(hops)
+                  if durations[j] < max(d.max(), 1 + d[adj[j]].min())]
 
     tour = min_full_tour_length(g)
     notes = []
     if violations:
-        notes.append(f"capture probability is zero: tau below eccentricity at {list(violations)}")
+        notes.append(f"capture probability is zero: tau below first-arrival time at {violations}")
     if tour is None:
         condition2 = True
         notes.append("condition 2 not checked for the general family")
@@ -235,7 +248,7 @@ def validate_attack_durations(g: GraphTopology, tau: Sequence[int]) -> Feasibili
             notes.append(f"trivial game: a length-{tour} tour intercepts every attack")
     return FeasibilityReport(
         nontrivial=(not violations) and condition2,
-        condition1_violations=violations,
+        condition1_violations=tuple(violations),
         condition2_holds=condition2,
         notes="; ".join(notes) if notes else "ok",
     )

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import synthesis
 from .allocation import allocate_bipartite_side, allocate_complete, co_optimize_bipartite
-from .errors import InvalidSpec, SearchSpaceExceeded, Unsupported
+from .errors import InfeasibleTau, InvalidSpec, SearchSpaceExceeded, Unsupported
 from .graphs import (
     BIPARTITE,
     COMPLETE,
@@ -26,6 +26,7 @@ from .graphs import (
     build_complete,
     build_star,
     check_durations,
+    validate_attack_durations,
 )
 from .markov import (
     _capture_cdf_stack,
@@ -120,10 +121,15 @@ def exhaustive_allocation(family: str, sizes: int | Sequence[int], B: int,
     two sides.  Permutation invariance lets the search walk multisets while
     `candidates_examined` reports the composition count covered.  The
     closed form runs first, so a budget it refuses fails before the guard
-    and before anything is enumerated.
+    and before anything is enumerated.  `sizes` is n or (n,) for a complete
+    graph and (n_p, n_q) for a bipartite one; any other count is refused.
     """
+    counts = {COMPLETE: 1, BIPARTITE: 2}
+    sizes = tuple(sizes) if isinstance(sizes, Sequence) else (sizes,)
+    if family in counts and len(sizes) != counts[family]:
+        raise InvalidSpec(f"the {family} family takes {counts[family]} size(s), got {sizes!r}")
     if family == COMPLETE:
-        n = int(sizes[0]) if isinstance(sizes, Sequence) else int(sizes)
+        n = int(sizes[0])
         closed_form = allocate_complete(n, B).mu
         count = _guarded(_composition_count(B, n))
         best_w, best_tau = _best_multiset(n, B, 1)
@@ -215,18 +221,18 @@ def local_search_strategy(g: GraphTopology, tau: Sequence[int], restarts: int,
     restart order keeps: larger value wins, ties go to the lexicographically
     smaller matrix, then to the earlier restart.
 
-    The closed-form reference is computed first, so an infeasible tau fails
-    before any restart runs.
+    On every family, a tau below some node's first-arrival time raises
+    `InfeasibleTau` with the feasibility report before any restart runs.
     """
     if g.n > LOCAL_SEARCH_MAX_NODES:
         raise SearchSpaceExceeded(f"local search limited to {LOCAL_SEARCH_MAX_NODES} nodes")
     if restarts < 1:
         raise InvalidSpec(f"restarts must be >= 1, got {restarts}")
     durations = check_durations(tau, g.n)
+    if (feasibility := validate_attack_durations(g, durations)).condition1_violations:
+        raise InfeasibleTau(feasibility.notes)
     reference = None if g.family == GENERAL else synthesis.synthesize(g, durations).mu
     support = _support(g)
-    if any(cols.size == 0 for cols in support):
-        raise InvalidSpec("every node needs at least one outgoing edge")
     # one sweep in order: (row, column) pairs of rows with a choice, each
     # tried upward and then downward
     moves = np.array([(i, c) for i, cols in enumerate(support) if cols.size > 1

@@ -68,10 +68,13 @@ def test_solve_infeasible_reports_on_stderr(capsys):
 
 
 def test_solve_infeasible_center_duration(capsys):
-    # center passes the eccentricity test but the synthesizer needs tau >= 2
+    # the center is one hop from every leaf but needs two steps to return,
+    # so the feasibility report refuses it before any synthesis
     code, _, err = run_cli(capsys, ["solve", "--family", "star", "--n", "3", "--tau", "1,2,2"])
     assert code == 2
-    assert json.loads(err)["nontrivial"] is False
+    report = json.loads(err)
+    assert report["nontrivial"] is False
+    assert report["condition1_violations"] == [1]
 
 
 def test_solve_roundtrip_through_capture_probability(capsys):

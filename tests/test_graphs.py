@@ -1,4 +1,5 @@
 import json
+import math
 from collections import deque
 
 import numpy as np
@@ -20,6 +21,7 @@ from patrolgame import (
     validate_attack_durations,
 )
 from patrolgame.cli import _dump_json
+from patrolgame.markov import capture_probability
 
 
 def test_complete_has_all_pairs_and_self_loops():
@@ -93,6 +95,11 @@ def test_general_graph_must_be_strongly_connected():
         build_general(3, [[1, 2], [2, 3]])
     with pytest.raises(InvalidSpec):
         build_general(2, [[1, 3]])
+    # a lone node is strongly connected, but no chain can patrol it without
+    # an edge out of it
+    with pytest.raises(InvalidSpec, match="edge out of each node"):
+        build_general(1, [])
+    assert build_general(1, [[1, 1]]).n == 1
 
 
 def test_build_is_deterministic():
@@ -202,7 +209,8 @@ def test_validate_bipartite_short_duration():
 
 
 def test_validate_complete_all_ones_nontrivial():
-    # eccentricity is 1 everywhere and the shortest full tour has length 3
+    # self-loops put every node one step from every node, itself included,
+    # and the shortest full tour has length 3
     report = validate_attack_durations(build_complete(3), [1, 1, 1])
     assert report.nontrivial
     assert report.condition1_violations == ()
@@ -233,6 +241,52 @@ def test_validate_rejects_bad_durations():
         validate_attack_durations(g, [1, 0, 1])
     with pytest.raises(InvalidSpec):
         validate_attack_durations(g, [1, 1.5, 1])
+    with pytest.raises(InvalidSpec, match="must be integers"):
+        validate_attack_durations(g, (t for t in [1, 1.5, 1]))
+    for tau in ([math.inf, 2, 2], [math.nan, 2, 2], ["x", 2, 2], [None, 2, 2]):
+        with pytest.raises(InvalidSpec, match="finite integers"):
+            validate_attack_durations(g, tau)
+
+
+def test_validate_rejects_graph_not_strongly_connected():
+    g = patrolgame.graphs.GraphTopology(family="general", n=3, edges=frozenset({(1, 2), (2, 3)}))
+    with pytest.raises(InvalidSpec, match="not strongly connected"):
+        validate_attack_durations(g, [3, 3, 3])
+
+
+@pytest.mark.parametrize("g, tau, violations", [
+    # the center is one hop from every leaf, but returns to itself in two
+    (build_star(3), (1, 2, 2), (1,)),
+    (build_bipartite(1, 1), (1, 1), (1, 2)),
+    # on a directed 3-cycle the node after j needs two steps to reach it
+    (build_general(3, [[1, 2], [2, 3], [3, 1]]), (2, 2, 2), (1, 2, 3)),
+    (build_general(3, [[1, 2], [2, 3], [3, 1]]), (3, 3, 3), ()),
+])
+def test_condition1_counts_the_return_time(g, tau, violations):
+    assert validate_attack_durations(g, tau).condition1_violations == violations
+
+
+def test_condition1_is_exact_against_the_recursion():
+    # under the uniform strategy over out-edges every walk has positive
+    # probability, so its capture probability is positive exactly when some
+    # strategy's is: when no tau_j falls below j's first-arrival time
+    rng = np.random.default_rng(16)
+    checked = infeasible = 0
+    while checked < 1200:
+        n = int(rng.integers(1, 7))
+        adj = rng.random((n, n)) < rng.uniform(0.2, 0.7)
+        if not (is_strongly_connected(adj) and adj.any(axis=1).all()):
+            continue
+        g = build_general(n, (np.argwhere(adj) + 1).tolist())
+        tau = rng.integers(1, n + 2, size=n).tolist()
+        P = adj / adj.sum(axis=1, keepdims=True)
+        captured = capture_probability(P, tau).mu > 0.0
+        violations = validate_attack_durations(g, tau).condition1_violations
+        assert (violations == ()) == captured, (adj.astype(int).tolist(), tau)
+        checked += 1
+        infeasible += not captured
+    # both verdicts are exercised
+    assert 100 < infeasible < 1100
 
 
 @given(st.integers(2, 7), st.lists(st.integers(1, 30), min_size=2, max_size=7))

@@ -16,6 +16,7 @@ from patrolgame import (
     bound_suite,
     build_bipartite,
     build_complete,
+    build_general,
     build_star,
     co_optimize_bipartite,
     exhaustive_allocation,
@@ -104,6 +105,8 @@ def _must_not_enumerate(*args, **kwargs):
     (exhaustive_side_allocation, (0, 4), InvalidSpec),
     (exhaustive_allocation, ("complete", 4, 3), BudgetOutOfRange),
     (exhaustive_allocation, ("bipartite", (2, 2), 6), BudgetOutOfRange),
+    (exhaustive_allocation, ("complete", (3, 2), 7), InvalidSpec),
+    (exhaustive_allocation, ("bipartite", 5, 20), InvalidSpec),
 ])
 def test_exhaustive_oracles_refuse_what_the_closed_form_refuses(monkeypatch, oracle, args,
                                                                error):
@@ -303,11 +306,14 @@ def test_lockstep_width_does_not_grow_with_restarts(monkeypatch):
 
 def test_infeasible_tau_fails_before_any_restart(monkeypatch):
     def must_not_run(*args, **kwargs):
-        raise AssertionError("the closed form must reject tau before any kernel call")
+        raise AssertionError("the feasibility report must reject tau before any kernel call")
 
     monkeypatch.setattr(patrolgame.oracles, "_capture_cdf_stack", must_not_run)
-    with pytest.raises(InfeasibleTau):
-        local_search_strategy(build_star(2), (1, 1), restarts=3, seed=0)
+    # a general graph has no closed form, but the report refuses it all the same
+    cycle = build_general(3, [[1, 2], [2, 3], [3, 1]])
+    for g, tau in ((build_star(2), (1, 1)), (cycle, (2, 2, 2))):
+        with pytest.raises(InfeasibleTau, match="first-arrival"):
+            local_search_strategy(g, tau, restarts=3, seed=0)
 
 
 def test_local_search_guard_and_validation():
