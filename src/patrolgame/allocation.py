@@ -62,7 +62,7 @@ def bipartite_side_value(tau_side: Sequence[int]) -> float:
     return solve_equalized_value(tuple(sorted(exponents)))
 
 
-def allocate_complete(n: int, B: int) -> AllocationResult:
+def complete_split(n: int, B: int) -> tuple[int, ...]:
     """Optimal placement on a complete graph: B units of 1 split near-uniformly.
 
     Valid for budgets strictly between n (anything less cannot give every
@@ -72,7 +72,12 @@ def allocate_complete(n: int, B: int) -> AllocationResult:
         raise InvalidSpec(f"complete-graph allocation needs n >= 2, got {n}")
     if not n < B < n * n:
         raise BudgetOutOfRange(f"budget must satisfy {n} < B < {n * n}, got {B}")
-    tau = _near_uniform(n, B)
+    return _near_uniform(n, B)
+
+
+def allocate_complete(n: int, B: int) -> AllocationResult:
+    """`complete_split` of B with its solved game value."""
+    tau = complete_split(n, B)
     w = solve_equalized_value(tau[::-1])
     return AllocationResult(tau=tau, B=B, w=w, mu=1.0 - w)
 

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .allocation import allocate
+from .allocation import allocate, complete_split
 from .errors import (
     BudgetOutOfRange,
     DimensionMismatch,
@@ -34,7 +34,7 @@ from .errors import (
     TrivialGame,
     Unsupported,
 )
-from .graphs import BIPARTITE, GENERAL, build_graph, validate_attack_durations
+from .graphs import BIPARTITE, COMPLETE, GENERAL, build_graph, validate_attack_durations
 from .markov import capture_probability, simulate_capture
 from .oracles import (
     BoundSuiteConfig,
@@ -42,7 +42,7 @@ from .oracles import (
     bound_suite,
     monte_carlo_suite,
 )
-from .synthesis import generic_capture_bound, synthesize
+from .synthesis import complete_values, generic_capture_bound, synthesize
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -276,6 +276,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if report.passed else EXIT_FAILURE
 
 
+def _sweep_cell(graph, budgets, taus) -> list[tuple]:
+    """((column, value), durations, mu, w) of each budget, then each uniform
+    tau, of one size cell; a refusal is the first bad point's, in that order."""
+    points = [("B", B) for B in budgets] + [("tau", tau) for tau in taus]
+    uniform = [(tau,) * graph.n for tau in taus]
+    if graph.family == COMPLETE:
+        # every point passes the checks of allocate and synthesize before one
+        # batched bisection solves the cell
+        durations = [complete_split(graph.n, B) for B in budgets] + uniform
+        ws = complete_values(durations).tolist()
+        return list(zip(points, durations, [1.0 - w for w in ws], ws))
+    results = [allocate(graph, B) for B in budgets]
+    durations = [allocation.tau for allocation in results] + uniform
+    results += [synthesize(graph, tau) for tau in uniform]
+    return list(zip(points, durations, [r.mu for r in results], [r.w for r in results]))
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     """One CSV row per size cell and budget, then per cell and uniform tau."""
     budgets, taus = _parse_range(args.B), _parse_range(args.tau)
@@ -291,17 +308,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for sizes in itertools.product(*ranges.values()):
         cell = dict(zip(ranges, sizes))
         graph = build_graph({"family": args.family, **cell})
-        points = []
-        for B in budgets:
-            allocation = allocate(graph, B)
-            points.append(("B", B, allocation, allocation.tau))
-        for tau in taus:
-            uniform = (tau,) * graph.n
-            points.append(("tau", tau, synthesize(graph, uniform), uniform))
-        for key, value, result, durations in points:
+        for (key, value), durations, mu, w in _sweep_cell(graph, budgets, taus):
             bound = generic_capture_bound(durations)
             row = {"family": args.family, **cell, key: value,
-                   "mu": result.mu, "w": result.w, "bound": bound, "ratio": result.mu / bound}
+                   "mu": mu, "w": w, "bound": bound, "ratio": mu / bound}
             writer.writerow({k: f"{v:.12g}" if isinstance(v, float) else v
                              for k, v in row.items()})
     _write_output(buffer.getvalue(), args.out)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -91,15 +91,40 @@ def _guarded(count: int) -> int:
     return count
 
 
-def _best_multiset(n: int, total: int, step: int) -> tuple[float, tuple[int, ...]]:
+def _multiset_values(keys: Iterable[tuple[int, int]]) -> dict:
+    """For each (n, units) key, the multisets of n positive integers that sum
+    to `units`, in `partitions` order, with the w of each.
+
+    The rows of one width are solved together, in one batched bisection.
+    """
+    widths: dict[int, list[int]] = {}
+    for n, units in dict.fromkeys(keys):
+        widths.setdefault(n, []).append(units)
+    values = {}
+    for n, totals in widths.items():
+        groups = [list(partitions(units, n)) for units in totals]
+        ws = synthesis.solve_equalized_values([parts for group in groups for parts in group])
+        ends = np.cumsum([len(group) for group in groups])
+        for units, group, w in zip(totals, groups, np.split(ws, ends[:-1])):
+            values[n, units] = (w, group)
+    return values
+
+
+def _best_multiset(values: dict, n: int, total: int,
+                   step: int) -> tuple[float, tuple[int, ...]]:
     """Lowest w, solved on the units, over the multisets of n positive
-    multiples of `step` that sum to `total`, and the first one attaining it."""
-    best = None
-    for parts in partitions(total // step, n, minimum=1):
-        w = synthesis.solve_equalized_value(parts[::-1])
-        if best is None or w < best[0]:
-            best = (w, tuple(step * t for t in parts))
-    return best
+    multiples of `step` that sum to `total`, and the first one attaining it;
+    `values` is a `_multiset_values` table that holds (n, total // step)."""
+    ws, group = values[n, total // step]
+    first = int(np.argmin(ws))
+    return float(ws[first]), tuple(step * t for t in group[first])
+
+
+def _side_splits(n_p: int, n_q: int, B: int) -> list[tuple[int, int]]:
+    """(P units, Q units) of each even split of B, in units of 2 and P side
+    ascending, that gives every node at least 2."""
+    half = B // 2
+    return [(units, half - units) for units in range(n_p, half - n_q + 1)]
 
 
 def _report(best_value: float, best_candidate, count: int, closed_form_value: float,
@@ -113,7 +138,7 @@ def _report(best_value: float, best_candidate, count: int, closed_form_value: fl
 
 
 def exhaustive_allocation(family: str, sizes: int | Sequence[int], B: int,
-                          tolerance: float = 1e-10) -> OracleReport:
+                          tolerance: float = 1e-10, values: dict | None = None) -> OracleReport:
     """Search every feasible allocation and compare to the closed-form rule.
 
     Complete graphs enumerate all compositions of B with entries >= 1;
@@ -123,6 +148,9 @@ def exhaustive_allocation(family: str, sizes: int | Sequence[int], B: int,
     closed form runs first, so a budget it refuses fails before the guard
     and before anything is enumerated.  `sizes` is n or (n,) for a complete
     graph and (n_p, n_q) for a bipartite one; any other count is refused.
+    `values`, a `_multiset_values` table holding the instance's multisets,
+    lets a suite solve all of its instances in one batch; without it the
+    search solves its own.
     """
     counts = {COMPLETE: 1, BIPARTITE: 2}
     sizes = tuple(sizes) if isinstance(sizes, Sequence) else (sizes,)
@@ -132,33 +160,35 @@ def exhaustive_allocation(family: str, sizes: int | Sequence[int], B: int,
         n = int(sizes[0])
         closed_form = allocate_complete(n, B).mu
         count = _guarded(_composition_count(B, n))
-        best_w, best_tau = _best_multiset(n, B, 1)
+        best_w, best_tau = _best_multiset(values or _multiset_values([(n, B)]), n, B, 1)
         return _report(1.0 - best_w, best_tau, count, closed_form, tolerance)
     if family == BIPARTITE:
         n_p, n_q = (int(s) for s in sizes)
         closed_form = co_optimize_bipartite(n_p, n_q, B).mu
-        splits = range(2 * n_p, B - 2 * n_q + 1, 2)
-        count = _guarded(sum(
-            _composition_count(b_p // 2, n_p) * _composition_count((B - b_p) // 2, n_q)
-            for b_p in splits))
+        splits = _side_splits(n_p, n_q, B)
+        count = _guarded(sum(_composition_count(units_p, n_p) * _composition_count(units_q, n_q)
+                             for units_p, units_q in splits))
+        values = values or _multiset_values(
+            key for units_p, units_q in splits for key in ((n_p, units_p), (n_q, units_q)))
         best = None
-        for b_p in splits:
-            w_p, tau_p = _best_multiset(n_p, b_p, 2)
-            w_q, tau_q = _best_multiset(n_q, B - b_p, 2)
+        for units_p, units_q in splits:
+            w_p, tau_p = _best_multiset(values, n_p, 2 * units_p, 2)
+            w_q, tau_q = _best_multiset(values, n_q, 2 * units_q, 2)
             mu = 1.0 - max(w_p, w_q)
             if best is None or mu > best[0]:
-                best = (mu, (b_p, tau_p, tau_q))
+                best = (mu, (2 * units_p, tau_p, tau_q))
         return _report(*best, count, closed_form, tolerance)
     raise Unsupported(f"no exhaustive allocation for family {family!r}")
 
 
-def exhaustive_side_allocation(n_side: int, B_side: int,
-                               tolerance: float = 1e-10) -> OracleReport:
+def exhaustive_side_allocation(n_side: int, B_side: int, tolerance: float = 1e-10,
+                               values: dict | None = None) -> OracleReport:
     """Enumerate all even allocations of one bipartite side against the rule,
-    which runs first, as in `exhaustive_allocation`."""
+    which runs first, as in `exhaustive_allocation`; `values` is as there."""
     closed_form = allocate_bipartite_side(n_side, B_side).w
     count = _guarded(_composition_count(B_side // 2, n_side))
-    best_w, best_tau = _best_multiset(n_side, B_side, 2)
+    values = values or _multiset_values([(n_side, B_side // 2)])
+    best_w, best_tau = _best_multiset(values, n_side, B_side, 2)
     return _report(best_w, best_tau, count, closed_form, tolerance)
 
 
@@ -463,18 +493,23 @@ def allocation_agreement_suite(nmax: int = 4, tolerance: float = 1e-10) -> Suite
     for n, B in complete:
         _guarded(_composition_count(B, n))
     sides = range(2, min(nmax, 4) + 1)
+    side = [(n, B) for n in sides for B in range(2 * n, 2 * n * n, 2)]
+    bipartite = [(n_p, n_q, B) for n_p in sides for n_q in sides
+                 for B in range(2 * (n_p + n_q) + 2, 2 * (n_p * n_p + n_q * n_q), 2)]
+    # every multiset any instance walks, solved in one batch per width
+    keys = complete + [(n, B // 2) for n, B in side]
+    keys += [key for n_p, n_q, B in bipartite for units_p, units_q in _side_splits(n_p, n_q, B)
+             for key in ((n_p, units_p), (n_q, units_q))]
+    values = _multiset_values(keys)
     # (instance, oracle, its arguments) in suite order
     instances = [(f"complete n={n} B={B}", exhaustive_allocation, ("complete", n, B))
                  for n, B in complete]
-    instances += [(f"side n={n} B={B}", exhaustive_side_allocation, (n, B))
-                  for n in sides for B in range(2 * n, 2 * n * n, 2)]
+    instances += [(f"side n={n} B={B}", exhaustive_side_allocation, (n, B)) for n, B in side]
     instances += [(f"bipartite n_p={n_p} n_q={n_q} B={B}", exhaustive_allocation,
-                   ("bipartite", (n_p, n_q), B))
-                  for n_p in sides for n_q in sides
-                  for B in range(2 * (n_p + n_q) + 2, 2 * (n_p * n_p + n_q * n_q), 2)]
+                   ("bipartite", (n_p, n_q), B)) for n_p, n_q, B in bipartite]
     checks = []
     for instance, oracle, args in instances:
-        report = oracle(*args, tolerance=tolerance)
+        report = oracle(*args, tolerance=tolerance, values=values)
         checks.append(CheckResult(instance=instance, expected=f"gap <= {tolerance:.12g}",
                                   actual=report.gap, passed=bool(report.agreement)))
     return SuiteReport(name="alloc-oracle", checks=tuple(checks))

@@ -18,7 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, InfeasibleTau, InvalidSpec, TrivialGame, Unsupported
-from .graphs import BIPARTITE, COMPLETE, STAR, GraphTopology, build_star, check_durations
+from .graphs import (BIPARTITE, COMPLETE, STAR, GraphTopology, build_star, check_durations,
+                     validate_attack_durations)
 
 BISECTION_TOL = 1e-12
 
@@ -63,6 +64,40 @@ def solve_equalized_value(exponents: tuple[int, ...]) -> float:
             hi = mid
 
 
+def solve_equalized_values(rows) -> np.ndarray:
+    """`solve_equalized_value` of every row of a (k, n) array of exponents.
+
+    One bisection runs in every lane at once.  Each row is sorted as the
+    scalar sorts its multiset, and each lane takes the scalar's midpoints,
+    its stop test and its reduce, so every w is the scalar's bit for bit.
+    A lane drops out when it stops.  Rows of width 1 give 0.0.
+    """
+    m = np.asarray(rows, dtype=float)
+    if m.ndim != 2 or m.shape[1] == 0:
+        raise InvalidSpec(f"need a (k, n) array of exponents with n >= 1, got shape {m.shape}")
+    if not (m >= 1).all():  # nan fails too
+        raise InvalidSpec("exponents must be positive integers")
+    m = np.sort(m, axis=1)
+    w = np.zeros(len(m))
+    if m.shape[1] == 1:
+        return w
+    inv = 1.0 / m
+    target = float(m.shape[1] - 1)
+    lanes = np.arange(len(m))
+    lo, hi = np.zeros(len(m)), np.ones(len(m))
+    while lanes.size:
+        mid = 0.5 * (lo + hi)
+        value = np.add.reduce(mid[:, None] ** inv, axis=1)
+        done = (np.abs(value - target) <= BISECTION_TOL * target) | (hi - lo <= BISECTION_TOL)
+        below = value < target
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        if done.any():
+            w[lanes[done]] = mid[done]
+            live = ~done
+            lanes, lo, hi, inv = lanes[live], lo[live], hi[live], inv[live]
+    return w
+
+
 @dataclass(frozen=True, eq=False)
 class StrategyResult:
     """A synthesized patrol strategy with its game value.
@@ -97,19 +132,33 @@ def _subopt_lb(mu: float, durations: Sequence[int]) -> float:
     return min(1.0, mu / generic_capture_bound(durations))
 
 
+def _complete_durations(tau: Sequence[int]) -> tuple[int, ...]:
+    durations = check_durations(tau, len(tau))
+    if len(durations) < 2:
+        raise InvalidSpec("complete-graph synthesis needs n >= 2")
+    return durations
+
+
+def complete_values(taus: Sequence[Sequence[int]]) -> np.ndarray:
+    """Game value w of each complete-graph duration vector, all of one length.
+
+    Each vector is checked as `synthesize_complete` checks it, in order,
+    before one batched bisection solves them all.
+    """
+    rows = [_complete_durations(tau) for tau in taus]
+    return solve_equalized_values(rows) if rows else np.empty(0)
+
+
 def synthesize_complete(tau: Sequence[int]) -> StrategyResult:
     """Strategy for a complete graph: every row equals the tuned distribution pi.
 
     Equalizes the per-node capture terms 1 - (1 - pi_i)**tau_i, which makes
     the worst case independent of the attacked node.
     """
-    durations = check_durations(tau, len(tau))
-    n = len(durations)
-    if n < 2:
-        raise InvalidSpec("complete-graph synthesis needs n >= 2")
+    durations = _complete_durations(tau)
     w = solve_equalized_value(durations)
     pi = _entry_probabilities(w, durations)
-    P = np.tile(pi, (n, 1))
+    P = np.tile(pi, (len(durations), 1))
     mu = 1.0 - w
     return StrategyResult(P=P, pi=pi, mu=mu, w=w, subopt_lb=_subopt_lb(mu, durations),
                           optimality=HEURISTIC)
@@ -138,11 +187,9 @@ def synthesize_bipartite(g: GraphTopology, tau_p: Sequence[int],
         raise InvalidSpec(f"expected a bipartite or star graph, got {g.family!r}")
     durations_p = check_durations(tau_p, g.n_p)
     durations_q = check_durations(tau_q, g.n_q)
-    for side in (durations_p, durations_q):
-        if any(t < 2 for t in side):
-            raise InfeasibleTau(
-                f"two-sided synthesis needs every tau >= 2, got {side}: "
-                "a 2-hop target could never be reached in time")
+    if any(t < 2 for t in durations_p + durations_q):
+        # below a node's two-step return: the feasibility report names it
+        raise InfeasibleTau(validate_attack_durations(g, durations_p + durations_q).notes)
     m_p, m_q = (tuple(t // 2 for t in side) for side in (durations_p, durations_q))
     w_p, w_q = solve_equalized_value(m_p), solve_equalized_value(m_q)
     P, pi = _assemble_two_sided(_entry_probabilities(w_p, m_p), _entry_probabilities(w_q, m_q))

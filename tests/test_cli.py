@@ -8,6 +8,7 @@ import pytest
 
 import patrolgame.cli
 import patrolgame.oracles
+import patrolgame.synthesis
 from patrolgame import PatrolGameError, capture_probability
 from patrolgame.cli import _EXIT_CODES, build_parser, main
 
@@ -333,6 +334,44 @@ def test_sweep_bad_durations_are_infeasible(capsys):
     assert code == 2
     assert out == ""
     assert "durations" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--n", "3", "--B", "2,5", "--tau", "0"], "budget must satisfy 3 < B < 9, got 2"),
+    (["--n", "3", "--B", "5,9", "--tau", "0"], "budget must satisfy 3 < B < 9, got 9"),
+    (["--n", "3", "--B", "5", "--tau", "2,0,-1"], "attack durations must all be >= 1: (0, 0, 0)"),
+    (["--n", "3..4", "--B", "9"], "budget must satisfy 3 < B < 9, got 9"),
+    (["--n", "4,3", "--B", "9"], "budget must satisfy 3 < B < 9, got 9"),
+    (["--n", "1", "--B", "3", "--tau", "2"], "complete-graph allocation needs n >= 2, got 1"),
+    (["--n", "1", "--tau", "2"], "complete-graph synthesis needs n >= 2"),
+], ids=["budget-before-tau", "second-budget", "first-bad-tau", "first-cell",
+        "second-cell", "one-node-budget", "one-node-tau"])
+def test_complete_sweep_reports_the_first_bad_point_in_row_order(capsys, argv, message):
+    # a complete cell is solved in one batch, after every point's checks
+    code, out, err = run_cli(capsys, ["sweep", "--family", "complete", *argv])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, violations", [
+    (["--family", "star", "--n", "3", "--tau", "1..2"], [1, 2, 3]),
+    (["--family", "star", "--n", "3", "--tau", "2,1"], [1, 2, 3]),
+    (["--family", "bipartite", "--np", "2", "--nq", "1", "--tau", "1"], [1, 2, 3]),
+])
+def test_sweep_zero_capture_tau_gets_the_feasibility_report(capsys, argv, violations):
+    code, out, err = run_cli(capsys, ["sweep", *argv])
+    assert code == 2
+    assert out == ""
+    assert err == ("error: capture probability is zero: "
+                   f"tau below first-arrival time at {violations}\n")
+
+
+def test_sweep_builds_no_feasibility_report_for_a_feasible_grid(capsys, monkeypatch):
+    monkeypatch.setattr(patrolgame.synthesis, "validate_attack_durations", _must_not_run)
+    code, out, _ = run_cli(capsys, ["sweep", "--family", "star", "--n", "3..4", "--tau", "2..4"])
+    assert code == 0
+    assert out.count("\n") == 1 + 2 * 3
 
 
 def test_sweep_unsupported_family(capsys):

@@ -1,4 +1,5 @@
 import json
+import pickle
 from statistics import NormalDist
 
 import numpy as np
@@ -25,10 +26,11 @@ from patrolgame import (
     monte_carlo_suite,
     partitions,
     simulate_capture,
+    solve_equalized_value,
 )
 from patrolgame.cli import _dump_json
 from patrolgame.markov import counter_stream, min_capture_evaluator
-from patrolgame.oracles import MONTE_CARLO_FALSE_ALARM, _random_feasible_strategy
+from patrolgame.oracles import MONTE_CARLO_FALSE_ALARM, _best_multiset, _random_feasible_strategy
 
 
 # --- partition enumeration ------------------------------------------------------
@@ -73,6 +75,44 @@ def test_exhaustive_bipartite_reference():
     assert tau_p == (6, 4, 4)
     assert tau_q == (4, 2)
     assert report.agreement
+
+
+def reference_best_multiset(values, n, total, step):
+    """The scalar walk that the batched table replaced: `solve_equalized_value`
+    over `partitions`, keeping the first minimum in generator order."""
+    best = None
+    for parts in partitions(total // step, n, minimum=1):
+        w = solve_equalized_value(parts[::-1])
+        if best is None or w < best[0]:
+            best = (w, tuple(step * t for t in parts))
+    return best
+
+
+@pytest.mark.parametrize("nmax", range(2, 7))
+def test_alloc_suite_report_equals_the_scalar_reference(monkeypatch, nmax):
+    report = allocation_agreement_suite(nmax=nmax)
+    monkeypatch.setattr(patrolgame.oracles, "_best_multiset", reference_best_multiset)
+    assert pickle.dumps(allocation_agreement_suite(nmax=nmax)) == pickle.dumps(report)
+
+
+@pytest.mark.parametrize("oracle, args", [
+    (exhaustive_allocation, ("complete", 2, 3)),
+    (exhaustive_allocation, ("complete", 5, 13)),
+    (exhaustive_allocation, ("bipartite", (3, 2), 20)),
+    (exhaustive_allocation, ("bipartite", (1, 3), 14)),
+    (exhaustive_allocation, ("bipartite", (4, 4), 40)),
+    (exhaustive_side_allocation, (1, 6)),
+    (exhaustive_side_allocation, (4, 18)),
+])
+def test_exhaustive_oracles_equal_the_scalar_reference(monkeypatch, oracle, args):
+    report = oracle(*args)
+    monkeypatch.setattr(patrolgame.oracles, "_best_multiset", reference_best_multiset)
+    assert pickle.dumps(oracle(*args)) == pickle.dumps(report)
+
+
+def test_best_multiset_keeps_the_first_minimum():
+    values = {(2, 4): (np.array([0.5, 0.25, 0.25]), [(3, 1), (2, 2), (9, 9)])}
+    assert _best_multiset(values, 2, 8, 2) == (0.25, (4, 4))
 
 
 def test_alloc_suite_guard_enumerates_nothing(monkeypatch):

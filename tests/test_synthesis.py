@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import patrolgame.synthesis
+
 from patrolgame import (
     DimensionMismatch,
     InfeasibleTau,
@@ -16,7 +18,9 @@ from patrolgame import (
     capture_probability,
     capture_upper_bound,
     generic_capture_bound,
+    allocation_agreement_suite,
     solve_equalized_value,
+    solve_equalized_values,
     stationary_distribution,
     synthesize,
     synthesize_bipartite,
@@ -98,6 +102,61 @@ PINNED_W = [
                          ids=["1,2", "2,3,3,4", "fibonacci", "12x29", "seeded300"])
 def test_equalized_value_is_pinned_bitwise(exponents, w_hex):
     assert float.hex(solve_equalized_value(exponents)) == w_hex
+
+
+def _assert_batch_is_the_scalar(rows):
+    rows = [tuple(int(m) for m in row) for row in rows]
+    got = [float.hex(w) for w in solve_equalized_values(rows).tolist()]
+    assert got == [float.hex(solve_equalized_value(row)) for row in rows]
+
+
+def _suite_batches(monkeypatch):
+    """The rows of every batch the alloc-oracle suite at nmax 6 solves."""
+    batches = []
+    batch = patrolgame.synthesis.solve_equalized_values
+
+    def recording(rows):
+        batches.append(np.asarray(rows).tolist())
+        return batch(rows)
+
+    monkeypatch.setattr(patrolgame.synthesis, "solve_equalized_values", recording)
+    allocation_agreement_suite(nmax=6)
+    monkeypatch.undo()
+    return batches
+
+
+# bit for bit: a lane that stops one midpoint early or late, or a sum taken in
+# another order (n >= 8 sums in eight interleaved partial sums), fails
+def test_batch_equals_scalar_on_every_alloc_oracle_multiset(monkeypatch):
+    batches = _suite_batches(monkeypatch)
+    assert sum(map(len, batches)) == 9688
+    for rows in batches:
+        _assert_batch_is_the_scalar(rows)
+
+
+@pytest.mark.parametrize("n", range(2, 41))
+def test_batch_equals_scalar_on_uniform_rows(n):
+    _assert_batch_is_the_scalar([(tau,) * n for tau in range(1, 61)])
+
+
+@pytest.mark.parametrize("n", range(2, 41))
+def test_batch_equals_scalar_on_random_rows(n):
+    rng = np.random.default_rng([2026, n])
+    _assert_batch_is_the_scalar(np.sort(rng.integers(1, 400, size=(40, n)), axis=1))
+
+
+def test_batch_sorts_each_row_and_gives_zero_at_width_one():
+    assert solve_equalized_values([(4, 1, 2), (2, 1, 4)]).tolist() == [
+        solve_equalized_value((1, 2, 4))] * 2
+    assert solve_equalized_values([(1,), (7,), (300,)]).tolist() == [0.0, 0.0, 0.0]
+    assert solve_equalized_values(np.zeros((0, 3))).shape == (0,)
+
+
+@pytest.mark.parametrize("rows", [[], [1, 2], np.zeros((2, 0)), [(0, 2)], [(math.nan, 2)]],
+                         ids=["empty", "one-dimensional", "width-0", "zero", "nan"])
+def test_batch_rejects_what_is_not_positive_exponent_rows(rows):
+    with pytest.raises(InvalidSpec):
+        solve_equalized_values(rows)
 
 
 def test_equalized_value_against_polynomial_oracle():
