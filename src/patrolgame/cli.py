@@ -21,19 +21,7 @@ import numpy as np
 
 from . import __version__
 from .allocation import allocate, complete_split
-from .errors import (
-    BudgetOutOfRange,
-    DimensionMismatch,
-    InfeasibleTau,
-    InvalidSpec,
-    InvalidStart,
-    NotIrreducible,
-    ParityError,
-    PatrolGameError,
-    SearchSpaceExceeded,
-    TrivialGame,
-    Unsupported,
-)
+from .errors import InvalidSpec, PatrolGameError, SearchSpaceExceeded, Unsupported
 from .graphs import BIPARTITE, COMPLETE, GENERAL, build_graph, validate_attack_durations
 from .markov import capture_probability, simulate_capture
 from .oracles import (
@@ -50,20 +38,6 @@ EXIT_INFEASIBLE = 2
 EXIT_UNSUPPORTED = 3
 EXIT_GUARD = 4
 
-# the one place that decides how each package error ends the process
-_EXIT_CODES = {
-    BudgetOutOfRange: EXIT_INFEASIBLE,
-    DimensionMismatch: EXIT_INFEASIBLE,
-    InfeasibleTau: EXIT_INFEASIBLE,
-    InvalidSpec: EXIT_INFEASIBLE,
-    InvalidStart: EXIT_INFEASIBLE,
-    NotIrreducible: EXIT_INFEASIBLE,
-    ParityError: EXIT_INFEASIBLE,
-    SearchSpaceExceeded: EXIT_GUARD,
-    TrivialGame: EXIT_INFEASIBLE,
-    Unsupported: EXIT_UNSUPPORTED,
-}
-
 # the CLI reads no edge list, so it never builds a general graph
 _GENERAL_REFUSED = {
     "solve": "no strategy synthesis for the general family",
@@ -75,6 +49,11 @@ _GENERAL_REFUSED = {
 _SIZES = {"complete": {"n": "n"}, "star": {"n": "n"}, "bipartite": {"np": "n_p", "nq": "n_q"}}
 
 SWEEP_ROW_LIMIT = 10_000
+# solve and simulate run the recursion: tau_max - 1 steps of 2 n^3 flops and
+# a fixed cost (5 us at n = 3 on a 2-core host that does 2e10 flop/s at large
+# n); the limit, about 5 s there, is 30 times an n = 200, tau_max = 200 solve
+RECURSION_STEP_FLOPS = 100_000
+RECURSION_FLOP_LIMIT = 10**11
 _CSV_COLUMNS = ("family", "n", "n_p", "n_q", "tau", "B", "mu", "w", "bound", "ratio")
 
 
@@ -198,10 +177,14 @@ def _solve_common(args: argparse.Namespace):
     """Shared by solve and simulate: returns (tau, result, capture) or an exit
     code; `capture` is the recursion report the closed form was checked against."""
     if not args.tau:
-        print("error: --tau is required", file=sys.stderr)
-        return EXIT_INFEASIBLE
+        raise InvalidSpec("--tau is required")
     tau = _parse_int_list(args.tau)
-    graph = build_graph({"family": args.family, **_sizes(args, args.command, int, n=len(tau))})
+    sizes = _sizes(args, args.command, int, n=len(tau))
+    flops = (max(tau, default=1) - 1) * (2 * sum(sizes.values())**3 + RECURSION_STEP_FLOPS)
+    if flops > RECURSION_FLOP_LIMIT:
+        raise SearchSpaceExceeded(
+            f"recursion of {flops:.3g} flops exceeds {RECURSION_FLOP_LIMIT:.0e}")
+    graph = build_graph({"family": args.family, **sizes})
     report = validate_attack_durations(graph, tau)
     if report.condition1_violations:
         sys.stderr.write(_dump_json(report))
@@ -372,13 +355,16 @@ def _scenario_value(flag: str, value):
 
 def _scenario_defaults(command: str, path: str) -> dict:
     """Scenario values for `command`'s flags except --config; other keys are ignored."""
-    with open(path, encoding="utf-8") as handle:
-        scenario = json.load(handle)
-    if not isinstance(scenario, dict):
-        raise InvalidSpec("a scenario file must hold one JSON object")
-    scenario = {key.replace("_", "-"): value for key, value in scenario.items()}
-    return {flag.replace("-", "_"): _scenario_value(flag, scenario[flag])
-            for flag in _COMMANDS[command][2].split() if flag in scenario and flag != "config"}
+    try:
+        with open(path, encoding="utf-8") as handle:
+            scenario = json.load(handle)
+        if not isinstance(scenario, dict):
+            raise InvalidSpec("a scenario file must hold one JSON object")
+        scenario = {key.replace("_", "-"): value for key, value in scenario.items()}
+        return {flag.replace("-", "_"): _scenario_value(flag, scenario[flag])
+                for flag in _COMMANDS[command][2].split() if flag in scenario and flag != "config"}
+    except (OSError, ValueError, InvalidSpec) as exc:
+        raise InvalidSpec(f"cannot read --config {path}: {exc}") from exc
 
 
 def build_parser(scenario: dict[str, dict] | None = None) -> argparse.ArgumentParser:
@@ -407,29 +393,23 @@ def build_parser(scenario: dict[str, dict] | None = None) -> argparse.ArgumentPa
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    defaults = {}
-    if args.config:
-        try:
-            defaults = _scenario_defaults(args.command, args.config)
-        except (OSError, ValueError, InvalidSpec) as exc:
-            print(f"error: cannot read --config {args.config}: {exc}", file=sys.stderr)
-            return EXIT_INFEASIBLE
-    if args.config or any(spec.get("required") and getattr(args, flag, "") is None
-                          for flag, spec in _FLAGS.items()):
-        # parsing again with the scenario as defaults lets every given flag win,
-        # and rejects a required flag that neither supplies
-        args = build_parser({args.command: defaults}).parse_args(argv)
-    if getattr(args, "family", None) == GENERAL:
-        print(f"error: {_GENERAL_REFUSED[args.command]}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
     try:
+        if args.config or any(spec.get("required") and getattr(args, flag, "") is None
+                              for flag, spec in _FLAGS.items()):
+            # parsing again with the scenario as defaults lets every given flag
+            # win, and rejects a required flag that neither supplies
+            defaults = _scenario_defaults(args.command, args.config) if args.config else {}
+            args = build_parser({args.command: defaults}).parse_args(argv)
+        if getattr(args, "family", None) == GENERAL:
+            raise Unsupported(_GENERAL_REFUSED[args.command])
         return args.handler(args)
-    except PatrolGameError as exc:
+    except (PatrolGameError, ValueError, OverflowError) as exc:
+        # every one-line refusal ends here; a bad number in a flag
+        # (ValueError, OverflowError) is refused like a bad spec
         print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_CODES[type(exc)]
-    except (ValueError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+        if isinstance(exc, SearchSpaceExceeded):
+            return EXIT_GUARD
+        return EXIT_UNSUPPORTED if isinstance(exc, Unsupported) else EXIT_INFEASIBLE
 
 
 def console_main() -> None:

@@ -124,7 +124,11 @@ def generic_capture_bound(tau: Sequence[int]) -> float:
 
 
 def _entry_probabilities(w: float, exponents: Sequence[int]) -> np.ndarray:
-    probs = np.array([1.0 - w ** (1.0 / m) for m in exponents])
+    # 1 - w**(1/m) as -expm1(log(w) / m), which keeps its digits where
+    # w**(1/m) rounds to 1; w is 0 only at width 1, where the probability is 1
+    if w == 0.0:
+        return np.ones(1)
+    probs = -np.expm1(np.log(w) / np.asarray(exponents, dtype=float))
     return probs / probs.sum()
 
 

@@ -71,3 +71,30 @@ def test_equalized_value_cache_can_be_cleared_and_read():
     assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
     solve_equalized_value.cache_clear()
     assert solve_equalized_value.cache_info()[:] == (0, 0, None, 0)
+
+
+class _Admitted(Exception):
+    """Raised in place of building the graph: the request passed every guard."""
+
+
+def _admit(descriptor):
+    raise _Admitted
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_every_solve_and_simulate_request_is_under_the_recursion_limit(monkeypatch, workload):
+    from patrolgame import cli
+
+    requests = []
+    monkeypatch.setattr(workloads, "call_cli", requests.append)
+    for seed in (0, 1, 30, 57):
+        for op in [*workloads.build(workload, seed), workloads.warmup(workload)]:
+            if op.label.startswith(("solve", "simulate")):
+                op.run()
+    monkeypatch.setattr(cli, "build_graph", _admit)
+    for argv in requests:
+        with pytest.raises(_Admitted):
+            cli.main(argv)
+    # exact-large solves up to n = 200 at tau_max = 200; verify-sweep simulates
+    expected = {"exact-large": {"solve"}, "oracle-search": set(), "verify-sweep": {"simulate"}}
+    assert {argv[0] for argv in requests} == expected[workload]

@@ -2,6 +2,7 @@ import argparse
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ import pytest
 import patrolgame.cli
 import patrolgame.oracles
 import patrolgame.synthesis
-from patrolgame import PatrolGameError, capture_probability
-from patrolgame.cli import _EXIT_CODES, build_parser, main
+from patrolgame import (InvalidSpec, PatrolGameError, SearchSpaceExceeded, Unsupported,
+                        capture_probability)
+from patrolgame.cli import RECURSION_FLOP_LIMIT, RECURSION_STEP_FLOPS, build_parser, main
 
 pytestmark = pytest.mark.usefixtures("capsys")
 
@@ -294,7 +296,7 @@ def test_verify_alloc_oracle_without_instances(capsys, nmax):
 
 
 def _must_not_run(*args, **kwargs):
-    raise AssertionError("the guard must reject the grid before any graph or row is built")
+    raise AssertionError("the guard must refuse the request before any graph or row is built")
 
 
 @pytest.mark.parametrize("argv", [
@@ -326,6 +328,15 @@ def test_sweep_star_budget_unsupported(capsys):
     assert code == 3
     assert out == ""
     assert "star allocation is unsupported" in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("family", ["star", "complete"])
+def test_sweep_of_a_huge_tau_prints_nothing_on_stderr(capsys, family):
+    code, out, err = run_cli(capsys, ["sweep", "--family", family, "--n", "3",
+                                      "--tau", str(10 ** 20)])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].startswith(f"{family},3,,,{10 ** 20},,1,")
 
 
 def test_sweep_bad_durations_are_infeasible(capsys):
@@ -391,13 +402,53 @@ def test_sweep_allocation_mode(capsys):
 
 # --- exit codes -------------------------------------------------------------------
 
-def test_every_package_error_has_one_exit_code():
-    # the lookup is by exact type, so a subclass of a subclass needs its own entry
-    errors = PatrolGameError.__subclasses__()
-    for error in errors:
+def test_every_package_error_ends_main_with_the_exit_code_of_its_class(capsys, monkeypatch):
+    errors = [PatrolGameError]
+    for error in errors:  # grows as it goes: subclasses of subclasses too
         errors += error.__subclasses__()
-        assert error in _EXIT_CODES, error.__name__
-        assert _EXIT_CODES[error] in (1, 2, 3, 4)
+    assert len(errors) == len(set(errors)) > 10
+    verify = patrolgame.cli._COMMANDS["verify"]
+    for error in errors:
+        def handler(args, error=error):
+            raise error(f"stub {error.__name__}")
+        monkeypatch.setitem(patrolgame.cli._COMMANDS, "verify", (handler, *verify[1:]))
+        expected = 4 if error is SearchSpaceExceeded else 3 if error is Unsupported else 2
+        assert run_cli(capsys, ["verify", "--suite", "bounds"]) == (
+            expected, "", f"error: stub {error.__name__}\n"), error.__name__
+
+
+# --- recursion guard ----------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--family", "complete", "--n", "3", "--tau", "1000000000,2,2"],
+    ["solve", "--family", "complete", "--n", "3", "--tau", ",".join([str(10 ** 20)] * 3)],
+    ["simulate", "--family", "star", "--n", "3", "--tau", "2,2,10000000"],
+    ["solve", "--family", "bipartite", "--np", "300", "--nq", "300", "--tau", "300"],
+], ids=["tau-1e9", "tau-1e20", "simulate", "bipartite-600"])
+def test_recursion_past_its_limit_is_refused_before_the_graph(capsys, monkeypatch, argv):
+    monkeypatch.setattr(patrolgame.cli, "build_graph", _must_not_run)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (4, "")
+    assert err.startswith("error: recursion of ") and err.endswith(" flops exceeds 1e+11\n")
+    assert err.count("\n") == 1
+
+
+def _past_the_guard(descriptor):
+    raise InvalidSpec("past the guard")
+
+
+@pytest.mark.parametrize("extra, code, refusal", [(0, 2, "error: past the guard\n"),
+                                                  (1, 4, "error: recursion of 1e+11 flops")])
+def test_recursion_limit_is_inclusive(capsys, monkeypatch, extra, code, refusal):
+    # n = 3: the largest tau_max whose steps fit the limit reaches the graph,
+    # and one more is refused
+    steps = RECURSION_FLOP_LIMIT // (2 * 3 ** 3 + RECURSION_STEP_FLOPS)
+    monkeypatch.setattr(patrolgame.cli, "build_graph", _past_the_guard)
+    argv = ["solve", "--family", "complete", "--tau", f"{steps + 1 + extra},2,2"]
+    exit_code, out, err = run_cli(capsys, argv)
+    assert (exit_code, out) == (code, "") and err.startswith(refusal)
 
 
 def test_unknown_suite_is_rejected_by_the_parser(capsys):

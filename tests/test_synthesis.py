@@ -193,6 +193,19 @@ def test_complete_uniform_duration_closed_form(n, tau):
     assert result.mu == pytest.approx(1 - (1 - 1 / n) ** tau, abs=1e-9)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("synth", [synthesize_complete, synthesize_star])
+def test_huge_equal_durations_give_a_finite_uniform_strategy(synth):
+    # w**(1/tau) rounds to 1 here, so 1 - w**(1/tau) would be 0 in every entry
+    result = synth((10 ** 20,) * 3)
+    assert np.isfinite(result.P).all() and np.isfinite(result.pi).all()
+    np.testing.assert_allclose(result.P.sum(axis=1), 1.0, atol=1e-12)
+    if synth is synthesize_complete:
+        np.testing.assert_allclose(result.pi, 1 / 3, atol=1e-12)
+    else:  # the centre holds half the mass and the leaves share the rest
+        np.testing.assert_allclose(result.pi, [0.5, 0.25, 0.25], atol=1e-12)
+
+
 def test_complete_rejects_single_node():
     with pytest.raises(InvalidSpec):
         synthesize_complete([3])
