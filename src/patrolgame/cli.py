@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 import sys
+from decimal import Context
 
 import numpy as np
 
@@ -23,12 +24,13 @@ from . import __version__
 from .allocation import allocate, complete_split
 from .errors import InvalidSpec, PatrolGameError, SearchSpaceExceeded, Unsupported
 from .graphs import BIPARTITE, COMPLETE, GENERAL, build_graph, validate_attack_durations
-from .markov import capture_probability, simulate_capture
+from .markov import capture_probability, simulate_capture, walk_work
 from .oracles import (
     BoundSuiteConfig,
     allocation_agreement_suite,
     bound_suite,
     monte_carlo_suite,
+    monte_carlo_suite_work,
 )
 from .synthesis import complete_values, generic_capture_bound, synthesize
 
@@ -54,6 +56,11 @@ SWEEP_ROW_LIMIT = 10_000
 # n); the limit, about 5 s there, is 30 times an n = 200, tau_max = 200 solve
 RECURSION_STEP_FLOPS = 100_000
 RECURSION_FLOP_LIMIT = 10**11
+# simulate and the montecarlo suite walk: markov.walk_work counts walker-column
+# steps, 1.3e8 (n = 3) to 2.9e8 (n = 100) a second on the same host, so the
+# limit takes 3.5-7.6 s; it is 7.8 times the bound on a default montecarlo
+# suite (1.28e8) and 156 times a --trials 100000 simulate at n = 4, tau_max = 4
+WALK_WORK_LIMIT = 10**9
 _CSV_COLUMNS = ("family", "n", "n_p", "n_q", "tau", "B", "mu", "w", "bound", "ratio")
 
 
@@ -173,6 +180,20 @@ def _sizes(args: argparse.Namespace, command: str, parse, *extra: str, **fallbac
     return {key: parse(text) for key, text in sizes.items()}
 
 
+def _count_text(count: int) -> str:
+    """A count of 1000 or more as "%.3g" spells it, rounded without a float
+    conversion, so a count past the float range still prints."""
+    mantissa, exponent = format(Context(prec=3).create_decimal(count), "e").split("e")
+    return f"{mantissa.rstrip('0').rstrip('.')}e{int(exponent):+03d}"
+
+
+def _check_work(count: int, limit: int, what: str) -> None:
+    """SearchSpaceExceeded, naming the estimate, when `count` is past `limit`;
+    `what` spells the work with a {} for the count."""
+    if count > limit:
+        raise SearchSpaceExceeded(f"{what.format(_count_text(count))} exceeds {limit:.0e}")
+
+
 def _solve_common(args: argparse.Namespace):
     """Shared by solve and simulate: returns (tau, result, capture) or an exit
     code; `capture` is the recursion report the closed form was checked against."""
@@ -180,10 +201,12 @@ def _solve_common(args: argparse.Namespace):
         raise InvalidSpec("--tau is required")
     tau = _parse_int_list(args.tau)
     sizes = _sizes(args, args.command, int, n=len(tau))
-    flops = (max(tau, default=1) - 1) * (2 * sum(sizes.values())**3 + RECURSION_STEP_FLOPS)
-    if flops > RECURSION_FLOP_LIMIT:
-        raise SearchSpaceExceeded(
-            f"recursion of {flops:.3g} flops exceeds {RECURSION_FLOP_LIMIT:.0e}")
+    n = sum(sizes.values())
+    flops = (max(tau, default=1) - 1) * (2 * n**3 + RECURSION_STEP_FLOPS)
+    _check_work(flops, RECURSION_FLOP_LIMIT, "recursion of {} flops")
+    if args.command == "simulate":
+        _check_work(walk_work(n, max(tau, default=1), args.trials), WALK_WORK_LIMIT,
+                    "walk of {} walker-column steps")
     graph = build_graph({"family": args.family, **sizes})
     report = validate_attack_durations(graph, tau)
     if report.condition1_violations:
@@ -248,6 +271,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     elif args.suite == "alloc-oracle":
         report = allocation_agreement_suite(nmax=args.nmax, tolerance=args.tol)
     else:
+        _check_work(monte_carlo_suite_work(args.trials), WALK_WORK_LIMIT,
+                    "walk of {} walker-column steps")
         report = monte_carlo_suite(trials=args.trials, seed=args.seed)
     if args.out:
         _write_output(_dump_json(report.checks), args.out)

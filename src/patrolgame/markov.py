@@ -156,53 +156,79 @@ class SimulationReport:
 def counter_stream(seed: int, index: int) -> np.random.Generator:
     """Independent counter-based random stream keyed by (seed, index).
 
-    Streams for different indices never overlap, so work items (pairs,
-    trials, restarts) can run in any order or in parallel without changing
-    any result.
+    Streams for different indices never overlap, so work items (start
+    nodes, trials, restarts) can run in any order or in parallel without
+    changing any result.
     """
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, index & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
+# walkers that walk together: memory stays bounded whatever `trials` is
+_WALK_CHUNK = 1 << 17
+
+
+def walk_work(n: int, tau_max: int, trials: int) -> int:
+    """`simulate_capture`'s work on an n-node chain, in walker-column steps.
+
+    Each start node walks `trials` walkers for tau_max steps once per block
+    of 64 targets, and each step counts n - 1 threshold columns and records
+    one visit.
+    """
+    return n * -(-n // 64) * tau_max * trials * n
+
+
 def simulate_capture(P: np.ndarray, tau: Sequence[int], trials: int, seed: int) -> SimulationReport:
     """Monte Carlo estimate of every P(T_ij <= tau_j).
 
-    For each ordered pair (i, j), `trials` walks leave node i (the first step
-    is drawn from row i) and the estimate is the fraction that reach j within
-    tau_j steps.  Each pair consumes its own counter-based random stream, one
-    uniform per trial and step, drawn a step at a time; results are bitwise
+    Each start node i walks one set of `trials` walkers for max tau steps
+    (the first step is drawn from row i), and the estimate for (i, j) is the
+    fraction of them that visit j at some step k <= tau_j, so one walk
+    scores every target.  Start node i consumes the counter-based stream
+    keyed by (seed, i): walkers go in chunks of `_WALK_CHUNK`, and each step
+    of a chunk draws one uniform per walker.  Results are bitwise
     reproducible and independent of evaluation order.  A walker's next node
     is the number of cumulative row thresholds its uniform passes, counted
-    one column at a time, so memory is O(trials) whatever n and tau are.
+    one column at a time, and its visits are bits of one uint64 word per
+    block of 64 targets; a larger n replays the start's stream for each
+    block.  Memory is O(min(trials, `_WALK_CHUNK`)) whatever n and tau are.
     """
     if trials < 1:
         raise InvalidSpec(f"trials must be >= 1, got {trials}")
     P = check_transition_matrix(P)
     n = P.shape[0]
-    durations = check_durations(tau, n)
+    durations = np.asarray(check_durations(tau, n))
     # u < 1 never passes the last threshold, which would be 1, so counting
     # the first n - 1 keeps every step below n; counting column by column
     # stays exact where a tiny admitted negative entry unsorts a row
     thresholds = [np.ascontiguousarray(column) for column in np.cumsum(P, axis=1).T[:-1]]
+    # every block walks the same steps, so every block replays the same walk
+    steps = int(durations.max())
 
-    estimates = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            rng = counter_stream(seed, i * n + j)
-            states = np.full(trials, i)
-            captured = np.zeros(trials, dtype=bool)
-            for _ in range(durations[j]):
-                active = np.flatnonzero(~captured)
-                if active.size == 0:
-                    break
-                u = rng.random(trials)[active]
-                current = states[active]
-                nxt = np.zeros(active.size, np.intp)
-                for column in thresholds:
-                    nxt += u >= column[current]
-                states[active] = nxt
-                captured[active] = nxt == j
-            estimates[i, j] = captured.mean()
+    hits = np.zeros((n, n), dtype=np.int64)
+    for lo in range(0, n, 64):
+        targets = np.arange(lo, min(lo + 64, n))
+        # a visit to target j of this block sets bit j - lo of a walker's
+        # word; other nodes set none
+        bits = np.zeros(n, np.uint64)
+        bits[targets] = np.left_shift(np.uint64(1), (targets - lo).astype(np.uint64))
+        ending = [targets[durations[targets] == k] for k in range(steps + 1)]
+        for i in range(n):
+            rng = counter_stream(seed, i)
+            for start in range(0, trials, _WALK_CHUNK):
+                walkers = min(_WALK_CHUNK, trials - start)
+                states = np.full(walkers, i)
+                seen = np.zeros(walkers, np.uint64)
+                for k in range(1, steps + 1):
+                    u = rng.random(walkers)
+                    nxt = np.zeros(walkers, np.intp)
+                    for column in thresholds:
+                        nxt += u >= column[states]
+                    states = nxt
+                    seen |= bits[states]
+                    for j in ending[k]:
+                        hits[i, j] += np.count_nonzero(seen & bits[j])
+    estimates = hits / trials
     return SimulationReport(
         estimates=estimates,
         overall=float(estimates.min()),

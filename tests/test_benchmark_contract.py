@@ -95,6 +95,24 @@ def test_every_solve_and_simulate_request_is_under_the_recursion_limit(monkeypat
     for argv in requests:
         with pytest.raises(_Admitted):
             cli.main(argv)
-    # exact-large solves up to n = 200 at tau_max = 200; verify-sweep simulates
+    # exact-large solves up to n = 200 at tau_max = 200; verify-sweep simulates,
+    # so its requests also pass the walk limit, which simulate checks next
     expected = {"exact-large": {"solve"}, "oracle-search": set(), "verify-sweep": {"simulate"}}
     assert {argv[0] for argv in requests} == expected[workload]
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_every_monte_carlo_suite_request_is_under_the_walk_limit(monkeypatch, workload):
+    from patrolgame import cli
+    from patrolgame.oracles import monte_carlo_suite_work
+
+    requests = []
+    monkeypatch.setattr(workloads.pg, "monte_carlo_suite",
+                        lambda trials, seed, instances: requests.append((trials, instances)))
+    for seed in (0, 1, 30, 57):
+        for op in [*workloads.build(workload, seed), workloads.warmup(workload)]:
+            if op.label == "suite montecarlo":
+                op.run()
+    for trials, instances in requests:
+        assert monte_carlo_suite_work(trials, instances) <= cli.WALK_WORK_LIMIT
+    assert bool(requests) == (workload == "verify-sweep")

@@ -12,7 +12,13 @@ import patrolgame.oracles
 import patrolgame.synthesis
 from patrolgame import (InvalidSpec, PatrolGameError, SearchSpaceExceeded, Unsupported,
                         capture_probability)
-from patrolgame.cli import RECURSION_FLOP_LIMIT, RECURSION_STEP_FLOPS, build_parser, main
+from patrolgame.cli import (
+    RECURSION_FLOP_LIMIT,
+    RECURSION_STEP_FLOPS,
+    WALK_WORK_LIMIT,
+    build_parser,
+    main,
+)
 
 pytestmark = pytest.mark.usefixtures("capsys")
 
@@ -424,7 +430,8 @@ def test_every_package_error_ends_main_with_the_exit_code_of_its_class(capsys, m
     ["solve", "--family", "complete", "--n", "3", "--tau", ",".join([str(10 ** 20)] * 3)],
     ["simulate", "--family", "star", "--n", "3", "--tau", "2,2,10000000"],
     ["solve", "--family", "bipartite", "--np", "300", "--nq", "300", "--tau", "300"],
-], ids=["tau-1e9", "tau-1e20", "simulate", "bipartite-600"])
+    ["solve", "--family", "complete", "--n", "3", "--tau", f"{10 ** 400},2,2"],
+], ids=["tau-1e9", "tau-1e20", "simulate", "bipartite-600", "tau-1e400"])
 def test_recursion_past_its_limit_is_refused_before_the_graph(capsys, monkeypatch, argv):
     monkeypatch.setattr(patrolgame.cli, "build_graph", _must_not_run)
     start = time.perf_counter()
@@ -447,6 +454,37 @@ def test_recursion_limit_is_inclusive(capsys, monkeypatch, extra, code, refusal)
     steps = RECURSION_FLOP_LIMIT // (2 * 3 ** 3 + RECURSION_STEP_FLOPS)
     monkeypatch.setattr(patrolgame.cli, "build_graph", _past_the_guard)
     argv = ["solve", "--family", "complete", "--tau", f"{steps + 1 + extra},2,2"]
+    exit_code, out, err = run_cli(capsys, argv)
+    assert (exit_code, out) == (code, "") and err.startswith(refusal)
+
+
+def test_recursion_estimate_past_the_float_range_is_printed(capsys, monkeypatch):
+    monkeypatch.setattr(patrolgame.cli, "build_graph", _must_not_run)
+    argv = ["solve", "--family", "complete", "--n", "3", "--tau", f"{3 * 10 ** 400},2,2"]
+    assert run_cli(capsys, argv) == (4, "", "error: recursion of 3e+405 flops exceeds 1e+11\n")
+
+
+# --- walk guard ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv, refusal", [
+    (["simulate", "--family", "complete", "--n", "3", "--tau", "2,2,2", "--trials", str(10 ** 15)],
+     "error: walk of 1.8e+16 walker-column steps exceeds 1e+09\n"),
+    (["verify", "--suite", "montecarlo", "--trials", str(10 ** 15)],
+     "error: walk of 1.28e+18 walker-column steps exceeds 1e+09\n"),
+], ids=["simulate", "verify-montecarlo"])
+def test_walk_past_its_limit_is_refused_before_the_walk(capsys, monkeypatch, argv, refusal):
+    for name in ("build_graph", "simulate_capture", "monte_carlo_suite"):
+        monkeypatch.setattr(patrolgame.cli, name, _must_not_run)
+    assert run_cli(capsys, argv) == (4, "", refusal)
+
+
+@pytest.mark.parametrize("extra, code, refusal", [(0, 2, "error: past the guard\n"),
+                                                  (1, 4, "error: walk of 1e+09 walker-column")])
+def test_walk_limit_is_inclusive(capsys, monkeypatch, extra, code, refusal):
+    # n = 3, tau_max = 2: each trial is 3 starts x 2 steps x 3 columns
+    trials = WALK_WORK_LIMIT // 18 + extra
+    monkeypatch.setattr(patrolgame.cli, "build_graph", _past_the_guard)
+    argv = ["simulate", "--family", "complete", "--tau", "2,2,2", "--trials", str(trials)]
     exit_code, out, err = run_cli(capsys, argv)
     assert (exit_code, out) == (code, "") and err.startswith(refusal)
 

@@ -15,8 +15,14 @@ from patrolgame import (
     simulate_capture,
     stationary_distribution,
 )
+from patrolgame import markov
 from patrolgame.cli import _dump_json
-from patrolgame.markov import _capture_cdf_stack, counter_stream, min_capture_evaluator
+from patrolgame.markov import (
+    _WALK_CHUNK,
+    _capture_cdf_stack,
+    counter_stream,
+    min_capture_evaluator,
+)
 
 TWO_CYCLE = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -40,30 +46,31 @@ def hitting_time_probabilities(P, k_max):
     return F
 
 
-def reference_walk(P, tau, trials, seed):
-    """Reference simulator: each step counts the passed thresholds of the
-    walker's cumulative row in one (walkers x n) comparison, the last
-    threshold pinned to 1.  `simulate_capture` must match it bit for bit."""
+def reference_walk(P, tau, trials, seed, chunk=_WALK_CHUNK):
+    """Reference simulator: start node i walks `trials` walkers for max tau
+    steps on stream (seed, i), `chunk` walkers at a time.  Each step counts
+    the passed thresholds of the walker's cumulative row in one
+    (walkers x n) comparison, the last threshold pinned to 1, and an
+    explicit (n, trials) bool matrix marks the walkers that reached each
+    target by its deadline.  `simulate_capture` must match it bit for bit."""
     P = check_transition_matrix(P)
     n = P.shape[0]
+    tau = np.asarray(tau)
     cum = np.cumsum(P, axis=1)
     cum[:, -1] = 1.0
     estimates = np.empty((n, n))
     for i in range(n):
-        for j in range(n):
-            rng = counter_stream(seed, i * n + j)
-            states = np.full(trials, i)
-            captured = np.zeros(trials, dtype=bool)
-            for _ in range(tau[j]):
-                active = np.flatnonzero(~captured)
-                if active.size == 0:
-                    break
-                u = rng.random(trials)[active]
-                nxt = (u[:, None] >= cum[states[active]]).sum(axis=1)
-                np.minimum(nxt, n - 1, out=nxt)
-                states[active] = nxt
-                captured[active] = nxt == j
-            estimates[i, j] = captured.mean()
+        rng = counter_stream(seed, i)
+        hit = np.zeros((n, trials), dtype=bool)
+        for start in range(0, trials, chunk):
+            walkers = np.arange(start, min(start + chunk, trials))
+            states = np.full(walkers.size, i)
+            for k in range(1, tau.max() + 1):
+                u = rng.random(walkers.size)
+                states = (u[:, None] >= cum[states]).sum(axis=1)
+                in_time = tau[states] >= k
+                hit[states[in_time], walkers[in_time]] = True
+        estimates[i] = hit.mean(axis=1)
     return estimates
 
 
@@ -383,20 +390,36 @@ def test_simulation_memory_does_not_grow_with_tau():
     assert peak_bytes(64) <= 1.1 * peak_bytes(2)
 
 
-@pytest.mark.parametrize("trials", [1, 7, 500, 3000])
-@pytest.mark.parametrize("n", range(1, 9))
-def test_walk_matches_reference_walk_bitwise(n, trials):
+def _walk_case(n, trials):
+    """A random chain, durations and seed; for n >= 3, row 0 holds an
+    admitted negative entry that unsorts its thresholds, and row 1's
+    cumulative sum reaches 1 before its last column."""
     rng = np.random.default_rng(1000 * n + trials)
     P = random_stochastic(rng, n)
     if n >= 3:
-        # an admitted negative entry unsorts row 0's thresholds, and row 1's
-        # cumulative sum reaches 1 before its last column
         P[0] = [0.3, -1e-10, 0.7 + 1e-10] + [0.0] * (n - 3)
         P[1] = [0.5, 0.5] + [0.0] * (n - 2)
     tau = [int(t) for t in rng.integers(1, 7, size=n)]
-    seed = int(rng.integers(2**31))
+    return P, tau, int(rng.integers(2**31))
+
+
+@pytest.mark.parametrize("n, trials", [(n, trials) for n in range(1, 9)
+                                       for trials in (1, 7, 500, 3000)] + [(70, 7)])
+def test_walk_matches_reference_walk_bitwise(n, trials):
+    # n = 70 walks two blocks of targets, each replaying the start's stream
+    P, tau, seed = _walk_case(n, trials)
     estimates = simulate_capture(P, tau, trials=trials, seed=seed).estimates
     assert estimates.tobytes() == reference_walk(P, tau, trials, seed).tobytes()
+
+
+@pytest.mark.parametrize("n", [4, 70])
+def test_walk_in_chunks_matches_reference_walk_bitwise(monkeypatch, n):
+    # 7 walkers in chunks of 3, 3 and 1: each chunk continues the start's stream
+    monkeypatch.setattr(markov, "_WALK_CHUNK", 3)
+    P, tau, seed = _walk_case(n, 7)
+    estimates = simulate_capture(P, tau, trials=7, seed=seed).estimates
+    assert estimates.tobytes() == reference_walk(P, tau, 7, seed, chunk=3).tobytes()
+    assert estimates.tobytes() != reference_walk(P, tau, 7, seed).tobytes()
 
 
 def test_simulation_memory_does_not_grow_with_n():
