@@ -51,6 +51,12 @@ _GENERAL_REFUSED = {
 _SIZES = {"complete": {"n": "n"}, "star": {"n": "n"}, "bipartite": {"np": "n_p", "nq": "n_q"}}
 
 SWEEP_ROW_LIMIT = 10_000
+# every command that builds a graph touches its n x n adjacency, and a
+# complete graph stores n^2 edges of about 120 bytes each: at n = 1000 the
+# build and adjacency take 1.2 s and 149 MB peak RSS on a 2-core host, and
+# the feasibility check 0.9 s more; the limit admits n = 1000, five times the
+# n = 200 of the largest graph a benchmark request builds
+ADJACENCY_LIMIT = 10**6
 # solve and simulate run the recursion: tau_max - 1 steps of 2 n^3 flops and
 # a fixed cost (5 us at n = 3 on a 2-core host that does 2e10 flop/s at large
 # n); the limit, about 5 s there, is 30 times an n = 200, tau_max = 200 solve
@@ -86,6 +92,28 @@ def _float_text(token: str) -> str:
     return _NONFINITE.get(token) or repr(float(token))
 
 
+def _float_array_text(array: np.ndarray, newline: str) -> str:
+    """A non-empty float array as nested indent-2 JSON lists, each distinct
+    float formatted once.
+
+    Values are keyed by their bit pattern: 0.0 and -0.0 print differently,
+    and a float key would merge them.
+    """
+    bits = np.ascontiguousarray(array, dtype=np.float64).view(np.int64).ravel()
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    values = tuple(distinct.view(np.float64).tolist())
+    # one "%" over every value: a call per value costs more than its format
+    texts = list(map(_float_text, ("%.12g " * len(values) % values).split()))
+    items = np.array(texts, dtype=object)[inverse].tolist()
+    # innermost axis first: each pass joins `width` items into one list
+    for depth in reversed(range(array.ndim)):
+        outer = newline + "  " * depth
+        inner, width = outer + "  ", array.shape[depth]
+        items = [f"[{inner}{(',' + inner).join(items[start:start + width])}{outer}]"
+                 for start in range(0, len(items), width)]
+    return items[0]
+
+
 def _write_json(obj, newline: str, parts: list[str]) -> None:
     """Append `obj` as indent-2 JSON; `newline` is a line break plus the
     indentation of the line `obj` starts on."""
@@ -93,14 +121,10 @@ def _write_json(obj, newline: str, parts: list[str]) -> None:
         parts.append(_float_text("%.12g" % obj))
         return
     if isinstance(obj, np.ndarray):
-        if obj.dtype.kind != "f" or obj.ndim == 0:
-            obj = obj.tolist()
-        elif obj.ndim == 1 and obj.size:
-            # one formatting pass per row of floats
-            inner = newline + "  "
-            tokens = map(_float_text, map("%.12g".__mod__, obj.tolist()))
-            parts.append(f"[{inner}{(',' + inner).join(tokens)}{newline}]")
+        if obj.dtype.kind == "f" and obj.ndim and obj.size:
+            parts.append(_float_array_text(obj, newline))
             return
+        obj = obj.tolist()
     elif dataclasses.is_dataclass(obj):
         obj = _fields(obj)
     if isinstance(obj, dict):
@@ -128,7 +152,8 @@ def _dump_json(data) -> str:
     to 12 significant digits so that output is stable across runs.
 
     Dataclasses become objects of their `_fields`; arrays and tuples become
-    lists.  The text is what `json.dumps(..., indent=2)` gives for that data.
+    lists.  Each distinct float of a float array is formatted once.  The text
+    is what `json.dumps(..., indent=2)` gives for that data.
     """
     parts: list[str] = []
     _write_json(data, "\n", parts)
@@ -194,6 +219,13 @@ def _check_work(count: int, limit: int, what: str) -> None:
         raise SearchSpaceExceeded(f"{what.format(_count_text(count))} exceeds {limit:.0e}")
 
 
+def _graph(family: str, sizes: dict):
+    """`build_graph` of `family` and `sizes`; SearchSpaceExceeded, before
+    anything is built, when the graph's adjacency is past ADJACENCY_LIMIT."""
+    _check_work(sum(sizes.values()) ** 2, ADJACENCY_LIMIT, "adjacency of {} node pairs")
+    return build_graph({"family": family, **sizes})
+
+
 def _solve_common(args: argparse.Namespace):
     """Shared by solve and simulate: returns (tau, result, capture) or an exit
     code; `capture` is the recursion report the closed form was checked against."""
@@ -207,7 +239,7 @@ def _solve_common(args: argparse.Namespace):
     if args.command == "simulate":
         _check_work(walk_work(n, max(tau, default=1), args.trials), WALK_WORK_LIMIT,
                     "walk of {} walker-column steps")
-    graph = build_graph({"family": args.family, **sizes})
+    graph = _graph(args.family, sizes)
     report = validate_attack_durations(graph, tau)
     if report.condition1_violations:
         sys.stderr.write(_dump_json(report))
@@ -246,7 +278,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_allocate(args: argparse.Namespace) -> int:
-    graph = build_graph({"family": args.family, **_sizes(args, "allocation", int, "B")})
+    graph = _graph(args.family, _sizes(args, "allocation", int, "B"))
     budget = int(args.B)
     allocation = allocate(graph, budget)
     strategy = synthesize(graph, allocation.tau)
@@ -315,7 +347,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     writer.writeheader()
     for sizes in itertools.product(*ranges.values()):
         cell = dict(zip(ranges, sizes))
-        graph = build_graph({"family": args.family, **cell})
+        graph = _graph(args.family, cell)
         for (key, value), durations, mu, w in _sweep_cell(graph, budgets, taus):
             bound = generic_capture_bound(durations)
             row = {"family": args.family, **cell, key: value,

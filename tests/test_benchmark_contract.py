@@ -81,24 +81,52 @@ def _admit(descriptor):
     raise _Admitted
 
 
-@pytest.mark.parametrize("workload", workloads.WORKLOADS)
-def test_every_solve_and_simulate_request_is_under_the_recursion_limit(monkeypatch, workload):
-    from patrolgame import cli
-
+def _cli_requests(monkeypatch, workload: str, commands: tuple[str, ...]) -> list[list[str]]:
+    """The argv of every CLI request that `workload`'s passes and warmup make
+    through `commands`, over four seeds; nothing is run."""
     requests = []
     monkeypatch.setattr(workloads, "call_cli", requests.append)
     for seed in (0, 1, 30, 57):
         for op in [*workloads.build(workload, seed), workloads.warmup(workload)]:
-            if op.label.startswith(("solve", "simulate")):
+            if op.label.startswith(commands):
                 op.run()
+    monkeypatch.undo()
+    return requests
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_every_solve_and_simulate_request_is_under_the_recursion_limit(monkeypatch, workload):
+    from patrolgame import cli
+
+    requests = _cli_requests(monkeypatch, workload, ("solve", "simulate"))
     monkeypatch.setattr(cli, "build_graph", _admit)
     for argv in requests:
         with pytest.raises(_Admitted):
             cli.main(argv)
     # exact-large solves up to n = 200 at tau_max = 200; verify-sweep simulates,
-    # so its requests also pass the walk limit, which simulate checks next
+    # so its requests also pass the walk limit, which simulate checks next;
+    # the graph limit (n = 200 here) is checked last, just before the build
     expected = {"exact-large": {"solve"}, "oracle-search": set(), "verify-sweep": {"simulate"}}
     assert {argv[0] for argv in requests} == expected[workload]
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_every_sweep_cell_is_under_the_graph_limit(monkeypatch, workload):
+    from patrolgame import cli
+
+    built = []
+
+    def record(descriptor):
+        built.append(sum(descriptor[key] for key in ("n", "n_p", "n_q") if key in descriptor))
+
+    requests = _cli_requests(monkeypatch, workload, ("sweep",))
+    monkeypatch.setattr(cli, "build_graph", record)
+    monkeypatch.setattr(cli, "_sweep_cell", lambda graph, budgets, taus: [])
+    for argv in requests:
+        assert cli.main(argv) == 0
+    # every cell is checked before it is built; the largest is n = 29
+    largest = {"exact-large": 0, "oracle-search": 0, "verify-sweep": 29}
+    assert max(built, default=0) == largest[workload]
 
 
 @pytest.mark.parametrize("workload", workloads.WORKLOADS)

@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 import patrolgame.cli
+import patrolgame.graphs as graphs
 import patrolgame.oracles
 import patrolgame.synthesis
 from patrolgame import (InvalidSpec, PatrolGameError, SearchSpaceExceeded, Unsupported,
                         capture_probability)
 from patrolgame.cli import (
+    ADJACENCY_LIMIT,
     RECURSION_FLOP_LIMIT,
     RECURSION_STEP_FLOPS,
     WALK_WORK_LIMIT,
@@ -487,6 +489,53 @@ def test_walk_limit_is_inclusive(capsys, monkeypatch, extra, code, refusal):
     argv = ["simulate", "--family", "complete", "--tau", "2,2,2", "--trials", str(trials)]
     exit_code, out, err = run_cli(capsys, argv)
     assert (exit_code, out) == (code, "") and err.startswith(refusal)
+
+
+# --- graph size guard ---------------------------------------------------------------
+
+@pytest.mark.parametrize("argv, pairs", [
+    (["solve", "--family", "complete", "--n", "100000", "--tau", "1"], "1e+10"),
+    # past n = 4000 a single walker's walk is already past the walk limit
+    (["simulate", "--family", "complete", "--n", "2000", "--tau", "1", "--trials", "1"], "4e+06"),
+    (["allocate", "--family", "complete", "--n", "100000", "--B", "200000"], "1e+10"),
+    (["allocate", "--family", "star", "--n", "100000", "--B", "7"], "1e+10"),
+    (["sweep", "--family", "complete", "--n", "100000", "--tau", "1"], "1e+10"),
+    (["sweep", "--family", "bipartite", "--np", "50000", "--nq", "50000", "--B", "200000"],
+     "1e+10"),
+], ids=["solve", "simulate", "allocate", "allocate-star", "sweep", "sweep-bipartite"])
+def test_graph_past_its_limit_is_refused_before_it_is_built(capsys, monkeypatch, argv, pairs):
+    # tau 1 asks for no recursion step, so only the graph guard stands
+    # between these requests and their n x n adjacency
+    for name in ("build_graph", "synthesize", "allocate"):
+        monkeypatch.setattr(patrolgame.cli, name, _must_not_run)
+    refusal = f"error: adjacency of {pairs} node pairs exceeds 1e+06\n"
+    assert run_cli(capsys, argv) == (4, "", refusal)
+
+
+@pytest.mark.parametrize("extra, code, refusal", [(0, 2, "error: past the guard\n"),
+                                                  (1, 4, "error: adjacency of 1e+06 node pairs")])
+@pytest.mark.parametrize("command", ["solve", "allocate", "sweep"])
+def test_graph_limit_is_inclusive(capsys, monkeypatch, command, extra, code, refusal):
+    n_p = 500
+    n_q = int(ADJACENCY_LIMIT ** 0.5) - n_p + extra
+    monkeypatch.setattr(patrolgame.cli, "build_graph", _past_the_guard)
+    argv = [command, "--family", "bipartite", "--np", str(n_p), "--nq", str(n_q),
+            *(["--B", "4000"] if command == "allocate" else ["--tau", "1"])]
+    exit_code, out, err = run_cli(capsys, argv)
+    assert (exit_code, out) == (code, "") and err.startswith(refusal)
+
+
+def test_sweep_refuses_a_large_cell_before_building_its_graph(capsys, monkeypatch):
+    built = []
+
+    def build(descriptor):
+        built.append(descriptor["n"])
+        return graphs.build_graph(descriptor)
+
+    monkeypatch.setattr(patrolgame.cli, "build_graph", build)
+    argv = ["sweep", "--family", "complete", "--n", "3,100000", "--tau", "2"]
+    assert run_cli(capsys, argv) == (4, "", "error: adjacency of 1e+10 node pairs exceeds 1e+06\n")
+    assert built == [3]
 
 
 def test_unknown_suite_is_rejected_by_the_parser(capsys):

@@ -5,7 +5,9 @@
 payloads the CLI prints and on arbitrary floats and containers.
 """
 
+import contextlib
 import dataclasses
+import io
 import json
 
 import numpy as np
@@ -67,6 +69,25 @@ def test_emit_cdf_payload_matches_the_reference(capsys, monkeypatch, sizes, tau)
     assert capsys.readouterr().out == reference_dump(payload)
 
 
+def test_emit_cdf_formats_each_distinct_float_once(monkeypatch):
+    payloads, tokens = [], []
+    dump, float_text = patrolgame.cli._dump_json, patrolgame.cli._float_text
+    monkeypatch.setattr(patrolgame.cli, "_dump_json",
+                        lambda data: payloads.append(data) or dump(data))
+    monkeypatch.setattr(patrolgame.cli, "_float_text",
+                        lambda token: tokens.append(token) or float_text(token))
+    argv = ["solve", "--family", "star", "--n", "200", "--tau", _tau(2, 2, pin=1), "--emit-cdf"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    (payload,) = payloads
+    arrays = [value for value in payload.values() if isinstance(value, np.ndarray)]
+    distinct = sum(len(np.unique(array.view(np.int64))) for array in arrays)
+    scalars = sum(isinstance(value, float) for value in payload.values())
+    # P, pi and the CDF hold 80,200 floats, but only a few hundred distinct ones
+    assert sum(array.size for array in arrays) == 80_200
+    assert len(tokens) <= distinct + scalars < 1000
+
+
 def test_bound_suite_checks_match_the_reference():
     checks = bound_suite().checks
     assert _dump_json(checks) == reference_dump(checks)
@@ -90,13 +111,51 @@ floats = st.one_of(
 )
 
 
-@given(arrays(np.float64, array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6),
+@given(arrays(np.float64, array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=6),
               elements=floats))
 def test_float_arrays_match_the_reference(array):
     assert _dump_json(array) == reference_dump(array)
     payload = {"cdf": array, "rows": [array, list(array)], "mu": float(array.flat[0])
                if array.size else None}
     assert _dump_json(payload) == reference_dump(payload)
+
+
+def _from_bits(*patterns: int) -> np.ndarray:
+    return np.array(patterns, dtype=np.uint64).view(np.float64)
+
+
+# +-0 side by side, NaNs with the sign bit and payload bits set, +-inf,
+# subnormals, each repeated: one text per bit pattern, none merged
+_SPECIAL = np.concatenate([
+    np.tile([0.0, -0.0, 1.0, -1.0], 3),
+    _from_bits(0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+               0xFFF4000000000BAD, 0x7FFFFFFFFFFFFFFF),
+    np.repeat([np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310], 2),
+    [0.1 + 0.2],
+])
+_GRID = np.linspace(-3, 3, 24).reshape(4, 6) ** 7
+
+
+@pytest.mark.parametrize("array", [
+    _SPECIAL,
+    _SPECIAL.reshape(3, 10)[::-1],
+    np.array([-0.0]),
+    np.array([0.5]),
+    np.array([[-0.0, 0.0, 0.0, -0.0], [0.0, -0.0, 1 / 3, 2 / 3], [1 / 3] * 4]),
+    _GRID[:3, :4],
+    _GRID.reshape(2, 3, 4),
+    np.zeros((2, 3, 4)),
+    _GRID.astype(np.float32),
+    np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e-45, 3.4e38, 0.1] * 2, np.float32),
+    _GRID.T,
+    _GRID[:, ::2],
+    _GRID.reshape(2, 3, 4)[:, ::-1, 1::2],
+], ids=["special", "special-3x10-reversed", "negative-zero", "one-value", "zeros-3x4", "3x4",
+        "2x3x4", "zeros-2x3x4", "float32", "float32-special", "transposed", "strided",
+        "strided-3d"])
+def test_fixed_float_arrays_match_the_reference(array):
+    assert _dump_json(array) == reference_dump(array)
+    assert _dump_json({"a": [array, array]}) == reference_dump({"a": [array, array]})
 
 
 scalars = st.one_of(st.none(), st.booleans(), st.integers(-2 ** 70, 2 ** 70), floats, st.text())
