@@ -67,6 +67,8 @@ RECURSION_FLOP_LIMIT = 10**11
 # limit takes 3.5-7.6 s; it is 7.8 times the bound on a default montecarlo
 # suite (1.28e8) and 156 times a --trials 100000 simulate at n = 4, tau_max = 4
 WALK_WORK_LIMIT = 10**9
+# the largest closed-form vs recursion gap that solve and simulate accept
+CLOSED_FORM_TOL = 1e-9
 _CSV_COLUMNS = ("family", "n", "n_p", "n_q", "tau", "B", "mu", "w", "bound", "ratio")
 
 
@@ -117,20 +119,20 @@ def _float_array_text(array: np.ndarray, newline: str) -> str:
 def _write_json(obj, newline: str, parts: list[str]) -> None:
     """Append `obj` as indent-2 JSON; `newline` is a line break plus the
     indentation of the line `obj` starts on."""
-    if isinstance(obj, float):
-        parts.append(_float_text("%.12g" % obj))
-        return
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind == "f" and obj.ndim and obj.size:
             parts.append(_float_array_text(obj, newline))
             return
-        obj = obj.tolist()
+        obj = obj.tolist()  # a 0-d float array lists as a float, rounded below
     elif dataclasses.is_dataclass(obj):
         obj = _fields(obj)
+    if isinstance(obj, float):
+        parts.append(_float_text("%.12g" % obj))
+        return
     if isinstance(obj, dict):
         items = [(json.dumps(key) + ": ", value) for key, value in obj.items()]
         brackets = "{}"
-    elif isinstance(obj, (list, tuple, np.ndarray)):
+    elif isinstance(obj, (list, tuple)):
         items = [("", value) for value in obj]
         brackets = "[]"
     else:
@@ -241,12 +243,12 @@ def _solve_common(args: argparse.Namespace):
                     "walk of {} walker-column steps")
     graph = _graph(args.family, sizes)
     report = validate_attack_durations(graph, tau)
-    if report.condition1_violations:
+    if not report.nontrivial:
         sys.stderr.write(_dump_json(report))
         return EXIT_INFEASIBLE
     result = synthesize(graph, tau)
     capture = capture_probability(result.P, tau)
-    if abs(capture.mu - result.mu) > args.tol:
+    if abs(capture.mu - result.mu) > CLOSED_FORM_TOL:
         print(f"error: closed form {result.mu} disagrees with recursion {capture.mu}",
               file=sys.stderr)
         return EXIT_FAILURE
@@ -301,7 +303,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.suite == "bounds":
         report = bound_suite(BoundSuiteConfig(seed=args.seed))
     elif args.suite == "alloc-oracle":
-        report = allocation_agreement_suite(nmax=args.nmax, tolerance=args.tol)
+        report = allocation_agreement_suite(nmax=args.nmax)
     else:
         _check_work(monte_carlo_suite_work(args.trials), WALK_WORK_LIMIT,
                     "walk of {} walker-column steps")
@@ -345,7 +347,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=_CSV_COLUMNS, lineterminator="\n")
     writer.writeheader()
-    for sizes in itertools.product(*ranges.values()):
+    # product() lists every range, so a grid without points must not call it
+    for sizes in itertools.product(*ranges.values()) if budgets or taus else ():
         cell = dict(zip(ranges, sizes))
         graph = _graph(args.family, cell)
         for (key, value), durations, mu, w in _sweep_cell(graph, budgets, taus):
@@ -358,14 +361,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _tolerance(text: str) -> float:
-    """A --tol value; nan is refused, because every comparison with it is false."""
-    with contextlib.suppress(ValueError):
-        if 0 <= (value := float(text)) < math.inf:
-            return value
-    raise argparse.ArgumentTypeError(f"must be a finite number >= 0, not {text!r}")
-
-
 # every flag; sizes, budget and tau take "4", "2,3,5", or "2..6" (ranges only in sweep)
 _FLAGS = {
     "family": {"choices": ("complete", "bipartite", "star", "general")},
@@ -373,25 +368,24 @@ _FLAGS = {
     "suite": {"choices": ("bounds", "alloc-oracle", "montecarlo"), "required": True},
     "trials": {"type": int, "default": 100_000},
     "seed": {"type": int, "default": 0},
-    "tol": {"type": _tolerance},
     "nmax": {"type": int, "default": 4},
     "emit-cdf": {"action": "store_true"},
     "compare-uniform": {"action": "store_true"},
     "out": {}, "config": {},
 }
 
-# each subcommand: handler, help line, exactly the flags the handler reads, own defaults
+# each subcommand: handler, help line, exactly the flags the handler reads
 _COMMANDS = {
     "solve": (cmd_solve, "synthesize a patrol strategy",
-              "family n np nq tau tol out config emit-cdf", {"tol": 1e-9}),
+              "family n np nq tau out config emit-cdf"),
     "allocate": (cmd_allocate, "optimally split a defense budget",
-                 "family n np nq B out config compare-uniform", {}),
+                 "family n np nq B out config compare-uniform"),
     "simulate": (cmd_simulate, "Monte Carlo check of a strategy",
-                 "family n np nq tau trials seed tol out config", {"tol": 1e-9}),
+                 "family n np nq tau trials seed out config"),
     "verify": (cmd_verify, "run a verification suite",
-               "trials seed tol out config suite nmax", {"tol": 1e-10}),
+               "trials seed out config suite nmax"),
     "sweep": (cmd_sweep, "emit CSV rows over a parameter grid",
-              "family n np nq tau B out config", {}),
+              "family n np nq tau B out config"),
 }
 
 
@@ -403,7 +397,7 @@ def _scenario_value(flag: str, value):
             return value
     elif isinstance(value, (str, int, float, list)) and not isinstance(value, bool):
         text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
-        with contextlib.suppress(ValueError, argparse.ArgumentTypeError):
+        with contextlib.suppress(ValueError):
             parsed = spec.get("type", str)(text)
             if "choices" not in spec or parsed in spec["choices"]:
                 return parsed
@@ -435,7 +429,7 @@ def build_parser(scenario: dict[str, dict] | None = None) -> argparse.ArgumentPa
         description="Patrol strategies and defense placement for surveillance games")
     parser.add_argument("--version", action="version", version=__version__)
     commands = parser.add_subparsers(dest="command", required=True)
-    for name, (handler, help_text, flags, defaults) in _COMMANDS.items():
+    for name, (handler, help_text, flags) in _COMMANDS.items():
         # no abbreviations: `verify --n 3` must not become `--nmax 3`
         command = commands.add_parser(name, help=help_text, allow_abbrev=False)
         overrides = (scenario or {}).get(name, {})
@@ -444,7 +438,7 @@ def build_parser(scenario: dict[str, dict] | None = None) -> argparse.ArgumentPa
             if spec.get("required"):
                 spec = {**spec, "required": scenario is not None and flag not in overrides}
             command.add_argument(f"--{flag}", **spec)
-        command.set_defaults(handler=handler, **{**defaults, **overrides})
+        command.set_defaults(handler=handler, **overrides)
     return parser
 
 

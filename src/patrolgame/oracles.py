@@ -15,10 +15,9 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import synthesis
-from .allocation import allocate_bipartite_side, allocate_complete, co_optimize_bipartite
-from .errors import InfeasibleTau, InvalidSpec, SearchSpaceExceeded, Unsupported
+from .allocation import allocate, allocate_bipartite_side, allocate_complete
+from .errors import InfeasibleTau, InvalidSpec, SearchSpaceExceeded
 from .graphs import (
-    BIPARTITE,
     COMPLETE,
     GENERAL,
     GraphTopology,
@@ -40,6 +39,8 @@ from .markov import (
 ENUMERATION_GUARD = 10_000_000
 LOCAL_SEARCH_MAX_NODES = 8
 LOCAL_SEARCH_TOLERANCE = 0.02
+# the largest gap between an enumerated optimum and its allocation rule
+ALLOCATION_TOLERANCE = 1e-10
 _IMPROVEMENT_EPS = 1e-7
 _STEP_INITIAL = 0.2
 _STEP_FINAL = 1e-3
@@ -131,61 +132,50 @@ def _side_splits(n_p: int, n_q: int, B: int) -> list[tuple[int, int]]:
     return [(units, half - units) for units in range(n_p, half - n_q + 1)]
 
 
-def _report(best_value: float, best_candidate, count: int, closed_form_value: float,
-            tolerance: float) -> OracleReport:
-    gap = abs(closed_form_value - best_value)
+def _report(best_value: float, best_candidate, count: int, closed_form: float) -> OracleReport:
+    gap = abs(closed_form - best_value)
     return OracleReport(
         best_value=best_value, best_candidate=best_candidate,
-        candidates_examined=count, closed_form_value=closed_form_value,
-        agreement=gap <= tolerance, gap=gap,
+        candidates_examined=count, closed_form_value=closed_form,
+        agreement=gap <= ALLOCATION_TOLERANCE, gap=gap,
     )
 
 
-def exhaustive_allocation(family: str, sizes: int | Sequence[int], B: int,
-                          tolerance: float = 1e-10, values: dict | None = None) -> OracleReport:
-    """Search every feasible allocation and compare to the closed-form rule.
+def exhaustive_allocation(g: GraphTopology, B: int, values: dict | None = None) -> OracleReport:
+    """Search every feasible allocation of B over `g` and compare to `allocate`.
 
     Complete graphs enumerate all compositions of B with entries >= 1;
     bipartite graphs additionally enumerate every even split of B across the
     two sides.  Permutation invariance lets the search walk multisets while
-    `candidates_examined` reports the composition count covered.  The
-    closed form runs first, so a budget it refuses fails before the guard
-    and before anything is enumerated.  `sizes` is n or (n,) for a complete
-    graph and (n_p, n_q) for a bipartite one; any other count is refused.
-    `values`, a `_multiset_values` table holding the instance's multisets,
-    lets a suite solve all of its instances in one batch; without it the
-    search solves its own.
+    `candidates_examined` reports the composition count covered.  `allocate`
+    runs first, so a family without a placement rule (`Unsupported`) or a
+    budget the rule refuses fails before the guard and before anything is
+    enumerated.  `values`, a `_multiset_values` table holding the instance's
+    multisets, lets a suite solve all of its instances in one batch; without
+    it the search solves its own.
     """
-    counts = {COMPLETE: 1, BIPARTITE: 2}
-    sizes = tuple(sizes) if isinstance(sizes, Sequence) else (sizes,)
-    if family in counts and len(sizes) != counts[family]:
-        raise InvalidSpec(f"the {family} family takes {counts[family]} size(s), got {sizes!r}")
-    if family == COMPLETE:
-        n = int(sizes[0])
-        closed_form = allocate_complete(n, B).mu
-        count = _guarded(_composition_count(B, n))
-        best_w, best_tau = _best_multiset(values or _multiset_values([(n, B)]), n, B, 1)
-        return _report(1.0 - best_w, best_tau, count, closed_form, tolerance)
-    if family == BIPARTITE:
-        n_p, n_q = (int(s) for s in sizes)
-        closed_form = co_optimize_bipartite(n_p, n_q, B).mu
-        splits = _side_splits(n_p, n_q, B)
-        count = _guarded(sum(_composition_count(units_p, n_p) * _composition_count(units_q, n_q)
-                             for units_p, units_q in splits))
-        values = values or _multiset_values(
-            key for units_p, units_q in splits for key in ((n_p, units_p), (n_q, units_q)))
-        best = None
-        for units_p, units_q in splits:
-            w_p, tau_p = _best_multiset(values, n_p, 2 * units_p, 2)
-            w_q, tau_q = _best_multiset(values, n_q, 2 * units_q, 2)
-            mu = 1.0 - max(w_p, w_q)
-            if best is None or mu > best[0]:
-                best = (mu, (2 * units_p, tau_p, tau_q))
-        return _report(*best, count, closed_form, tolerance)
-    raise Unsupported(f"no exhaustive allocation for family {family!r}")
+    closed_form = allocate(g, B).mu
+    if g.family == COMPLETE:
+        count = _guarded(_composition_count(B, g.n))
+        best_w, best_tau = _best_multiset(values or _multiset_values([(g.n, B)]), g.n, B, 1)
+        return _report(1.0 - best_w, best_tau, count, closed_form)
+    n_p, n_q = g.n_p, g.n_q
+    splits = _side_splits(n_p, n_q, B)
+    count = _guarded(sum(_composition_count(units_p, n_p) * _composition_count(units_q, n_q)
+                         for units_p, units_q in splits))
+    values = values or _multiset_values(
+        key for units_p, units_q in splits for key in ((n_p, units_p), (n_q, units_q)))
+    best = None
+    for units_p, units_q in splits:
+        w_p, tau_p = _best_multiset(values, n_p, 2 * units_p, 2)
+        w_q, tau_q = _best_multiset(values, n_q, 2 * units_q, 2)
+        mu = 1.0 - max(w_p, w_q)
+        if best is None or mu > best[0]:
+            best = (mu, (2 * units_p, tau_p, tau_q))
+    return _report(*best, count, closed_form)
 
 
-def exhaustive_side_allocation(n_side: int, B_side: int, tolerance: float = 1e-10,
+def exhaustive_side_allocation(n_side: int, B_side: int,
                                values: dict | None = None) -> OracleReport:
     """Enumerate all even allocations of one bipartite side against the rule,
     which runs first, as in `exhaustive_allocation`; `values` is as there."""
@@ -193,7 +183,7 @@ def exhaustive_side_allocation(n_side: int, B_side: int, tolerance: float = 1e-1
     count = _guarded(_composition_count(B_side // 2, n_side))
     values = values or _multiset_values([(n_side, B_side // 2)])
     best_w, best_tau = _best_multiset(values, n_side, B_side, 2)
-    return _report(best_w, best_tau, count, closed_form, tolerance)
+    return _report(best_w, best_tau, count, closed_form)
 
 
 def _support(g: GraphTopology) -> list[np.ndarray]:
@@ -481,15 +471,16 @@ def bound_suite(config: BoundSuiteConfig | None = None) -> SuiteReport:
     return SuiteReport(name="bounds", checks=tuple(checks))
 
 
-def allocation_agreement_suite(nmax: int = 4, tolerance: float = 1e-10) -> SuiteReport:
-    """Closed-form allocations against exhaustive enumeration, one check each.
+def allocation_agreement_suite(nmax: int = 4) -> SuiteReport:
+    """Closed-form allocations against exhaustive enumeration, one check each
+    that passes at a gap of at most `ALLOCATION_TOLERANCE`.
 
     Complete graphs run up to `nmax` nodes over every in-range budget; side
     allocations and the sub-budget bisection run both sides up to
     min(nmax, 4) over every valid even budget.  Only complete graphs can
     outgrow `ENUMERATION_GUARD`, so their counts are checked, in suite order,
-    before anything is enumerated.  An `nmax` below 2 would build no
-    instance and raises `InvalidSpec` instead of passing vacuously.
+    before anything is built or enumerated.  An `nmax` below 2 would
+    build no instance and raises `InvalidSpec` instead of passing vacuously.
     """
     if nmax < 2:
         raise InvalidSpec(f"nmax must be >= 2, got {nmax}")
@@ -506,15 +497,16 @@ def allocation_agreement_suite(nmax: int = 4, tolerance: float = 1e-10) -> Suite
              for key in ((n_p, units_p), (n_q, units_q))]
     values = _multiset_values(keys)
     # (instance, oracle, its arguments) in suite order
-    instances = [(f"complete n={n} B={B}", exhaustive_allocation, ("complete", n, B))
+    instances = [(f"complete n={n} B={B}", exhaustive_allocation, (build_complete(n), B))
                  for n, B in complete]
     instances += [(f"side n={n} B={B}", exhaustive_side_allocation, (n, B)) for n, B in side]
     instances += [(f"bipartite n_p={n_p} n_q={n_q} B={B}", exhaustive_allocation,
-                   ("bipartite", (n_p, n_q), B)) for n_p, n_q, B in bipartite]
+                   (build_bipartite(n_p, n_q), B)) for n_p, n_q, B in bipartite]
     checks = []
     for instance, oracle, args in instances:
-        report = oracle(*args, tolerance=tolerance, values=values)
-        checks.append(CheckResult(instance=instance, expected=f"gap <= {tolerance:.12g}",
+        report = oracle(*args, values=values)
+        checks.append(CheckResult(instance=instance,
+                                  expected=f"gap <= {ALLOCATION_TOLERANCE:.12g}",
                                   actual=report.gap, passed=bool(report.agreement)))
     return SuiteReport(name="alloc-oracle", checks=tuple(checks))
 

@@ -13,6 +13,7 @@ import pytest
 
 from patrolgame import (
     build_bipartite,
+    build_complete,
     build_star,
     bound_suite,
     capture_probability,
@@ -92,7 +93,7 @@ def test_criterion_3_allocation_agrees_with_enumeration():
     checks = 0
     for n in range(2, 6):
         for B in range(n + 1, n * n):
-            report = exhaustive_allocation("complete", n, B)
+            report = exhaustive_allocation(build_complete(n), B)
             checks += 1
             disagreements += not report.agreement
             assert report.best_candidate == allocate_complete(n, B).tau
@@ -107,7 +108,7 @@ def test_criterion_3_allocation_agrees_with_enumeration():
             lo = 2 * (n_p + n_q)
             hi = 2 * (n_p * n_p + n_q * n_q)
             for B in range(lo + 2, hi, 2):
-                report = exhaustive_allocation("bipartite", (n_p, n_q), B)
+                report = exhaustive_allocation(build_bipartite(n_p, n_q), B)
                 checks += 1
                 disagreements += not report.agreement
                 assert report.best_candidate[0] == co_optimize_bipartite(n_p, n_q, B).B_p

@@ -248,7 +248,7 @@ def test_a_family_without_the_construction_is_unsupported():
     ring = build_general(3, [[1, 2], [2, 3], [3, 1]])
     calls = [(lambda: synthesize(ring, (2, 2, 2)), "no strategy synthesis for the general"),
              (lambda: allocate(build_star(3), 7), "star allocation is unsupported"),
-             (lambda: exhaustive_allocation("star", 3, 7), "no exhaustive allocation")]
+             (lambda: exhaustive_allocation(build_star(3), 7), "star allocation is unsupported")]
     for call, message in calls:
         with pytest.raises(Unsupported, match=message) as exc:
             call()

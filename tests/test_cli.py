@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import subprocess
 import sys
@@ -76,6 +77,18 @@ def test_solve_infeasible_reports_on_stderr(capsys):
     report = json.loads(err)
     assert report["condition1_violations"] == [2]
     assert report["nontrivial"] is False
+
+
+@pytest.mark.parametrize("command", ["solve", "simulate"])
+def test_trivial_game_prints_the_feasibility_report(capsys, command):
+    # every duration reaches the length-4 tour of the 2+2 graph, so the
+    # tour intercepts every attack and no strategy is synthesized
+    code, out, err = run_cli(capsys, [command, "--family", "bipartite", "--np", "2",
+                                      "--nq", "2", "--tau", "4,4,4,4"])
+    assert (code, out) == (2, "")
+    report = json.loads(err)
+    assert report["nontrivial"] is False and report["condition1_violations"] == []
+    assert report["notes"] == "trivial game: a length-4 tour intercepts every attack"
 
 
 def test_solve_infeasible_center_duration(capsys):
@@ -265,6 +278,14 @@ def test_sweep_empty_grid(capsys):
     code, out, _ = run_cli(capsys, ["sweep", "--family", "complete", "--n", "3", "--tau", "6..2"])
     assert code == 0
     assert out.strip() == "family,n,n_p,n_q,tau,B,mu,w,bound,ratio"
+
+
+def test_sweep_without_points_builds_no_graph(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(patrolgame.cli, "build_graph", built.append)
+    argv = ["sweep", "--family", "complete", "--n", "1..1000000000000", "--tau", "6..2"]
+    assert run_cli(capsys, argv) == (0, "family,n,n_p,n_q,tau,B,mu,w,bound,ratio\n", "")
+    assert built == []
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -557,13 +578,13 @@ def test_each_subcommand_takes_exactly_the_flags_its_handler_reads():
     options = {name: {flag for action in parser._actions for flag in action.option_strings}
                - {"-h", "--help"} for name, parser in commands.choices.items()}
     assert options == {
-        "solve": _GRAPH | _IO | {"--tau", "--tol", "--emit-cdf"},
+        "solve": _GRAPH | _IO | {"--tau", "--emit-cdf"},
         "allocate": _GRAPH | _IO | {"--B", "--compare-uniform"},
-        "simulate": _GRAPH | _IO | {"--tau", "--tol", "--trials", "--seed"},
-        "verify": _IO | {"--suite", "--seed", "--trials", "--tol", "--nmax"},
+        "simulate": _GRAPH | _IO | {"--tau", "--trials", "--seed"},
+        "verify": _IO | {"--suite", "--seed", "--trials", "--nmax"},
         "sweep": _GRAPH | _IO | {"--tau", "--B"},
     }
-    assert sum(map(len, options.values())) == 42
+    assert sum(map(len, options.values())) == 39
 
 
 @pytest.mark.parametrize("argv", [
@@ -576,26 +597,16 @@ def test_each_subcommand_takes_exactly_the_flags_its_handler_reads():
     ["verify", "--suite", "bounds", "--n", "3"],
     ["sweep", "--family", "complete", "--n", "3", "--tau", "2", "--seed", "3"],
     ["sweep", "--family", "complete", "--n", "3", "--tau", "2", "--tol", "1e-3"],
+    # no command sets the tolerance of its checks
+    ["solve", "--family", "star", "--n", "3", "--tau", "2,2,2", "--tol", "nan"],
+    ["simulate", "--family", "star", "--n", "3", "--tau", "2,2,2", "--tol", "-1"],
+    ["verify", "--suite", "bounds", "--tol", "inf"],
 ], ids=lambda argv: f"{argv[0]} {argv[-2]}")
 def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("argv", [
-    ["solve", "--family", "star", "--n", "3", "--tau", "2,2,2", "--tol", "nan"],
-    ["solve", "--family", "star", "--n", "3", "--tau", "2,2,2", "--tol", "-1"],
-    ["verify", "--suite", "bounds", "--tol", "inf"],
-], ids=lambda argv: f"{argv[0]} --tol {argv[-1]}")
-def test_tol_must_be_finite_and_not_negative(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert f"argument --tol: must be a finite number >= 0, not '{argv[-1]}'" in err
-    assert "Traceback" not in err
 
 
 # --- config file and output ------------------------------------------------------
@@ -666,12 +677,16 @@ def test_bad_scenario_value_is_a_one_line_error(capsys, tmp_path, trials):
     assert err == f"error: cannot read --config {config}: invalid --trials value {trials!r}\n"
 
 
-def test_scenario_tol_is_checked_like_the_flag(capsys, tmp_path):
-    config = _scenario(tmp_path, family="star", n=3, tau=[2, 2, 2], tol="nan")
+def test_a_scenario_tol_does_not_loosen_the_closed_form_check(capsys, monkeypatch, tmp_path):
+    def off_by_1e_8(P, tau):
+        report = capture_probability(P, tau)
+        return dataclasses.replace(report, mu=report.mu + 1e-8)
+
+    monkeypatch.setattr(patrolgame.cli, "capture_probability", off_by_1e_8)
+    config = _scenario(tmp_path, family="star", n=3, tau=[2, 2, 2], tol=1)
     code, out, err = run_cli(capsys, ["solve", "--config", config])
-    assert code == 2
-    assert out == ""
-    assert err == f"error: cannot read --config {config}: invalid --tol value 'nan'\n"
+    assert (code, out) == (1, "")
+    assert err.startswith("error: closed form 0.5 disagrees with recursion 0.50000001")
 
 
 def test_scenario_suite_applies(capsys, tmp_path):

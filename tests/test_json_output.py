@@ -26,8 +26,8 @@ def _jsonable(obj):
     if isinstance(obj, float):
         return float(f"{obj:.12g}")
     if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
-    elif dataclasses.is_dataclass(obj):
+        return _jsonable(obj.tolist())
+    if dataclasses.is_dataclass(obj):
         obj = _fields(obj)
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
@@ -150,9 +150,12 @@ _GRID = np.linspace(-3, 3, 24).reshape(4, 6) ** 7
     _GRID.T,
     _GRID[:, ::2],
     _GRID.reshape(2, 3, 4)[:, ::-1, 1::2],
+    np.array(1 / 3),
+    np.array(-0.0),
+    np.array(np.nan),
 ], ids=["special", "special-3x10-reversed", "negative-zero", "one-value", "zeros-3x4", "3x4",
         "2x3x4", "zeros-2x3x4", "float32", "float32-special", "transposed", "strided",
-        "strided-3d"])
+        "strided-3d", "0d-third", "0d-negative-zero", "0d-nan"])
 def test_fixed_float_arrays_match_the_reference(array):
     assert _dump_json(array) == reference_dump(array)
     assert _dump_json({"a": [array, array]}) == reference_dump({"a": [array, array]})

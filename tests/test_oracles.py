@@ -12,6 +12,7 @@ from patrolgame import (
     InfeasibleTau,
     InvalidSpec,
     SearchSpaceExceeded,
+    Unsupported,
     allocate_complete,
     allocation_agreement_suite,
     bound_suite,
@@ -56,7 +57,7 @@ def test_partitions_cover_all_compositions():
 # --- exhaustive allocation ---------------------------------------------------------
 
 def test_exhaustive_complete_reference():
-    report = exhaustive_allocation("complete", 3, 7)
+    report = exhaustive_allocation(build_complete(3), 7)
     assert report.best_candidate == (3, 2, 2)
     assert report.candidates_examined == 15
     assert report.agreement
@@ -64,12 +65,12 @@ def test_exhaustive_complete_reference():
 
 
 def test_exhaustive_complete_trivial_instance():
-    report = exhaustive_allocation("complete", 2, 3)
+    report = exhaustive_allocation(build_complete(2), 3)
     assert report.best_candidate == (2, 1)
 
 
 def test_exhaustive_bipartite_reference():
-    report = exhaustive_allocation("bipartite", (3, 2), 20)
+    report = exhaustive_allocation(build_bipartite(3, 2), 20)
     b_p, tau_p, tau_q = report.best_candidate
     assert b_p == 14
     assert tau_p == (6, 4, 4)
@@ -96,11 +97,11 @@ def test_alloc_suite_report_equals_the_scalar_reference(monkeypatch, nmax):
 
 
 @pytest.mark.parametrize("oracle, args", [
-    (exhaustive_allocation, ("complete", 2, 3)),
-    (exhaustive_allocation, ("complete", 5, 13)),
-    (exhaustive_allocation, ("bipartite", (3, 2), 20)),
-    (exhaustive_allocation, ("bipartite", (1, 3), 14)),
-    (exhaustive_allocation, ("bipartite", (4, 4), 40)),
+    (exhaustive_allocation, (build_complete(2), 3)),
+    (exhaustive_allocation, (build_complete(5), 13)),
+    (exhaustive_allocation, (build_bipartite(3, 2), 20)),
+    (exhaustive_allocation, (build_bipartite(1, 3), 14)),
+    (exhaustive_allocation, (build_bipartite(4, 4), 40)),
     (exhaustive_side_allocation, (1, 6)),
     (exhaustive_side_allocation, (4, 18)),
 ])
@@ -133,7 +134,7 @@ def test_alloc_suite_without_instances_is_rejected(nmax):
 
 def test_exhaustive_guard():
     with pytest.raises(SearchSpaceExceeded):
-        exhaustive_allocation("complete", 12, 100)
+        exhaustive_allocation(build_complete(12), 100)
 
 
 def _must_not_enumerate(*args, **kwargs):
@@ -143,10 +144,9 @@ def _must_not_enumerate(*args, **kwargs):
 @pytest.mark.parametrize("oracle, args, error", [
     (exhaustive_side_allocation, (3, 4), BudgetOutOfRange),
     (exhaustive_side_allocation, (0, 4), InvalidSpec),
-    (exhaustive_allocation, ("complete", 4, 3), BudgetOutOfRange),
-    (exhaustive_allocation, ("bipartite", (2, 2), 6), BudgetOutOfRange),
-    (exhaustive_allocation, ("complete", (3, 2), 7), InvalidSpec),
-    (exhaustive_allocation, ("bipartite", 5, 20), InvalidSpec),
+    (exhaustive_allocation, (build_complete(4), 3), BudgetOutOfRange),
+    (exhaustive_allocation, (build_bipartite(2, 2), 6), BudgetOutOfRange),
+    (exhaustive_allocation, (build_star(3), 7), Unsupported),
 ])
 def test_exhaustive_oracles_refuse_what_the_closed_form_refuses(monkeypatch, oracle, args,
                                                                error):
@@ -158,7 +158,7 @@ def test_exhaustive_oracles_refuse_what_the_closed_form_refuses(monkeypatch, ora
 def test_complete_rule_agrees_with_enumeration():
     for n in (2, 3, 4):
         for B in range(n + 1, n * n):
-            report = exhaustive_allocation("complete", n, B)
+            report = exhaustive_allocation(build_complete(n), B)
             assert report.agreement, (n, B, report.gap)
             assert report.best_candidate == allocate_complete(n, B).tau
 
@@ -175,7 +175,7 @@ def test_bipartite_split_agrees_with_enumeration():
         lo = 2 * (n_p + n_q)
         hi = 2 * (n_p * n_p + n_q * n_q)
         for B in range(lo + 2, hi, 2):
-            report = exhaustive_allocation("bipartite", (n_p, n_q), B)
+            report = exhaustive_allocation(build_bipartite(n_p, n_q), B)
             assert report.agreement, (n_p, n_q, B, report.gap)
             assert report.best_candidate[0] == co_optimize_bipartite(n_p, n_q, B).B_p
 
@@ -362,7 +362,7 @@ def test_local_search_guard_and_validation():
 
 
 def test_oracle_report_json():
-    report = exhaustive_allocation("complete", 3, 7)
+    report = exhaustive_allocation(build_complete(3), 7)
     payload = json.loads(_dump_json(report))
     assert set(payload) == {"best_value", "best_candidate", "candidates_examined",
                             "closed_form_value", "agreement", "gap"}
