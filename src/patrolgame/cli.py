@@ -63,8 +63,8 @@ ADJACENCY_LIMIT = 10**6
 RECURSION_STEP_FLOPS = 100_000
 RECURSION_FLOP_LIMIT = 10**11
 # simulate and the montecarlo suite walk: markov.walk_work counts walker-column
-# steps, 1.3e8 (n = 3) to 2.9e8 (n = 100) a second on the same host, so the
-# limit takes 3.5-7.6 s; it is 7.8 times the bound on a default montecarlo
+# steps, 1.3e8 (n = 3) to 2.6e8 (n = 100) a second on the same host, so the
+# limit takes 3.8-7.7 s; it is 7.8 times the bound on a default montecarlo
 # suite (1.28e8) and 156 times a --trials 100000 simulate at n = 4, tau_max = 4
 WALK_WORK_LIMIT = 10**9
 # the largest closed-form vs recursion gap that solve and simulate accept
@@ -175,7 +175,7 @@ def _write_output(text: str, out: str | None) -> None:
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(",") if part != "")
+    return tuple(map(int, text.split(",")))
 
 
 def _parse_range(text: str | None) -> tuple[int, ...] | range:
@@ -300,6 +300,8 @@ def cmd_allocate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.suite is None:
+        raise InvalidSpec("verify needs --suite")
     if args.suite == "bounds":
         report = bound_suite(BoundSuiteConfig(seed=args.seed))
     elif args.suite == "alloc-oracle":
@@ -365,7 +367,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 _FLAGS = {
     "family": {"choices": ("complete", "bipartite", "star", "general")},
     "n": {}, "np": {}, "nq": {}, "tau": {}, "B": {},
-    "suite": {"choices": ("bounds", "alloc-oracle", "montecarlo"), "required": True},
+    "suite": {"choices": ("bounds", "alloc-oracle", "montecarlo")},
     "trials": {"type": int, "default": 100_000},
     "seed": {"type": int, "default": 0},
     "nmax": {"type": int, "default": 4},
@@ -419,11 +421,7 @@ def _scenario_defaults(command: str, path: str) -> dict:
 
 
 def build_parser(scenario: dict[str, dict] | None = None) -> argparse.ArgumentParser:
-    """The CLI's parser; `scenario` maps a subcommand to defaults that replace its own.
-
-    Without `scenario` no flag is required: the parse that finds --config must
-    not reject a required flag that the scenario file may supply.
-    """
+    """The CLI's parser; `scenario` maps a subcommand to defaults that replace its own."""
     parser = argparse.ArgumentParser(
         prog="patrolgame",
         description="Patrol strategies and defense placement for surveillance games")
@@ -434,10 +432,7 @@ def build_parser(scenario: dict[str, dict] | None = None) -> argparse.ArgumentPa
         command = commands.add_parser(name, help=help_text, allow_abbrev=False)
         overrides = (scenario or {}).get(name, {})
         for flag in flags.split():
-            spec = _FLAGS[flag]
-            if spec.get("required"):
-                spec = {**spec, "required": scenario is not None and flag not in overrides}
-            command.add_argument(f"--{flag}", **spec)
+            command.add_argument(f"--{flag}", **_FLAGS[flag])
         command.set_defaults(handler=handler, **overrides)
     return parser
 
@@ -445,11 +440,9 @@ def build_parser(scenario: dict[str, dict] | None = None) -> argparse.ArgumentPa
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.config or any(spec.get("required") and getattr(args, flag, "") is None
-                              for flag, spec in _FLAGS.items()):
-            # parsing again with the scenario as defaults lets every given flag
-            # win, and rejects a required flag that neither supplies
-            defaults = _scenario_defaults(args.command, args.config) if args.config else {}
+        if args.config:
+            # parsing again with the scenario as defaults lets every given flag win
+            defaults = _scenario_defaults(args.command, args.config)
             args = build_parser({args.command: defaults}).parse_args(argv)
         if getattr(args, "family", None) == GENERAL:
             raise Unsupported(_GENERAL_REFUSED[args.command])

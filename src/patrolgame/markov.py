@@ -158,9 +158,12 @@ def counter_stream(seed: int, index: int) -> np.random.Generator:
 
     Streams for different indices never overlap, so work items (start
     nodes, trials, restarts) can run in any order or in parallel without
-    changing any result.
+    changing any result.  Raises `InvalidSpec` unless seed and index both lie
+    in [0, 2**64): a value outside would alias one inside.
     """
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, index & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+    if not (0 <= seed < 1 << 64 and 0 <= index < 1 << 64):
+        raise InvalidSpec(f"seed and stream index must lie in [0, 2**64), got {seed} and {index}")
+    key = np.array([seed, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -171,11 +174,10 @@ _WALK_CHUNK = 1 << 17
 def walk_work(n: int, tau_max: int, trials: int) -> int:
     """`simulate_capture`'s work on an n-node chain, in walker-column steps.
 
-    Each start node walks `trials` walkers for tau_max steps once per block
-    of 64 targets, and each step counts n - 1 threshold columns and records
-    one visit.
+    Each start node walks `trials` walkers for tau_max steps, and each step
+    counts n - 1 threshold columns and records one visit.
     """
-    return n * -(-n // 64) * tau_max * trials * n
+    return n * tau_max * trials * n
 
 
 def simulate_capture(P: np.ndarray, tau: Sequence[int], trials: int, seed: int) -> SimulationReport:
@@ -189,9 +191,9 @@ def simulate_capture(P: np.ndarray, tau: Sequence[int], trials: int, seed: int) 
     of a chunk draws one uniform per walker.  Results are bitwise
     reproducible and independent of evaluation order.  A walker's next node
     is the number of cumulative row thresholds its uniform passes, counted
-    one column at a time, and its visits are bits of one uint64 word per
-    block of 64 targets; a larger n replays the start's stream for each
-    block.  Memory is O(min(trials, `_WALK_CHUNK`)) whatever n and tau are.
+    one column at a time, and its visits are bits of ceil(n / 64) uint64
+    words.  The walkers' memory is O(ceil(n / 64) min(trials, `_WALK_CHUNK`))
+    whatever tau is.
     """
     if trials < 1:
         raise InvalidSpec(f"trials must be >= 1, got {trials}")
@@ -202,32 +204,32 @@ def simulate_capture(P: np.ndarray, tau: Sequence[int], trials: int, seed: int) 
     # the first n - 1 keeps every step below n; counting column by column
     # stays exact where a tiny admitted negative entry unsorts a row
     thresholds = [np.ascontiguousarray(column) for column in np.cumsum(P, axis=1).T[:-1]]
-    # every block walks the same steps, so every block replays the same walk
     steps = int(durations.max())
+    # a visit to node j sets bit j % 64 of a walker's word j // 64
+    nodes = np.arange(n)
+    bits = np.zeros((-(-n // 64), n), np.uint64)
+    bits[nodes // 64, nodes] = np.left_shift(np.uint64(1), (nodes % 64).astype(np.uint64))
+    ending = [np.flatnonzero(durations == k).tolist() for k in range(steps + 1)]
 
     hits = np.zeros((n, n), dtype=np.int64)
-    for lo in range(0, n, 64):
-        targets = np.arange(lo, min(lo + 64, n))
-        # a visit to target j of this block sets bit j - lo of a walker's
-        # word; other nodes set none
-        bits = np.zeros(n, np.uint64)
-        bits[targets] = np.left_shift(np.uint64(1), (targets - lo).astype(np.uint64))
-        ending = [targets[durations[targets] == k] for k in range(steps + 1)]
-        for i in range(n):
-            rng = counter_stream(seed, i)
-            for start in range(0, trials, _WALK_CHUNK):
-                walkers = min(_WALK_CHUNK, trials - start)
-                states = np.full(walkers, i)
-                seen = np.zeros(walkers, np.uint64)
-                for k in range(1, steps + 1):
-                    u = rng.random(walkers)
-                    nxt = np.zeros(walkers, np.intp)
-                    for column in thresholds:
-                        nxt += u >= column[states]
-                    states = nxt
-                    seen |= bits[states]
-                    for j in ending[k]:
-                        hits[i, j] += np.count_nonzero(seen & bits[j])
+    for i in range(n):
+        rng = counter_stream(seed, i)
+        for start in range(0, trials, _WALK_CHUNK):
+            walkers = min(_WALK_CHUNK, trials - start)
+            states = np.full(walkers, i)
+            seen = np.zeros((len(bits), walkers), np.uint64)
+            for k in range(1, steps + 1):
+                u = rng.random(walkers)
+                nxt = np.zeros(walkers, np.intp)
+                for column in thresholds:
+                    nxt += u >= column[states]
+                states = nxt
+                # indexed, not zipped: a loop name bound to a row of `seen`
+                # would keep the last start's words alive into the next
+                for w in range(len(bits)):
+                    seen[w] |= bits[w][states]
+                for j in ending[k]:
+                    hits[i, j] += np.count_nonzero(seen[j // 64] & bits[j // 64, j])
     estimates = hits / trials
     return SimulationReport(
         estimates=estimates,

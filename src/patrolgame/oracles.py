@@ -534,6 +534,8 @@ def monte_carlo_suite(trials: int = 100_000, seed: int = 7,
     """
     if instances < 1:
         raise InvalidSpec(f"instances must be >= 1, got {instances}")
+    if not 0 <= seed <= (1 << 64) - instances:  # instance i walks on seed + i
+        raise InvalidSpec(f"seed must lie in [0, 2**64 - {instances}], got {seed}")
     pairs = 0
     worst_by_instance = []
     for idx in range(instances):

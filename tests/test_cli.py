@@ -215,6 +215,30 @@ def test_simulate_deterministic(capsys):
     assert payload["overall"] == pytest.approx(payload["mu_exact"], abs=0.05)
 
 
+@pytest.mark.parametrize("alias, seed", [("-1", str((1 << 64) - 1)), (str((1 << 64) + 5), "5")])
+def test_a_seed_outside_64_bits_is_refused_not_wrapped(capsys, alias, seed):
+    # masked to 64 bits, the alias would print its partner's estimates
+    argv = ["simulate", "--family", "complete", "--n", "3", "--tau", "2,2,2", "--trials", "500"]
+    code, out, _ = run_cli(capsys, argv + ["--seed", seed])
+    assert code == 0 and json.loads(out)["seed"] == int(seed)
+    assert run_cli(capsys, argv + ["--seed", alias]) == (
+        2, "", f"error: seed and stream index must lie in [0, 2**64), got {alias} and 0\n")
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_a_bounds_suite_seed_outside_64_bits_is_refused(capsys, seed):
+    code, out, err = run_cli(capsys, ["verify", "--suite", "bounds", "--seed", str(seed)])
+    assert (code, out) == (2, "") and err.startswith("error: seed and stream index must lie")
+
+
+def test_a_montecarlo_suite_past_64_bits_is_refused_before_any_walk(capsys, monkeypatch):
+    # instance 19 would walk on seed + 19
+    monkeypatch.setattr(patrolgame.oracles, "simulate_capture", _must_not_run)
+    argv = ["verify", "--suite", "montecarlo", "--seed", str((1 << 64) - 1)]
+    assert run_cli(capsys, argv) == (
+        2, "", "error: seed must lie in [0, 2**64 - 20], got 18446744073709551615\n")
+
+
 # --- verify --------------------------------------------------------------------
 
 def test_verify_alloc_oracle(capsys):
@@ -566,6 +590,17 @@ def test_unknown_suite_is_rejected_by_the_parser(capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--family", "complete", "--tau", "2,,2,2"],
+    ["sweep", "--family", "complete", "--n", "3", "--tau", "2,,3,"],
+    ["solve", "--family", "complete", "--tau", ","],
+    ["sweep", "--family", "complete", "--n", ",3", "--B", "7"],
+], ids=["solve-inner", "sweep-trailing", "solve-comma", "sweep-size"])
+def test_a_list_flag_with_an_empty_entry_is_refused(capsys, argv):
+    # an empty entry is a bad number, not one to drop
+    assert run_cli(capsys, argv) == (2, "", "error: invalid literal for int() with base 10: ''\n")
+
+
 # --- flag surface ------------------------------------------------------------------
 
 _GRAPH = {"--family", "--n", "--np", "--nq"}
@@ -700,12 +735,12 @@ def test_scenario_suite_applies(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("config", [None, {"nmax": 2}])
-def test_verify_needs_a_suite_from_the_flag_or_the_scenario(capsys, tmp_path, config):
+def test_verify_needs_a_suite_from_the_flag_or_the_scenario(capsys, monkeypatch, tmp_path,
+                                                            config):
+    for name in ("bound_suite", "allocation_agreement_suite", "monte_carlo_suite"):
+        monkeypatch.setattr(patrolgame.cli, name, _must_not_run)
     argv = ["verify"] if config is None else ["verify", "--config", _scenario(tmp_path, **config)]
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    assert "the following arguments are required: --suite" in capsys.readouterr().err
+    assert run_cli(capsys, argv) == (2, "", "error: verify needs --suite\n")
 
 
 def test_scenario_keys_the_subcommand_does_not_read_are_ignored(capsys, tmp_path):

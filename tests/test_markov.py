@@ -404,15 +404,15 @@ def _walk_case(n, trials):
 
 
 @pytest.mark.parametrize("n, trials", [(n, trials) for n in range(1, 9)
-                                       for trials in (1, 7, 500, 3000)] + [(70, 7)])
+                                       for trials in (1, 7, 500, 3000)] + [(70, 7), (130, 7)])
 def test_walk_matches_reference_walk_bitwise(n, trials):
-    # n = 70 walks two blocks of targets, each replaying the start's stream
+    # n = 70 and n = 130 keep each walker's visits in two and three words
     P, tau, seed = _walk_case(n, trials)
     estimates = simulate_capture(P, tau, trials=trials, seed=seed).estimates
     assert estimates.tobytes() == reference_walk(P, tau, trials, seed).tobytes()
 
 
-@pytest.mark.parametrize("n", [4, 70])
+@pytest.mark.parametrize("n", [4, 70, 130])
 def test_walk_in_chunks_matches_reference_walk_bitwise(monkeypatch, n):
     # 7 walkers in chunks of 3, 3 and 1: each chunk continues the start's stream
     monkeypatch.setattr(markov, "_WALK_CHUNK", 3)
@@ -420,6 +420,39 @@ def test_walk_in_chunks_matches_reference_walk_bitwise(monkeypatch, n):
     estimates = simulate_capture(P, tau, trials=7, seed=seed).estimates
     assert estimates.tobytes() == reference_walk(P, tau, 7, seed, chunk=3).tobytes()
     assert estimates.tobytes() != reference_walk(P, tau, 7, seed).tobytes()
+
+
+def test_each_start_node_draws_its_stream_once(monkeypatch):
+    # n = 70 needs two visit words, and both fill in the same walk
+    keys = []
+
+    def counted(seed, index):
+        keys.append((seed, index))
+        return counter_stream(seed, index)
+
+    monkeypatch.setattr(markov, "counter_stream", counted)
+    P, tau, seed = _walk_case(70, 7)
+    simulate_capture(P, tau, trials=7, seed=seed)
+    assert keys == [(seed, i) for i in range(70)]
+
+
+def test_walk_work_counts_one_walk_per_start_node():
+    assert markov.walk_work(4, 4, 100_000) == 6_400_000
+    assert markov.walk_work(200, 6, 500) == 200 * 200 * 6 * 500
+
+
+@pytest.mark.parametrize("seed, index", [(-1, 0), (1 << 64, 0), (0, -1), (0, 1 << 64)])
+def test_a_seed_or_index_outside_64_bits_is_refused(seed, index):
+    with pytest.raises(InvalidSpec, match=r"must lie in \[0, 2\*\*64\)"):
+        counter_stream(seed, index)
+    if index == 0:
+        with pytest.raises(InvalidSpec):
+            simulate_capture(TWO_CYCLE, [2, 2], trials=10, seed=seed)
+
+
+def test_the_largest_seed_and_index_are_keys():
+    largest = (1 << 64) - 1
+    assert counter_stream(largest, largest).random() != counter_stream(0, 0).random()
 
 
 def test_simulation_memory_does_not_grow_with_n():

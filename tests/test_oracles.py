@@ -416,3 +416,20 @@ def test_monte_carlo_suite_limit_follows_the_pair_count():
     assert all(c.expected.endswith(f"<= {z / 3:.6g}") for c in report.checks)
     with pytest.raises(InvalidSpec):
         monte_carlo_suite(instances=0)
+
+
+@pytest.mark.parametrize("seed, instances", [((1 << 64) - 1, 20), ((1 << 64) - 2, 3), (-1, 1)])
+def test_monte_carlo_suite_refuses_a_seed_past_64_bits_before_any_walk(monkeypatch, seed,
+                                                                       instances):
+    # instance i walks on seed + i, so the last instance's seed is checked first
+    def must_not_walk(*args):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(patrolgame.oracles, "simulate_capture", must_not_walk)
+    with pytest.raises(InvalidSpec, match=rf"seed must lie in \[0, 2\*\*64 - {instances}\]"):
+        monte_carlo_suite(trials=10, seed=seed, instances=instances)
+
+
+def test_monte_carlo_suite_walks_its_largest_seed():
+    report = monte_carlo_suite(trials=10, seed=(1 << 64) - 1, instances=1)
+    assert len(report.checks) == 1
