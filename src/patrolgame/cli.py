@@ -16,7 +16,7 @@ import itertools
 import json
 import math
 import sys
-from decimal import Context
+from decimal import ROUND_CEILING, Context
 
 import numpy as np
 
@@ -63,9 +63,9 @@ ADJACENCY_LIMIT = 10**6
 RECURSION_STEP_FLOPS = 100_000
 RECURSION_FLOP_LIMIT = 10**11
 # simulate and the montecarlo suite walk: markov.walk_work counts walker-column
-# steps, 1.3e8 (n = 3) to 2.6e8 (n = 100) a second on the same host, so the
-# limit takes 3.8-7.7 s; it is 7.8 times the bound on a default montecarlo
-# suite (1.28e8) and 156 times a --trials 100000 simulate at n = 4, tau_max = 4
+# steps, and a walk at the limit takes 2.7-5.3 s at trials = 1e5 and 2.1-2.8 s
+# at trials = 1 on the same host; the limit is 7.7 times the bound on a default
+# montecarlo suite (1.29e8) and 155 times a 1e5-trial simulate at n = 4, tau 4
 WALK_WORK_LIMIT = 10**9
 # the largest closed-form vs recursion gap that solve and simulate accept
 CLOSED_FORM_TOL = 1e-9
@@ -208,9 +208,11 @@ def _sizes(args: argparse.Namespace, command: str, parse, *extra: str, **fallbac
 
 
 def _count_text(count: int) -> str:
-    """A count of 1000 or more as "%.3g" spells it, rounded without a float
-    conversion, so a count past the float range still prints."""
-    mantissa, exponent = format(Context(prec=3).create_decimal(count), "e").split("e")
+    """A count of 1000 or more as "%.3g" spells it, but rounded up, so a count
+    past its limit never prints as the limit, and without a float conversion,
+    so a count past the float range still prints."""
+    rounded = Context(prec=3, rounding=ROUND_CEILING).create_decimal(count)
+    mantissa, exponent = format(rounded, "e").split("e")
     return f"{mantissa.rstrip('0').rstrip('.')}e{int(exponent):+03d}"
 
 
@@ -228,9 +230,10 @@ def _graph(family: str, sizes: dict):
     return build_graph({"family": family, **sizes})
 
 
-def _solve_common(args: argparse.Namespace):
-    """Shared by solve and simulate: returns (tau, result, capture) or an exit
-    code; `capture` is the recursion report the closed form was checked against."""
+def cmd_solve(args: argparse.Namespace) -> int:
+    """solve and simulate: the family's strategy, its closed form checked
+    against the hitting-time recursion, then either the strategy (with the
+    recursion's report under --emit-cdf) or a Monte Carlo walk of it."""
     if not args.tau:
         raise InvalidSpec("--tau is required")
     tau = _parse_int_list(args.tau)
@@ -247,34 +250,19 @@ def _solve_common(args: argparse.Namespace):
         sys.stderr.write(_dump_json(report))
         return EXIT_INFEASIBLE
     result = synthesize(graph, tau)
+    del graph  # its n^2 edges would otherwise stay alive through the walk or the print
     capture = capture_probability(result.P, tau)
     if abs(capture.mu - result.mu) > CLOSED_FORM_TOL:
         print(f"error: closed form {result.mu} disagrees with recursion {capture.mu}",
               file=sys.stderr)
         return EXIT_FAILURE
-    return tau, result, capture
-
-
-def cmd_solve(args: argparse.Namespace) -> int:
-    outcome = _solve_common(args)
-    if isinstance(outcome, int):
-        return outcome
-    _, result, capture = outcome
-    payload = _fields(result)
-    if args.emit_cdf:
-        payload["worst_pair"] = capture.worst_pair
-        payload["cdf"] = capture.cdf
-    _write_output(_dump_json(payload), args.out)
-    return EXIT_OK
-
-
-def cmd_simulate(args: argparse.Namespace) -> int:
-    outcome = _solve_common(args)
-    if isinstance(outcome, int):
-        return outcome
-    tau, result, _ = outcome
-    sim = simulate_capture(result.P, tau, trials=args.trials, seed=args.seed)
-    payload = {"mu_exact": result.mu, **_fields(sim)}
+    if args.command == "simulate":
+        sim = simulate_capture(result.P, tau, trials=args.trials, seed=args.seed)
+        payload = {"mu_exact": result.mu, **_fields(sim)}
+    else:
+        payload = _fields(result)
+        if args.emit_cdf:
+            payload.update(worst_pair=capture.worst_pair, cdf=capture.cdf)
     _write_output(_dump_json(payload), args.out)
     return EXIT_OK
 
@@ -382,7 +370,7 @@ _COMMANDS = {
               "family n np nq tau out config emit-cdf"),
     "allocate": (cmd_allocate, "optimally split a defense budget",
                  "family n np nq B out config compare-uniform"),
-    "simulate": (cmd_simulate, "Monte Carlo check of a strategy",
+    "simulate": (cmd_solve, "Monte Carlo check of a strategy",
                  "family n np nq tau trials seed out config"),
     "verify": (cmd_verify, "run a verification suite",
                "trials seed out config suite nmax"),

@@ -169,15 +169,20 @@ def counter_stream(seed: int, index: int) -> np.random.Generator:
 
 # walkers that walk together: memory stays bounded whatever `trials` is
 _WALK_CHUNK = 1 << 17
+# a start-step's fixed cost, in walkers: at trials = 1 a step takes 8.9 us
+# at n = 2, 23 us at n = 10 and 60 us at n = 30 on a 2-core host, as long
+# as 489, 665 and 645 more walkers take at trials = 1e5
+WALK_STEP_WALKERS = 1000
 
 
 def walk_work(n: int, tau_max: int, trials: int) -> int:
     """`simulate_capture`'s work on an n-node chain, in walker-column steps.
 
     Each start node walks `trials` walkers for tau_max steps, and each step
-    counts n - 1 threshold columns and records one visit.
+    counts n - 1 threshold columns and records one visit; a step's fixed
+    cost counts as `WALK_STEP_WALKERS` more walkers, whatever `trials` is.
     """
-    return n * tau_max * trials * n
+    return n * tau_max * (trials + WALK_STEP_WALKERS) * n
 
 
 def simulate_capture(P: np.ndarray, tau: Sequence[int], trials: int, seed: int) -> SimulationReport:

@@ -70,7 +70,8 @@ def solve_equalized_values(rows) -> np.ndarray:
     One bisection runs in every lane at once.  Each row is sorted as the
     scalar sorts its multiset, and each lane takes the scalar's midpoints,
     its stop test and its reduce, so every w is the scalar's bit for bit.
-    A lane drops out when it stops.  Rows of width 1 give 0.0.
+    A lane that stops closes its bracket on its w, which every later
+    midpoint repeats.  Rows of width 1 give 0.0.
     """
     m = np.asarray(rows, dtype=float)
     if m.ndim != 2 or m.shape[1] == 0:
@@ -78,24 +79,19 @@ def solve_equalized_values(rows) -> np.ndarray:
     if not (m >= 1).all():  # nan fails too
         raise InvalidSpec("exponents must be positive integers")
     m = np.sort(m, axis=1)
-    w = np.zeros(len(m))
     if m.shape[1] == 1:
-        return w
+        return np.zeros(len(m))
     inv = 1.0 / m
     target = float(m.shape[1] - 1)
-    lanes = np.arange(len(m))
     lo, hi = np.zeros(len(m)), np.ones(len(m))
-    while lanes.size:
+    while True:
         mid = 0.5 * (lo + hi)
         value = np.add.reduce(mid[:, None] ** inv, axis=1)
         done = (np.abs(value - target) <= BISECTION_TOL * target) | (hi - lo <= BISECTION_TOL)
+        if done.all():
+            return mid
         below = value < target
-        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-        if done.any():
-            w[lanes[done]] = mid[done]
-            live = ~done
-            lanes, lo, hi, inv = lanes[live], lo[live], hi[live], inv[live]
-    return w
+        lo, hi = np.where(below | done, mid, lo), np.where(below & ~done, hi, mid)
 
 
 @dataclass(frozen=True, eq=False)

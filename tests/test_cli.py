@@ -22,6 +22,7 @@ from patrolgame.cli import (
     build_parser,
     main,
 )
+from patrolgame.markov import WALK_STEP_WALKERS
 
 pytestmark = pytest.mark.usefixtures("capsys")
 
@@ -494,7 +495,7 @@ def _past_the_guard(descriptor):
 
 
 @pytest.mark.parametrize("extra, code, refusal", [(0, 2, "error: past the guard\n"),
-                                                  (1, 4, "error: recursion of 1e+11 flops")])
+                                                  (1, 4, "error: recursion of 1.01e+11 flops")])
 def test_recursion_limit_is_inclusive(capsys, monkeypatch, extra, code, refusal):
     # n = 3: the largest tau_max whose steps fit the limit reaches the graph,
     # and one more is refused
@@ -508,28 +509,37 @@ def test_recursion_limit_is_inclusive(capsys, monkeypatch, extra, code, refusal)
 def test_recursion_estimate_past_the_float_range_is_printed(capsys, monkeypatch):
     monkeypatch.setattr(patrolgame.cli, "build_graph", _must_not_run)
     argv = ["solve", "--family", "complete", "--n", "3", "--tau", f"{3 * 10 ** 400},2,2"]
-    assert run_cli(capsys, argv) == (4, "", "error: recursion of 3e+405 flops exceeds 1e+11\n")
+    # the count, 3.0016e+405 less 100054, is rounded up
+    assert run_cli(capsys, argv) == (4, "", "error: recursion of 3.01e+405 flops exceeds 1e+11\n")
 
 
 # --- walk guard ---------------------------------------------------------------------
 
 @pytest.mark.parametrize("argv, refusal", [
     (["simulate", "--family", "complete", "--n", "3", "--tau", "2,2,2", "--trials", str(10 ** 15)],
-     "error: walk of 1.8e+16 walker-column steps exceeds 1e+09\n"),
+     "error: walk of 1.81e+16 walker-column steps exceeds 1e+09\n"),
     (["verify", "--suite", "montecarlo", "--trials", str(10 ** 15)],
-     "error: walk of 1.28e+18 walker-column steps exceeds 1e+09\n"),
-], ids=["simulate", "verify-montecarlo"])
+     "error: walk of 1.29e+18 walker-column steps exceeds 1e+09\n"),
+    # one walker, but 1.9e7 start-steps of 30 columns each: its recursion
+    # (1e11 flops less 1e5) fits, and the steps' fixed cost refuses the walk
+    (["simulate", "--family", "complete", "--n", "30", "--tau", "649351" + ",1" * 29,
+      "--trials", "1"],
+     "error: walk of 5.86e+11 walker-column steps exceeds 1e+09\n"),
+], ids=["simulate", "verify-montecarlo", "simulate-one-trial"])
 def test_walk_past_its_limit_is_refused_before_the_walk(capsys, monkeypatch, argv, refusal):
     for name in ("build_graph", "simulate_capture", "monte_carlo_suite"):
         monkeypatch.setattr(patrolgame.cli, name, _must_not_run)
+    start = time.perf_counter()
     assert run_cli(capsys, argv) == (4, "", refusal)
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("extra, code, refusal", [(0, 2, "error: past the guard\n"),
-                                                  (1, 4, "error: walk of 1e+09 walker-column")])
+                                                  (1, 4, "error: walk of 1.01e+09 walker-column")])
 def test_walk_limit_is_inclusive(capsys, monkeypatch, extra, code, refusal):
-    # n = 3, tau_max = 2: each trial is 3 starts x 2 steps x 3 columns
-    trials = WALK_WORK_LIMIT // 18 + extra
+    # n = 3, tau_max = 2: each trial, and each of a step's WALK_STEP_WALKERS,
+    # is 3 starts x 2 steps x 3 columns
+    trials = WALK_WORK_LIMIT // 18 - WALK_STEP_WALKERS + extra
     monkeypatch.setattr(patrolgame.cli, "build_graph", _past_the_guard)
     argv = ["simulate", "--family", "complete", "--tau", "2,2,2", "--trials", str(trials)]
     exit_code, out, err = run_cli(capsys, argv)
@@ -538,27 +548,31 @@ def test_walk_limit_is_inclusive(capsys, monkeypatch, extra, code, refusal):
 
 # --- graph size guard ---------------------------------------------------------------
 
-@pytest.mark.parametrize("argv, pairs", [
-    (["solve", "--family", "complete", "--n", "100000", "--tau", "1"], "1e+10"),
-    # past n = 4000 a single walker's walk is already past the walk limit
-    (["simulate", "--family", "complete", "--n", "2000", "--tau", "1", "--trials", "1"], "4e+06"),
-    (["allocate", "--family", "complete", "--n", "100000", "--B", "200000"], "1e+10"),
-    (["allocate", "--family", "star", "--n", "100000", "--B", "7"], "1e+10"),
-    (["sweep", "--family", "complete", "--n", "100000", "--tau", "1"], "1e+10"),
+_PAIRS = "adjacency of 1e+10 node pairs exceeds 1e+06"
+
+
+@pytest.mark.parametrize("argv, refusal", [
+    (["solve", "--family", "complete", "--n", "100000", "--tau", "1"], _PAIRS),
+    # no simulate reaches the graph guard: past n = 999 even one walker at
+    # tau 1 is past the walk limit, which simulate checks first
+    (["simulate", "--family", "complete", "--n", "2000", "--tau", "1", "--trials", "1"],
+     "walk of 4.01e+09 walker-column steps exceeds 1e+09"),
+    (["allocate", "--family", "complete", "--n", "100000", "--B", "200000"], _PAIRS),
+    (["allocate", "--family", "star", "--n", "100000", "--B", "7"], _PAIRS),
+    (["sweep", "--family", "complete", "--n", "100000", "--tau", "1"], _PAIRS),
     (["sweep", "--family", "bipartite", "--np", "50000", "--nq", "50000", "--B", "200000"],
-     "1e+10"),
+     _PAIRS),
 ], ids=["solve", "simulate", "allocate", "allocate-star", "sweep", "sweep-bipartite"])
-def test_graph_past_its_limit_is_refused_before_it_is_built(capsys, monkeypatch, argv, pairs):
+def test_graph_past_its_limit_is_refused_before_it_is_built(capsys, monkeypatch, argv, refusal):
     # tau 1 asks for no recursion step, so only the graph guard stands
     # between these requests and their n x n adjacency
     for name in ("build_graph", "synthesize", "allocate"):
         monkeypatch.setattr(patrolgame.cli, name, _must_not_run)
-    refusal = f"error: adjacency of {pairs} node pairs exceeds 1e+06\n"
-    assert run_cli(capsys, argv) == (4, "", refusal)
+    assert run_cli(capsys, argv) == (4, "", f"error: {refusal}\n")
 
 
-@pytest.mark.parametrize("extra, code, refusal", [(0, 2, "error: past the guard\n"),
-                                                  (1, 4, "error: adjacency of 1e+06 node pairs")])
+@pytest.mark.parametrize("extra, code, refusal", [
+    (0, 2, "error: past the guard\n"), (1, 4, "error: adjacency of 1.01e+06 node pairs")])
 @pytest.mark.parametrize("command", ["solve", "allocate", "sweep"])
 def test_graph_limit_is_inclusive(capsys, monkeypatch, command, extra, code, refusal):
     n_p = 500

@@ -437,8 +437,9 @@ def test_each_start_node_draws_its_stream_once(monkeypatch):
 
 
 def test_walk_work_counts_one_walk_per_start_node():
-    assert markov.walk_work(4, 4, 100_000) == 6_400_000
-    assert markov.walk_work(200, 6, 500) == 200 * 200 * 6 * 500
+    # each start-step also counts its fixed cost, 1000 walkers' worth
+    assert markov.walk_work(4, 4, 100_000) == 6_464_000
+    assert markov.walk_work(200, 6, 500) == 200 * 200 * 6 * 1500
 
 
 @pytest.mark.parametrize("seed, index", [(-1, 0), (1 << 64, 0), (0, -1), (0, 1 << 64)])
