@@ -239,11 +239,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
     tau = _parse_int_list(args.tau)
     sizes = _sizes(args, args.command, int, n=len(tau))
     n = sum(sizes.values())
+    # walk_work refuses trials < 1 before either guard; solve walks nothing
+    walk = walk_work(n, max(tau, default=1), args.trials) if args.command == "simulate" else 0
     flops = (max(tau, default=1) - 1) * (2 * n**3 + RECURSION_STEP_FLOPS)
     _check_work(flops, RECURSION_FLOP_LIMIT, "recursion of {} flops")
-    if args.command == "simulate":
-        _check_work(walk_work(n, max(tau, default=1), args.trials), WALK_WORK_LIMIT,
-                    "walk of {} walker-column steps")
+    _check_work(walk, WALK_WORK_LIMIT, "walk of {} walker-column steps")
     graph = _graph(args.family, sizes)
     report = validate_attack_durations(graph, tau)
     if not report.nontrivial:

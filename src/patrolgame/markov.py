@@ -181,7 +181,10 @@ def walk_work(n: int, tau_max: int, trials: int) -> int:
     Each start node walks `trials` walkers for tau_max steps, and each step
     counts n - 1 threshold columns and records one visit; a step's fixed
     cost counts as `WALK_STEP_WALKERS` more walkers, whatever `trials` is.
+    A `trials` below 1 raises `InvalidSpec`, before any guard counts it.
     """
+    if trials < 1:
+        raise InvalidSpec(f"trials must be >= 1, got {trials}")
     return n * tau_max * (trials + WALK_STEP_WALKERS) * n
 
 

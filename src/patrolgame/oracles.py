@@ -97,11 +97,10 @@ def _guarded(count: int) -> int:
 
 
 def _multiset_values(keys: Iterable[tuple[int, int]]) -> dict:
-    """For each (n, units) key, the multisets of n positive integers that sum
-    to `units`, in `partitions` order, with the w of each.
-
-    The rows of one width are solved together, in one batched bisection.
-    """
+    """For each (n, units) key, the lowest w over the multisets of n positive
+    integers summing to `units` and the first one, in `partitions` order, to
+    reach it; a complete graph is the one-sided case, keyed (n, B).  The rows
+    of one width are solved together, in one batched bisection."""
     widths: dict[int, list[int]] = {}
     for n, units in dict.fromkeys(keys):
         widths.setdefault(n, []).append(units)
@@ -111,25 +110,21 @@ def _multiset_values(keys: Iterable[tuple[int, int]]) -> dict:
         ws = synthesis.solve_equalized_values([parts for group in groups for parts in group])
         ends = np.cumsum([len(group) for group in groups])
         for units, group, w in zip(totals, groups, np.split(ws, ends[:-1])):
-            values[n, units] = (w, group)
+            first = int(np.argmin(w))
+            values[n, units] = (float(w[first]), group[first])
     return values
 
 
-def _best_multiset(values: dict, n: int, total: int,
-                   step: int) -> tuple[float, tuple[int, ...]]:
-    """Lowest w, solved on the units, over the multisets of n positive
-    multiples of `step` that sum to `total`, and the first one attaining it;
-    `values` is a `_multiset_values` table that holds (n, total // step)."""
-    ws, group = values[n, total // step]
-    first = int(np.argmin(ws))
-    return float(ws[first]), tuple(step * t for t in group[first])
-
-
-def _side_splits(n_p: int, n_q: int, B: int) -> list[tuple[int, int]]:
-    """(P units, Q units) of each even split of B, in units of 2 and P side
-    ascending, that gives every node at least 2."""
+def _splits(sizes: tuple[int, ...], B: int) -> tuple[int, list[tuple[int, ...]]]:
+    """The unit of an allocation of B over sides of `sizes` nodes, and each
+    split of B into side totals, in that unit: a complete graph, (n,), is
+    one side in units of 1; a bipartite graph, (n_p, n_q), takes every even
+    split, P side ascending, that gives every node at least 2."""
+    if len(sizes) == 1:
+        return 1, [(B,)]
+    n_p, n_q = sizes
     half = B // 2
-    return [(units, half - units) for units in range(n_p, half - n_q + 1)]
+    return 2, [(units, half - units) for units in range(n_p, half - n_q + 1)]
 
 
 def _report(best_value: float, best_candidate, count: int, closed_form: float) -> OracleReport:
@@ -144,9 +139,10 @@ def _report(best_value: float, best_candidate, count: int, closed_form: float) -
 def exhaustive_allocation(g: GraphTopology, B: int, values: dict | None = None) -> OracleReport:
     """Search every feasible allocation of B over `g` and compare to `allocate`.
 
-    Complete graphs enumerate all compositions of B with entries >= 1;
-    bipartite graphs additionally enumerate every even split of B across the
-    two sides.  Permutation invariance lets the search walk multisets while
+    Bipartite graphs walk every even split of B across the two sides, the
+    first split winning ties, and each side's compositions with entries
+    >= 2; a complete graph is the one-sided case, all compositions of B.
+    Permutation invariance lets the search walk multisets while
     `candidates_examined` reports the composition count covered.  `allocate`
     runs first, so a family without a placement rule (`Unsupported`) or a
     budget the rule refuses fails before the guard and before anything is
@@ -155,23 +151,17 @@ def exhaustive_allocation(g: GraphTopology, B: int, values: dict | None = None) 
     it the search solves its own.
     """
     closed_form = allocate(g, B).mu
-    if g.family == COMPLETE:
-        count = _guarded(_composition_count(B, g.n))
-        best_w, best_tau = _best_multiset(values or _multiset_values([(g.n, B)]), g.n, B, 1)
-        return _report(1.0 - best_w, best_tau, count, closed_form)
-    n_p, n_q = g.n_p, g.n_q
-    splits = _side_splits(n_p, n_q, B)
-    count = _guarded(sum(_composition_count(units_p, n_p) * _composition_count(units_q, n_q)
-                         for units_p, units_q in splits))
-    values = values or _multiset_values(
-        key for units_p, units_q in splits for key in ((n_p, units_p), (n_q, units_q)))
+    sizes = (g.n,) if g.family == COMPLETE else (g.n_p, g.n_q)
+    unit, splits = _splits(sizes, B)
+    count = _guarded(sum(math.prod(map(_composition_count, split, sizes)) for split in splits))
+    values = values or _multiset_values(key for split in splits for key in zip(sizes, split))
     best = None
-    for units_p, units_q in splits:
-        w_p, tau_p = _best_multiset(values, n_p, 2 * units_p, 2)
-        w_q, tau_q = _best_multiset(values, n_q, 2 * units_q, 2)
-        mu = 1.0 - max(w_p, w_q)
+    for split in splits:
+        sides = [values[key] for key in zip(sizes, split)]
+        mu = 1.0 - max(w for w, _ in sides)
         if best is None or mu > best[0]:
-            best = (mu, (2 * units_p, tau_p, tau_q))
+            taus = [tuple(unit * t for t in parts) for _, parts in sides]
+            best = (mu, taus[0] if len(taus) == 1 else (unit * split[0], *taus))
     return _report(*best, count, closed_form)
 
 
@@ -180,10 +170,10 @@ def exhaustive_side_allocation(n_side: int, B_side: int,
     """Enumerate all even allocations of one bipartite side against the rule,
     which runs first, as in `exhaustive_allocation`; `values` is as there."""
     closed_form = allocate_bipartite_side(n_side, B_side).w
+    key = (n_side, B_side // 2)
     count = _guarded(_composition_count(B_side // 2, n_side))
-    values = values or _multiset_values([(n_side, B_side // 2)])
-    best_w, best_tau = _best_multiset(values, n_side, B_side, 2)
-    return _report(best_w, best_tau, count, closed_form)
+    best_w, parts = (values or _multiset_values([key]))[key]
+    return _report(best_w, tuple(2 * t for t in parts), count, closed_form)
 
 
 def _support(g: GraphTopology) -> list[np.ndarray]:
@@ -478,24 +468,24 @@ def allocation_agreement_suite(nmax: int = 4) -> SuiteReport:
     Complete graphs run up to `nmax` nodes over every in-range budget; side
     allocations and the sub-budget bisection run both sides up to
     min(nmax, 4) over every valid even budget.  Only complete graphs can
-    outgrow `ENUMERATION_GUARD`, so their counts are checked, in suite order,
-    before anything is built or enumerated.  An `nmax` below 2 would
-    build no instance and raises `InvalidSpec` instead of passing vacuously.
+    outgrow `ENUMERATION_GUARD`; each one's count is checked as it is
+    generated, before anything is built or enumerated, so any `nmax` past 6
+    stops at n = 7.  An `nmax` below 2 would build no instance and raises
+    `InvalidSpec` instead of passing vacuously.
     """
     if nmax < 2:
         raise InvalidSpec(f"nmax must be >= 2, got {nmax}")
-    complete = [(n, B) for n in range(2, nmax + 1) for B in range(n + 1, n * n)]
-    for n, B in complete:
-        _guarded(_composition_count(B, n))
+    complete = [(n, B) for n in range(2, nmax + 1) for B in range(n + 1, n * n)
+                if _guarded(_composition_count(B, n))]
     sides = range(2, min(nmax, 4) + 1)
     side = [(n, B) for n in sides for B in range(2 * n, 2 * n * n, 2)]
     bipartite = [(n_p, n_q, B) for n_p in sides for n_q in sides
                  for B in range(2 * (n_p + n_q) + 2, 2 * (n_p * n_p + n_q * n_q), 2)]
     # every multiset any instance walks, solved in one batch per width
-    keys = complete + [(n, B // 2) for n, B in side]
-    keys += [key for n_p, n_q, B in bipartite for units_p, units_q in _side_splits(n_p, n_q, B)
-             for key in ((n_p, units_p), (n_q, units_q))]
-    values = _multiset_values(keys)
+    walks = [((n,), B) for n, B in complete] + [((n,), B // 2) for n, B in side]
+    walks += [((n_p, n_q), B) for n_p, n_q, B in bipartite]
+    values = _multiset_values(key for sizes, B in walks for split in _splits(sizes, B)[1]
+                              for key in zip(sizes, split))
     # (instance, oracle, its arguments) in suite order
     instances = [(f"complete n={n} B={B}", exhaustive_allocation, (build_complete(n), B))
                  for n, B in complete]

@@ -534,6 +534,19 @@ def test_walk_past_its_limit_is_refused_before_the_walk(capsys, monkeypatch, arg
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("argv, trials", [
+    # n = 999 at tau 2 passes the recursion guard, and a walk of a negative
+    # count would pass the walk guard
+    (["simulate", "--family", "complete", "--n", "999", "--tau", "2" + ",1" * 998], "-1000000"),
+    (["verify", "--suite", "montecarlo"], "0"),
+], ids=["simulate", "verify-montecarlo"])
+def test_trials_below_one_are_refused_before_any_guard(capsys, monkeypatch, argv, trials):
+    for name in ("build_graph", "simulate_capture", "monte_carlo_suite"):
+        monkeypatch.setattr(patrolgame.cli, name, _must_not_run)
+    assert run_cli(capsys, argv + ["--trials", trials]) == (
+        2, "", f"error: trials must be >= 1, got {trials}\n")
+
+
 @pytest.mark.parametrize("extra, code, refusal", [(0, 2, "error: past the guard\n"),
                                                   (1, 4, "error: walk of 1.01e+09 walker-column")])
 def test_walk_limit_is_inclusive(capsys, monkeypatch, extra, code, refusal):

@@ -442,6 +442,12 @@ def test_walk_work_counts_one_walk_per_start_node():
     assert markov.walk_work(200, 6, 500) == 200 * 200 * 6 * 1500
 
 
+@pytest.mark.parametrize("trials", [0, -1_000_000])
+def test_walk_work_refuses_trials_below_one(trials):
+    with pytest.raises(InvalidSpec, match=f"^trials must be >= 1, got {trials}$"):
+        markov.walk_work(3, 2, trials)
+
+
 @pytest.mark.parametrize("seed, index", [(-1, 0), (1 << 64, 0), (0, -1), (0, 1 << 64)])
 def test_a_seed_or_index_outside_64_bits_is_refused(seed, index):
     with pytest.raises(InvalidSpec, match=r"must lie in \[0, 2\*\*64\)"):

@@ -1,5 +1,7 @@
 import json
 import pickle
+import time
+import tracemalloc
 from statistics import NormalDist
 
 import numpy as np
@@ -31,7 +33,8 @@ from patrolgame import (
 )
 from patrolgame.cli import _dump_json
 from patrolgame.markov import counter_stream, min_capture_evaluator
-from patrolgame.oracles import MONTE_CARLO_FALSE_ALARM, _best_multiset, _random_feasible_strategy
+from patrolgame.oracles import (MONTE_CARLO_FALSE_ALARM, _multiset_values,
+                                _random_feasible_strategy)
 
 
 # --- partition enumeration ------------------------------------------------------
@@ -78,21 +81,22 @@ def test_exhaustive_bipartite_reference():
     assert report.agreement
 
 
-def reference_best_multiset(values, n, total, step):
+def reference_multiset_values(keys):
     """The scalar walk that the batched table replaced: `solve_equalized_value`
     over `partitions`, keeping the first minimum in generator order."""
-    best = None
-    for parts in partitions(total // step, n, minimum=1):
-        w = solve_equalized_value(parts[::-1])
-        if best is None or w < best[0]:
-            best = (w, tuple(step * t for t in parts))
-    return best
+    values = {}
+    for n, units in dict.fromkeys(keys):
+        for parts in partitions(units, n, minimum=1):
+            w = solve_equalized_value(parts[::-1])
+            if (n, units) not in values or w < values[n, units][0]:
+                values[n, units] = (w, parts)
+    return values
 
 
 @pytest.mark.parametrize("nmax", range(2, 7))
 def test_alloc_suite_report_equals_the_scalar_reference(monkeypatch, nmax):
     report = allocation_agreement_suite(nmax=nmax)
-    monkeypatch.setattr(patrolgame.oracles, "_best_multiset", reference_best_multiset)
+    monkeypatch.setattr(patrolgame.oracles, "_multiset_values", reference_multiset_values)
     assert pickle.dumps(allocation_agreement_suite(nmax=nmax)) == pickle.dumps(report)
 
 
@@ -107,23 +111,49 @@ def test_alloc_suite_report_equals_the_scalar_reference(monkeypatch, nmax):
 ])
 def test_exhaustive_oracles_equal_the_scalar_reference(monkeypatch, oracle, args):
     report = oracle(*args)
-    monkeypatch.setattr(patrolgame.oracles, "_best_multiset", reference_best_multiset)
+    monkeypatch.setattr(patrolgame.oracles, "_multiset_values", reference_multiset_values)
     assert pickle.dumps(oracle(*args)) == pickle.dumps(report)
 
 
-def test_best_multiset_keeps_the_first_minimum():
-    values = {(2, 4): (np.array([0.5, 0.25, 0.25]), [(3, 1), (2, 2), (9, 9)])}
-    assert _best_multiset(values, 2, 8, 2) == (0.25, (4, 4))
+def test_multiset_values_keeps_the_first_minimum(monkeypatch):
+    rows = []
+
+    def tied(batch):
+        rows.extend(batch)
+        return np.array([0.5, 0.25, 0.25])
+
+    monkeypatch.setattr(patrolgame.synthesis, "solve_equalized_values", tied)
+    values = _multiset_values([(2, 6)])
+    assert rows == [(5, 1), (4, 2), (3, 3)]
+    assert values == {(2, 6): (0.25, (4, 2))}
+    assert type(values[2, 6][0]) is float
 
 
 def test_alloc_suite_guard_enumerates_nothing(monkeypatch):
     def must_not_run(*args, **kwargs):
         raise AssertionError("the guard must reject the suite before any enumeration")
 
-    monkeypatch.setattr(patrolgame.oracles, "_best_multiset", must_not_run)
+    monkeypatch.setattr(patrolgame.oracles, "_multiset_values", must_not_run)
     with pytest.raises(SearchSpaceExceeded,
                        match="^10737573 compositions exceed the guard 10000000$"):
         allocation_agreement_suite(nmax=7)
+
+
+@pytest.mark.parametrize("nmax", [100, 10 ** 9])
+def test_alloc_suite_guard_runs_in_bounded_memory(nmax):
+    # each complete instance is guarded as it is generated, so the suite
+    # stops at n = 7 whatever nmax is, before it lists the larger ones
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(SearchSpaceExceeded,
+                           match="^10737573 compositions exceed the guard 10000000$"):
+            allocation_agreement_suite(nmax=nmax)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("nmax", [1, 0, -3])
