@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import io
 import itertools
 import json
@@ -57,9 +58,12 @@ SWEEP_ROW_LIMIT = 10_000
 # the feasibility check 0.9 s more; the limit admits n = 1000, five times the
 # n = 200 of the largest graph a benchmark request builds
 ADJACENCY_LIMIT = 10**6
-# solve and simulate run the recursion: tau_max - 1 steps of 2 n^3 flops and
-# a fixed cost (5 us at n = 3 on a 2-core host that does 2e10 flop/s at large
-# n); the limit, about 5 s there, is 30 times an n = 200, tau_max = 200 solve
+# solve and simulate run the recursion, priced as tau_max - 1 steps of the
+# dense product, 2 n^3 flops, and a fixed cost (5 us at n = 3 on a 2-core host
+# that does 2e10 flop/s at large n); the limit, about 5 s there, is 30 times
+# an n = 200, tau_max = 200 solve.  The kernel multiplies only a strategy's r
+# distinct rows when r <= n / 4, 2 r n^2 + n^2 flops a step, so the dense
+# price is an upper bound for every synthesized strategy (r is 1 or 2)
 RECURSION_STEP_FLOPS = 100_000
 RECURSION_FLOP_LIMIT = 10**11
 # simulate and the montecarlo suite walk: markov.walk_work counts walker-column
@@ -415,18 +419,24 @@ def build_parser(scenario: dict[str, dict] | None = None) -> argparse.ArgumentPa
         description="Patrol strategies and defense placement for surveillance games")
     parser.add_argument("--version", action="version", version=__version__)
     commands = parser.add_subparsers(dest="command", required=True)
-    for name, (handler, help_text, flags) in _COMMANDS.items():
+    for name, (_, help_text, flags) in _COMMANDS.items():
         # no abbreviations: `verify --n 3` must not become `--nmax 3`
         command = commands.add_parser(name, help=help_text, allow_abbrev=False)
-        overrides = (scenario or {}).get(name, {})
         for flag in flags.split():
             command.add_argument(f"--{flag}", **_FLAGS[flag])
-        command.set_defaults(handler=handler, **overrides)
+        command.set_defaults(**(scenario or {}).get(name, {}))
     return parser
 
 
+@functools.cache
+def _default_parser() -> argparse.ArgumentParser:
+    """`build_parser()`, built once: a parser sits in reference cycles, so
+    each new one would be left to the cyclic collector."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _default_parser().parse_args(argv)
     try:
         if args.config:
             # parsing again with the scenario as defaults lets every given flag win
@@ -434,7 +444,7 @@ def main(argv: list[str] | None = None) -> int:
             args = build_parser({args.command: defaults}).parse_args(argv)
         if getattr(args, "family", None) == GENERAL:
             raise Unsupported(_GENERAL_REFUSED[args.command])
-        return args.handler(args)
+        return _COMMANDS[args.command][0](args)
     except (PatrolGameError, ValueError, OverflowError) as exc:
         # every one-line refusal ends here; a bad number in a flag
         # (ValueError, OverflowError) is refused like a bad spec

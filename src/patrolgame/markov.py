@@ -68,6 +68,29 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     return pi / pi.sum()
 
 
+def _distinct_rows(P: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """A one-strategy (1, n, n) stack's distinct rows, told apart by their
+    bit patterns, and each row's index among them; None for several
+    strategies or more than n / 4 distinct rows.  A single distinct row is
+    returned twice, so that its products take the matrix-matrix routine of
+    the dense ones."""
+    K, n, _ = P.shape
+    if K != 1:
+        return None
+    bits = np.ascontiguousarray(P[0]).view(np.uint64)
+    # equal rows share a signature, so a strategy has at least as many
+    # distinct rows as signatures; integer sums wrap, and no summation order
+    # can give equal rows different signatures
+    signature = bits @ np.arange(1, n + 1, dtype=np.uint64)
+    if 4 * len(set(signature.tolist())) > n:
+        return None
+    _, first, index = np.unique(signature, return_index=True, return_inverse=True)
+    # a signature shared by two different rows sends the stack to the dense path
+    if not np.array_equal(bits[first][index], bits):
+        return None
+    return P[0][np.repeat(first, 2) if len(first) == 1 else first], index
+
+
 def _capture_cdf_stack(P: np.ndarray, durations: Sequence[int]) -> np.ndarray:
     """Capture CDFs of a (K, n, n) stack of strategies for shared durations.
 
@@ -75,20 +98,34 @@ def _capture_cdf_stack(P: np.ndarray, durations: Sequence[int]) -> np.ndarray:
     takes exactly k steps, follows F_1 = P and F_k = P offdiag(F_{k-1}).
     The kernel streams F_k through two ping-pong buffers into a running sum
     F_1 + ... + F_k and copies column j out of it at k = tau_j, so memory
-    stays O(K n^2) for any tau.  Each slice takes the same matrix products
-    and additions, in the same order, as that slice alone.
+    stays O(K n^2) for any tau.  The dense product takes 2 n^3 flops a step
+    per strategy, and each slice the same products and additions, in the
+    same order, as the dense product of that slice alone.  A one-strategy
+    stack with r <= n / 4 distinct rows (a synthesized strategy has 1 or 2)
+    multiplies only those rows and gathers the products back by row index,
+    2 r n^2 + n^2 flops a step.  Up to n = 256 that gives the dense
+    product's bits; above it, where BLAS splits the inner sum into blocks,
+    an entry can differ by a few ulps.
     """
     K, n, _ = P.shape
     durations = np.asarray(durations)
+    compressed = _distinct_rows(P)
     running = P.copy()
     front = P.copy()
     back = np.empty_like(front)
     cdf = np.empty_like(front)
+    if compressed is not None:
+        distinct, index = compressed
+        products = np.empty((len(distinct), n))
     k = 1
     for t in sorted(set(durations.tolist())):
         for _ in range(k, t):
             front.reshape(K, n * n)[:, ::n + 1] = 0.0
-            np.matmul(P, front, out=back)
+            if compressed is None:
+                np.matmul(P, front, out=back)
+            else:
+                np.matmul(distinct, front[0], out=products)
+                np.take(products, index, axis=0, out=back[0], mode="clip")
             front, back = back, front
             running += front
         k = t

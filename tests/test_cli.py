@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import gc
 import json
 import subprocess
 import sys
@@ -120,6 +121,17 @@ def test_solve_deterministic_output(capsys):
     _, out1, _ = run_cli(capsys, argv)
     _, out2, _ = run_cli(capsys, argv)
     assert out1 == out2
+
+
+def test_a_warmed_solve_leaves_no_garbage_for_the_cycle_collector(capsys):
+    # a long-lived caller's memory must not wait on the cyclic collector:
+    # the default parser is built once, and a call leaves no cycle behind
+    argv = ["solve", "--family", "complete", "--n", "12",
+            "--tau", "4,5,6,7,8,9,10,11,4,5,6,7", "--emit-cdf"]
+    run_cli(capsys, argv)
+    gc.collect()
+    assert run_cli(capsys, argv)[0] == 0
+    assert gc.collect() == 0
 
 
 # --- allocate ---------------------------------------------------------------

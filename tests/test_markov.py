@@ -10,10 +10,12 @@ from patrolgame import (
     InvalidSpec,
     NotIrreducible,
     build_bipartite,
+    build_graph,
     capture_probability,
     check_transition_matrix,
     simulate_capture,
     stationary_distribution,
+    synthesize,
 )
 from patrolgame import markov
 from patrolgame.cli import _dump_json
@@ -228,6 +230,85 @@ def test_stack_kernel_matches_reference_recursion(n, K, seed):
         running = np.cumsum(hitting_time_probabilities(P, int(tau.max())), axis=0)
         for j, t in enumerate(tau):
             np.testing.assert_array_equal(got[:, j], running[t - 1, :, j])
+
+
+# --- the kernel on distinct rows ----------------------------------------------
+
+def synthesized_strategy(family, n, seed):
+    """The family's synthesized strategy on n nodes for seeded durations (even
+    ones on a bipartite graph), and the durations."""
+    rng = np.random.default_rng(seed)
+    if family == "bipartite":
+        sizes, tau = {"n_p": n // 2, "n_q": n - n // 2}, 2 * rng.integers(1, 13, size=n)
+    else:
+        sizes, tau = {"n": n}, rng.integers(2, 25, size=n)
+    return synthesize(build_graph({"family": family, **sizes}), tuple(tau.tolist())).P, tau
+
+
+def ulps_apart(a, b):
+    # non-negative floats are ordered like their bit patterns
+    return int(np.abs(a.view(np.int64) - b.view(np.int64)).max())
+
+
+def repeated_rows(n, r, seed):
+    """An n-node strategy whose rows cycle through r random distinct rows."""
+    return np.random.default_rng(seed).dirichlet(np.ones(n), size=r)[np.arange(n) % r]
+
+
+@pytest.mark.parametrize("family, rows", [("complete", 1), ("star", 2), ("bipartite", 2)])
+@pytest.mark.parametrize("n", [8, 12, 200])
+def test_synthesized_strategies_take_the_distinct_row_path(family, rows, n):
+    P, _ = synthesized_strategy(family, n, n)
+    distinct, index = markov._distinct_rows(P[None])
+    # a single row goes in twice, so that its product stays matrix-matrix
+    assert distinct.shape == (max(rows, 2), n)
+    assert len(set(index.tolist())) == rows
+    assert distinct[index].tobytes() == P.tobytes()
+
+
+@pytest.mark.parametrize("n, rows, fast", [(12, 3, True), (12, 4, False), (4, 1, True),
+                                           (3, 1, False), (200, 50, True), (200, 51, False)])
+def test_the_distinct_row_path_takes_at_most_a_quarter_of_the_rows(n, rows, fast):
+    assert (markov._distinct_rows(repeated_rows(n, rows, n)[None]) is not None) is fast
+
+
+def test_user_strategies_and_stacks_keep_the_dense_product():
+    rng = np.random.default_rng(11)
+    n = 280
+    stay = rng.uniform(0.1, 0.9, size=n)
+    lazy = np.diag(stay) + np.roll(np.diag(1.0 - stay), 1, axis=1)
+    complete, _ = synthesized_strategy("complete", 12, 1)
+    for stack in (random_stochastic(rng, 200)[None], lazy[None],
+                  np.stack([complete, complete]), np.stack([repeated_rows(12, 2, 0)] * 3)):
+        assert markov._distinct_rows(stack) is None
+
+
+def test_rows_that_share_a_signature_are_not_merged():
+    # b's bit patterns are a's with 2 s added to entry 0 and s taken from
+    # entry 1, so sum_j (j + 1) bits_j does not tell the two rows apart
+    a = np.random.default_rng(2).dirichlet(np.ones(8))
+    b = a.copy()
+    b.view(np.uint64)[:2] += np.array([2, -1], dtype=np.int64).view(np.uint64) << 30
+    P = np.array([a, b] * 4)
+    tau = np.array([2, 3, 4, 5, 6, 7, 8, 9])
+    cdf = _capture_cdf_stack(P[None], tau)[0]
+    assert cdf.tobytes() == _capture_cdf_stack(np.stack([P, P]), tau)[0].tobytes()
+
+
+@pytest.mark.parametrize("family", ["complete", "star", "bipartite"])
+@pytest.mark.parametrize("n", [12, 200, 260])
+def test_distinct_row_path_agrees_with_the_dense_product(family, n):
+    # past n = 256 BLAS splits the inner sum into blocks, and the two
+    # products may round differently
+    P, tau = synthesized_strategy(family, n, n)
+    assert markov._distinct_rows(P[None]) is not None
+    fast = _capture_cdf_stack(P[None], tau)[0]
+    # a two-strategy stack takes the dense product, slice by slice
+    dense = _capture_cdf_stack(np.stack([P, P]), tau)[0]
+    running = np.cumsum(hitting_time_probabilities(P, int(tau.max())), axis=0)
+    reference = running[tau - 1, :, np.arange(n)].T
+    assert ulps_apart(fast, dense) <= 64
+    assert ulps_apart(fast, reference) <= 64
 
 
 def test_bipartite_parity_of_column_minimum():
