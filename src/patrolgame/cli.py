@@ -52,10 +52,10 @@ _GENERAL_REFUSED = {
 _SIZES = {"complete": {"n": "n"}, "star": {"n": "n"}, "bipartite": {"np": "n_p", "nq": "n_q"}}
 
 SWEEP_ROW_LIMIT = 10_000
-# every command that builds a graph touches its n x n adjacency, and a
-# complete graph stores n^2 edges of about 120 bytes each: at n = 1000 the
-# build and adjacency take 1.2 s and 149 MB peak RSS on a 2-core host, and
-# the feasibility check 0.9 s more; the limit admits n = 1000, five times the
+# every command that builds a graph holds its n x n boolean adjacency and
+# searches it from all n nodes, one float32 n x n product a level (at most two
+# on the CLI's families): a complete solve at n = 1000 takes 0.15-0.26 s and
+# 115 MB peak RSS on a 2-core host; the limit admits n = 1000, five times the
 # n = 200 of the largest graph a benchmark request builds
 ADJACENCY_LIMIT = 10**6
 # solve and simulate run the recursion, priced as tau_max - 1 steps of the
@@ -254,7 +254,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         sys.stderr.write(_dump_json(report))
         return EXIT_INFEASIBLE
     result = synthesize(graph, tau)
-    del graph  # its n^2 edges would otherwise stay alive through the walk or the print
     capture = capture_probability(result.P, tau)
     if abs(capture.mu - result.mu) > CLOSED_FORM_TOL:
         print(f"error: closed form {result.mu} disagrees with recursion {capture.mu}",

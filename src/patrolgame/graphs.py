@@ -1,15 +1,15 @@
 """Graph topologies for patrol games and attack-duration feasibility checks.
 
-Nodes are 1-indexed everywhere in the public interface.  For the two-sided
-families the first block of nodes (1..n_p) is always the P side and the
-remaining nodes (n_p+1..n) the Q side; a star is the two-sided graph with
-the center as the single P-side node.
+Nodes are 1-indexed in the public interface and 0-indexed in the adjacency
+array.  For the two-sided families the first block of nodes (1..n_p) is always
+the P side and the remaining nodes (n_p+1..n) the Q side; a star is the
+two-sided graph with the center as the single P-side node.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -24,7 +24,7 @@ GENERAL = "general"
 _FAMILIES = (COMPLETE, BIPARTITE, STAR, GENERAL)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GraphTopology:
     """A strongly connected directed graph from one of the supported families.
 
@@ -34,56 +34,58 @@ class GraphTopology:
         One of "complete", "bipartite", "star", "general".
     n : int
         Number of nodes.
-    edges : frozenset of (int, int)
-        Directed edges as 1-indexed ordered pairs.
+    adjacency : ndarray of bool, shape (n, n)
+        Read-only copy, 0-indexed: ``adjacency[i - 1, j - 1]`` is edge (i, j).
     n_p, n_q : int or None
         Side sizes for bipartite and star graphs (center counts as the
         P side of size 1), None otherwise.
+
+    Graphs compare by value and are not hashable.
     """
 
     family: str
     n: int
-    edges: frozenset
+    adjacency: np.ndarray
     n_p: int | None = None
     n_q: int | None = None
 
-    def adjacency(self) -> np.ndarray:
-        """Boolean adjacency matrix, 0-indexed."""
-        adj = np.zeros((self.n, self.n), dtype=bool)
-        for i, j in self.edges:
-            adj[i - 1, j - 1] = True
-        return adj
+    def __post_init__(self):
+        adjacency = np.array(self.adjacency, dtype=bool)
+        if adjacency.shape != (self.n, self.n):
+            raise DimensionMismatch(f"adjacency is {adjacency.shape} but graph has {self.n} nodes")
+        adjacency.flags.writeable = False
+        object.__setattr__(self, "adjacency", adjacency)
+
+    def __eq__(self, other):
+        return (isinstance(other, GraphTopology) and np.array_equal(self.adjacency, other.adjacency)
+                and (self.family, self.n_p, self.n_q) == (other.family, other.n_p, other.n_q))
+
+    @property
+    def edges(self) -> frozenset:
+        """Directed edges as 1-indexed ordered pairs."""
+        return frozenset(map(tuple, (np.argwhere(self.adjacency) + 1).tolist()))
 
 
 def build_complete(n: int) -> GraphTopology:
     """Complete digraph on n nodes, self-loops included at every node."""
     if n < 1:
         raise InvalidSpec(f"complete graph needs n >= 1, got {n}")
-    edges = frozenset((i, j) for i in range(1, n + 1) for j in range(1, n + 1))
-    return GraphTopology(family=COMPLETE, n=n, edges=edges)
+    return GraphTopology(family=COMPLETE, n=n, adjacency=np.ones((n, n), dtype=bool))
 
 
 def build_bipartite(n_p: int, n_q: int) -> GraphTopology:
     """Complete bipartite digraph: all cross-side pairs, no self-loops."""
     if n_p < 1 or n_q < 1:
         raise InvalidSpec(f"bipartite sides must be >= 1, got ({n_p}, {n_q})")
-    n = n_p + n_q
-    p_side = range(1, n_p + 1)
-    q_side = range(n_p + 1, n + 1)
-    edges = set()
-    for i in p_side:
-        for j in q_side:
-            edges.add((i, j))
-            edges.add((j, i))
-    return GraphTopology(family=BIPARTITE, n=n, edges=frozenset(edges), n_p=n_p, n_q=n_q)
+    p_side = np.arange(n_p + n_q) < n_p  # the two blocks: P to Q and Q to P
+    return GraphTopology(BIPARTITE, n_p + n_q, p_side[:, None] != p_side, n_p, n_q)
 
 
 def build_star(n: int) -> GraphTopology:
     """Star on n nodes with node 1 as the center (bipartite with n_p = 1)."""
     if n < 2:
         raise InvalidSpec(f"star graph needs n >= 2, got {n}")
-    g = build_bipartite(1, n - 1)
-    return GraphTopology(family=STAR, n=n, edges=g.edges, n_p=1, n_q=n - 1)
+    return replace(build_bipartite(1, n - 1), family=STAR)
 
 
 def build_general(n: int, edges: Iterable[Sequence[int]]) -> GraphTopology:
@@ -96,14 +98,14 @@ def build_general(n: int, edges: Iterable[Sequence[int]]) -> GraphTopology:
         pairs = [()]
     if any(len(pair) != 2 for pair in pairs):
         raise InvalidSpec(f"edges must be pairs of integers, got {edges!r}")
+    adjacency = np.zeros((n, n), dtype=bool)
     for i, j in pairs:
         if not (1 <= i <= n and 1 <= j <= n):
             raise InvalidSpec(f"edge ({i}, {j}) out of range for n={n}")
-    g = GraphTopology(family=GENERAL, n=n, edges=frozenset(pairs))
-    adj = g.adjacency()
-    if not (is_strongly_connected(adj) and adj.any(axis=1).all()):
+        adjacency[i - 1, j - 1] = True
+    if not _patrollable(adjacency, is_strongly_connected(adjacency)):
         raise InvalidSpec("general graph must be strongly connected with an edge out of each node")
-    return g
+    return GraphTopology(family=GENERAL, n=n, adjacency=adjacency)
 
 
 def _size(spec: Mapping, key: str) -> int:
@@ -138,41 +140,41 @@ def build_graph(spec: Mapping) -> GraphTopology:
     return build_general(_size(spec, "n"), spec.get("edges", ()))
 
 
-def _bfs_distances(adj: np.ndarray, source: int) -> np.ndarray:
-    """Hop distances from `source` (0-indexed) to all nodes; -1 if unreachable.
-
-    Level-synchronous: each level expands the whole frontier in one array
-    expression, so the Python loop runs once per level, not once per node.
-    """
-    dist = np.full(adj.shape[0], -1, dtype=int)
-    dist[source] = 0
+def _distances(adj: np.ndarray, sources: Sequence[int]) -> np.ndarray:
+    """Hop distances (-1 where unreachable) from each of `sources`, 0-indexed,
+    to every node, one row per source.  Level-synchronous: each level advances
+    every source's frontier with one float32 product by the adjacency (path
+    counts of at most n stay exact), so Python loops once per level."""
+    step = adj.astype(np.float32)
+    dist = np.full((len(sources), adj.shape[0]), -1, dtype=np.int32)
+    dist[np.arange(len(sources)), sources] = 0
     frontier = dist == 0
+    unreached = ~frontier
     level = 0
-    while frontier.any():
+    while frontier.any() and unreached.any():
         level += 1
-        frontier = adj[frontier].any(axis=0) & (dist < 0)
+        frontier = (frontier.astype(np.float32) @ step > 0) & unreached
         dist[frontier] = level
+        unreached &= ~frontier
     return dist
+
+
+def _patrollable(adj: np.ndarray, strongly_connected: bool) -> bool:
+    """True for a strongly connected graph with an edge out of each node."""
+    return bool(adj.size and strongly_connected and adj.any(axis=1).all())
 
 
 def is_strongly_connected(adj: np.ndarray) -> bool:
     """True if every node reaches every node along directed edges."""
-    n = adj.shape[0]
-    if n == 0:
-        return False
-    return bool((_bfs_distances(adj, 0) >= 0).all() and (_bfs_distances(adj.T, 0) >= 0).all())
+    return bool(adj.size) and all((_distances(a, [0]) >= 0).all() for a in (adj, adj.T))
 
 
 def eccentricities(adj: np.ndarray) -> np.ndarray:
     """Per-node eccentricity: hop count to the furthest node, 0-indexed input."""
-    n = adj.shape[0]
-    ecc = np.zeros(n, dtype=int)
-    for i in range(n):
-        dist = _bfs_distances(adj, i)
-        if (dist < 0).any():
-            raise InvalidSpec("eccentricity undefined: graph not strongly connected")
-        ecc[i] = dist.max()
-    return ecc
+    dist = _distances(adj, np.arange(adj.shape[0]))
+    if (dist < 0).any():
+        raise InvalidSpec("eccentricity undefined: graph not strongly connected")
+    return dist.max(axis=1, initial=0)
 
 
 def min_full_tour_length(g: GraphTopology) -> int | None:
@@ -227,13 +229,13 @@ def validate_attack_durations(g: GraphTopology, tau: Sequence[int]) -> Feasibili
     everything.  Condition 2 is evaluated only for the named families.
     """
     durations = check_durations(tau, g.n)
-    adj = g.adjacency()
-    if not is_strongly_connected(adj):  # a hand-built GraphTopology may not be
-        raise InvalidSpec("feasibility undefined: graph not strongly connected")
-    reverse = adj.T.copy()  # row-major, so each BFS level gathers whole rows
-    hops = (_bfs_distances(reverse, j) for j in range(g.n))  # to j from every node
-    violations = [j + 1 for j, d in enumerate(hops)
-                  if durations[j] < max(d.max(), 1 + d[adj[j]].min())]
+    dist = _distances(g.adjacency, np.arange(g.n))  # dist[i, j]: hops from i to j
+    if not _patrollable(g.adjacency, (dist >= 0).all()):  # a hand-built graph may not be
+        raise InvalidSpec("feasibility undefined: graph not strongly connected "
+                          "with an edge out of each node")
+    # first arrival at j: max_i d(i, j) and 1 + min d(l, j), l out of j (every d < n)
+    arrival = np.maximum(dist.max(axis=0), 1 + np.where(g.adjacency, dist.T, g.n).min(axis=1))
+    violations = (np.flatnonzero(np.array(durations) < arrival) + 1).tolist()
 
     tour = min_full_tour_length(g)
     notes = []

@@ -36,7 +36,7 @@ def check_transition_matrix(P: np.ndarray, graph: GraphTopology | None = None) -
     if np.any(np.abs(P.sum(axis=1) - 1.0) > ROW_SUM_TOL):
         raise InvalidSpec("every row must sum to 1")
     if graph is not None:
-        off_support = ~graph.adjacency() & (P > ROW_SUM_TOL)
+        off_support = ~graph.adjacency & (P > ROW_SUM_TOL)
         if off_support.any():
             i, j = np.argwhere(off_support)[0]
             raise InvalidSpec(f"probability mass on non-edge ({i + 1}, {j + 1})")

@@ -178,8 +178,7 @@ def exhaustive_side_allocation(n_side: int, B_side: int,
 
 def _support(g: GraphTopology) -> list[np.ndarray]:
     """Columns each row of a strategy on `g` may put mass on (0-indexed)."""
-    adjacency = g.adjacency()
-    return [np.flatnonzero(adjacency[i]) for i in range(g.n)]
+    return [np.flatnonzero(row) for row in g.adjacency]
 
 
 def _random_feasible_strategy(rng: np.random.Generator,

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -20,7 +21,7 @@ from patrolgame import (
     min_full_tour_length,
     validate_attack_durations,
 )
-from patrolgame.cli import _dump_json
+from patrolgame.cli import ADJACENCY_LIMIT, _dump_json
 from patrolgame.markov import capture_probability
 
 
@@ -46,6 +47,8 @@ def test_star_edge_set():
     g = build_star(3)
     assert g.edges == frozenset({(1, 2), (2, 1), (1, 3), (3, 1)})
     assert (g.n_p, g.n_q) == (1, 2)
+    # the same edges, but another family
+    assert g != build_bipartite(1, 2) and g.edges == build_bipartite(1, 2).edges
 
 
 @pytest.mark.parametrize("bad", [0, -1])
@@ -112,17 +115,17 @@ def test_build_is_deterministic():
     build_bipartite(3, 2), build_star(2), build_star(6),
 ])
 def test_families_strongly_connected(g):
-    assert is_strongly_connected(g.adjacency())
+    assert is_strongly_connected(g.adjacency)
 
 
 def test_eccentricities():
-    assert eccentricities(build_complete(3).adjacency()).tolist() == [1, 1, 1]
+    assert eccentricities(build_complete(3).adjacency).tolist() == [1, 1, 1]
     # star leaves sit two hops from each other, the center one hop from all
-    assert eccentricities(build_star(3).adjacency()).tolist() == [1, 2, 2]
-    assert eccentricities(build_bipartite(3, 2).adjacency()).tolist() == [2, 2, 2, 2, 2]
-    assert eccentricities(build_complete(1).adjacency()).tolist() == [0]
-    assert eccentricities(build_bipartite(1, 1).adjacency()).tolist() == [1, 1]
-    assert eccentricities(build_star(2).adjacency()).tolist() == [1, 1]
+    assert eccentricities(build_star(3).adjacency).tolist() == [1, 2, 2]
+    assert eccentricities(build_bipartite(3, 2).adjacency).tolist() == [2, 2, 2, 2, 2]
+    assert eccentricities(build_complete(1).adjacency).tolist() == [0]
+    assert eccentricities(build_bipartite(1, 1).adjacency).tolist() == [1, 1]
+    assert eccentricities(build_star(2).adjacency).tolist() == [1, 1]
 
 
 def test_eccentricities_reject_graph_not_strongly_connected():
@@ -167,7 +170,8 @@ def test_bfs_matches_reference_queue_bfs(adj):
     n = adj.shape[0]
     reference = [_reference_distances(adj, s) for s in range(n)]
     for s in range(n):
-        assert patrolgame.graphs._bfs_distances(adj, s).tolist() == reference[s]
+        assert patrolgame.graphs._distances(adj, [s]).tolist() == [reference[s]]
+    assert patrolgame.graphs._distances(adj, np.arange(n)).tolist() == reference
     reverse = _reference_distances(adj.T, 0)
     connected = min(reference[0]) >= 0 and min(reverse) >= 0
     assert is_strongly_connected(adj) == connected
@@ -249,9 +253,49 @@ def test_validate_rejects_bad_durations():
 
 
 def test_validate_rejects_graph_not_strongly_connected():
-    g = patrolgame.graphs.GraphTopology(family="general", n=3, edges=frozenset({(1, 2), (2, 3)}))
+    adj = np.zeros((3, 3), dtype=bool)
+    adj[0, 1] = adj[1, 2] = True
+    g = patrolgame.graphs.GraphTopology(family="general", n=3, adjacency=adj)
     with pytest.raises(InvalidSpec, match="not strongly connected"):
         validate_attack_durations(g, [3, 3, 3])
+
+
+def test_validate_rejects_node_without_out_edge():
+    # a lone node is strongly connected, but no walk leaves it, so it has no
+    # first-arrival time; build_general refuses the same graph
+    g = patrolgame.graphs.GraphTopology(family="general", n=1, adjacency=np.zeros((1, 1)))
+    with pytest.raises(InvalidSpec, match="edge out of each node"):
+        validate_attack_durations(g, [1])
+
+
+def test_adjacency_must_be_n_by_n():
+    with pytest.raises(DimensionMismatch):
+        patrolgame.graphs.GraphTopology(family="general", n=3, adjacency=np.ones((2, 2)))
+    with pytest.raises(DimensionMismatch):
+        patrolgame.graphs.GraphTopology(family="general", n=4, adjacency=np.ones(16))
+
+
+def test_adjacency_is_a_read_only_copy():
+    adj = np.ones((3, 3), dtype=bool)
+    g = patrolgame.graphs.GraphTopology(family="complete", n=3, adjacency=adj)
+    adj[0, 1] = False
+    assert g == build_complete(3)
+    with pytest.raises(ValueError, match="read-only"):
+        g.adjacency[0, 1] = False
+
+
+def test_largest_admitted_graph_builds_and_checks_in_bounded_memory():
+    # the CLI's graph limit admits a complete graph on 1000 nodes; its
+    # adjacency is 1 MB of bools and the all-sources search a few n^2 arrays
+    n = math.isqrt(ADJACENCY_LIMIT)
+    tracemalloc.start()
+    try:
+        report = validate_attack_durations(build_complete(n), [2] * n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.nontrivial
+    assert peak < 32 * 2**20
 
 
 @pytest.mark.parametrize("g, tau, violations", [

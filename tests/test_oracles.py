@@ -255,8 +255,7 @@ def serial_restarts(g, tau, restarts, seed):
     must reproduce exactly.  Returns (value, kept matrix, evaluations) for
     each restart in restart order."""
     evaluate = min_capture_evaluator(tau)
-    adjacency = g.adjacency()
-    support = [np.flatnonzero(adjacency[i]) for i in range(g.n)]
+    support = [np.flatnonzero(row) for row in g.adjacency]
     free_rows = [(i, cols) for i, cols in enumerate(support) if cols.size > 1]
     finals = []
     for restart in range(restarts):
