@@ -61,9 +61,9 @@ ADJACENCY_LIMIT = 10**6
 # solve and simulate run the recursion, priced as tau_max - 1 steps of the
 # dense product, 2 n^3 flops, and a fixed cost (5 us at n = 3 on a 2-core host
 # that does 2e10 flop/s at large n); the limit, about 5 s there, is 30 times
-# an n = 200, tau_max = 200 solve.  The kernel multiplies only a strategy's r
-# distinct rows when r <= n / 4, 2 r n^2 + n^2 flops a step, so the dense
-# price is an upper bound for every synthesized strategy (r is 1 or 2)
+# an n = 200, tau_max = 200 solve.  A strategy with r <= n / 12 distinct rows
+# (a synthesized one has 1 or 2) runs an r x n recursion, 2 r^2 n flops a
+# step, so the dense price is an upper bound for every synthesized strategy
 RECURSION_STEP_FLOPS = 100_000
 RECURSION_FLOP_LIMIT = 10**11
 # simulate and the montecarlo suite walk: markov.walk_work counts walker-column
@@ -98,38 +98,42 @@ def _float_text(token: str) -> str:
     return _NONFINITE.get(token) or repr(float(token))
 
 
-def _float_array_text(array: np.ndarray, newline: str) -> str:
-    """A non-empty float array as nested indent-2 JSON lists, each distinct
-    float formatted once.
+class _Text(str):
+    """JSON text already spelled out, which `_write_json` appends as it is."""
 
-    Values are keyed by their bit pattern: 0.0 and -0.0 print differently,
-    and a float key would merge them.
-    """
-    bits = np.ascontiguousarray(array, dtype=np.float64).view(np.int64).ravel()
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    values = tuple(distinct.view(np.float64).tolist())
+
+def _float_rows(array: np.ndarray, newline: str):
+    """A non-empty float array as nested lists of `_Text` rows, each indented
+    for its line; each distinct row, and each distinct float in those rows,
+    is formatted once, keyed by its bytes (0.0 and -0.0 print differently)."""
+    width = array.shape[-1]
+    first: dict[bytes, int] = {}
+    index = [first.setdefault(row.tobytes(), len(first))
+             for row in np.ascontiguousarray(array, dtype=np.float64).reshape(-1, width)]
+    keys, inverse = np.unique(np.frombuffer(b"".join(first), np.int64), return_inverse=True)
+    values = tuple(keys.view(np.float64).tolist())
     # one "%" over every value: a call per value costs more than its format
     texts = list(map(_float_text, ("%.12g " * len(values) % values).split()))
     items = np.array(texts, dtype=object)[inverse].tolist()
-    # innermost axis first: each pass joins `width` items into one list
-    for depth in reversed(range(array.ndim)):
-        outer = newline + "  " * depth
-        inner, width = outer + "  ", array.shape[depth]
-        items = [f"[{inner}{(',' + inner).join(items[start:start + width])}{outer}]"
-                 for start in range(0, len(items), width)]
-    return items[0]
+    outer = newline + "  " * (array.ndim - 1)
+    inner = outer + "  "
+    rows = [_Text(f"[{inner}{(',' + inner).join(items[start:start + width])}{outer}]")
+            for start in range(0, len(items), width)]
+    return np.array(rows, dtype=object)[index].reshape(array.shape[:-1]).tolist()
 
 
 def _write_json(obj, newline: str, parts: list[str]) -> None:
     """Append `obj` as indent-2 JSON; `newline` is a line break plus the
     indentation of the line `obj` starts on."""
     if isinstance(obj, np.ndarray):
-        if obj.dtype.kind == "f" and obj.ndim and obj.size:
-            parts.append(_float_array_text(obj, newline))
-            return
-        obj = obj.tolist()  # a 0-d float array lists as a float, rounded below
+        # a 0-d float array lists as a float, rounded below
+        rows = obj.dtype.kind == "f" and obj.ndim and obj.size
+        obj = _float_rows(obj, newline) if rows else obj.tolist()
     elif dataclasses.is_dataclass(obj):
         obj = _fields(obj)
+    if isinstance(obj, _Text):
+        parts.append(obj)
+        return
     if isinstance(obj, float):
         parts.append(_float_text("%.12g" % obj))
         return
@@ -158,7 +162,7 @@ def _dump_json(data) -> str:
     to 12 significant digits so that output is stable across runs.
 
     Dataclasses become objects of their `_fields`; arrays and tuples become
-    lists.  Each distinct float of a float array is formatted once.  The text
+    lists.  Each distinct row of a float array is formatted once.  The text
     is what `json.dumps(..., indent=2)` gives for that data.
     """
     parts: list[str] = []

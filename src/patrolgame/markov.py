@@ -8,6 +8,7 @@ leaves i, so the first transition is drawn from row i and a same-node pair
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -69,26 +70,19 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
 
 
 def _distinct_rows(P: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """A one-strategy (1, n, n) stack's distinct rows, told apart by their
-    bit patterns, and each row's index among them; None for several
-    strategies or more than n / 4 distinct rows.  A single distinct row is
-    returned twice, so that its products take the matrix-matrix routine of
-    the dense ones."""
+    """A one-strategy (1, n, n) stack's distinct rows, keyed by their bytes, and
+    each row's index among them; None for K > 1 or more than n / 12 distinct
+    rows, past which the r x n recursion stops being ~2x the dense product."""
     K, n, _ = P.shape
     if K != 1:
         return None
-    bits = np.ascontiguousarray(P[0]).view(np.uint64)
-    # equal rows share a signature, so a strategy has at least as many
-    # distinct rows as signatures; integer sums wrap, and no summation order
-    # can give equal rows different signatures
-    signature = bits @ np.arange(1, n + 1, dtype=np.uint64)
-    if 4 * len(set(signature.tolist())) > n:
-        return None
-    _, first, index = np.unique(signature, return_index=True, return_inverse=True)
-    # a signature shared by two different rows sends the stack to the dense path
-    if not np.array_equal(bits[first][index], bits):
-        return None
-    return P[0][np.repeat(first, 2) if len(first) == 1 else first], index
+    first: dict[bytes, int] = {}
+    index = []
+    for row in P[0]:
+        index.append(first.setdefault(row.tobytes(), len(first)))
+        if 12 * len(first) > n:
+            return None
+    return np.array([np.frombuffer(key, P.dtype) for key in first]), np.array(index)
 
 
 def _capture_cdf_stack(P: np.ndarray, durations: Sequence[int]) -> np.ndarray:
@@ -101,37 +95,44 @@ def _capture_cdf_stack(P: np.ndarray, durations: Sequence[int]) -> np.ndarray:
     stays O(K n^2) for any tau.  The dense product takes 2 n^3 flops a step
     per strategy, and each slice the same products and additions, in the
     same order, as the dense product of that slice alone.  A one-strategy
-    stack with r <= n / 4 distinct rows (a synthesized strategy has 1 or 2)
-    multiplies only those rows and gathers the products back by row index,
-    2 r n^2 + n^2 flops a step.  Up to n = 256 that gives the dense
-    product's bits; above it, where BLAS splits the inner sum into blocks,
-    an entry can differ by a few ulps.
+    stack with r <= n / 12 distinct rows (a synthesized strategy has 1 or 2)
+    keeps only those: G_k[c, j] is the sum over c', in order, of W[c', c, j]
+    G_{k-1}[c', j], where W[c', c, j] = mass(c, c') - [class(j) = c'] P_c[j]
+    and mass(c, c') is row c's total over class c'; 2 r^2 n flops a step,
+    bit-equal columns for targets of equal tau and entry, n x n at the end.
     """
     K, n, _ = P.shape
     durations = np.asarray(durations)
     compressed = _distinct_rows(P)
-    running = P.copy()
-    front = P.copy()
-    back = np.empty_like(front)
-    cdf = np.empty_like(front)
+    front, index = (P.copy(), None) if compressed is None else compressed
     if compressed is not None:
-        distinct, index = compressed
-        products = np.empty((len(distinct), n))
+        # W is the exact weight rounded once: fsum gives each mass and its
+        # remainder, and Knuth's TwoSum the error of the subtraction
+        sums = [[(total := math.fsum(row[index == c]), math.fsum([*row[index == c], -total]))
+                 for row in front] for c in range(len(front))]
+        mass, rest = np.split(np.array(sums), 2, axis=-1)
+        own = np.zeros((len(front), *front.shape))
+        own[index, :, np.arange(n)] = front.T
+        W = mass - own
+        W += mass - (W - (W - mass)) - (own + (W - mass)) + rest
+        term = np.empty_like(front)
+    running, back, cdf = front.copy(), np.empty_like(front), np.empty_like(front)
     k = 1
     for t in sorted(set(durations.tolist())):
         for _ in range(k, t):
-            front.reshape(K, n * n)[:, ::n + 1] = 0.0
             if compressed is None:
+                front.reshape(K, n * n)[:, ::n + 1] = 0.0
                 np.matmul(P, front, out=back)
             else:
-                np.matmul(distinct, front[0], out=products)
-                np.take(products, index, axis=0, out=back[0], mode="clip")
+                np.multiply(W[0], front[0], out=back)
+                for c in range(1, len(W)):
+                    back += np.multiply(W[c], front[c], out=term)
             front, back = back, front
             running += front
         k = t
         ending = durations == t
         cdf[..., ending] = running[..., ending]
-    return cdf
+    return cdf if compressed is None else cdf[index][None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,8 +160,7 @@ def capture_probability(P: np.ndarray, tau: Sequence[int]) -> CaptureReport:
     """
     P = check_transition_matrix(P)
     cdf = _capture_cdf_stack(P[None], check_durations(tau, P.shape[0]))[0]
-    flat = int(np.argmin(cdf))
-    i, j = divmod(flat, cdf.shape[1])
+    i, j = divmod(int(np.argmin(cdf)), cdf.shape[1])
     return CaptureReport(mu=float(cdf[i, j]), worst_pair=(i + 1, j + 1), cdf=cdf)
 
 
@@ -173,11 +173,7 @@ def min_capture_evaluator(tau: Sequence[int]):
     kernel on a whole stack instead.
     """
     durations = np.asarray([int(t) for t in tau])
-
-    def evaluate(P: np.ndarray) -> float:
-        return float(_capture_cdf_stack(np.asarray(P, dtype=float)[None], durations).min())
-
-    return evaluate
+    return lambda P: float(_capture_cdf_stack(np.asarray(P, dtype=float)[None], durations).min())
 
 
 @dataclass(frozen=True, eq=False)

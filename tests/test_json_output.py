@@ -12,7 +12,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import patrolgame.cli
@@ -112,9 +112,22 @@ floats = st.one_of(
 
 
 @given(arrays(np.float64, array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=6),
-              elements=floats))
-def test_float_arrays_match_the_reference(array):
-    assert _dump_json(array) == reference_dump(array)
+              elements=floats),
+       st.lists(st.integers(0, 11), min_size=1, max_size=8))
+@example(np.array([[0.0, 1.0]]), [0, 1, 0, 1])
+def test_float_arrays_match_the_reference(array, picks):
+    cases = [array]
+    if array.size:
+        # rows picked, repeats and all, from the array's own rows and from
+        # copies whose zeros flip sign, as a 2-D and a 3-D array: each
+        # distinct row is formatted once, and a row that differs only in the
+        # sign of a zero stays a distinct row
+        rows = array.reshape(-1, array.shape[-1])
+        pool = np.concatenate([rows, np.where(rows == 0, -rows, rows)])
+        repeated = pool[[pick % len(pool) for pick in picks]]
+        cases += [repeated, np.stack([repeated, repeated[::-1]])]
+    for case in cases:
+        assert _dump_json(case) == reference_dump(case)
     payload = {"cdf": array, "rows": [array, list(array)], "mu": float(array.flat[0])
                if array.size else None}
     assert _dump_json(payload) == reference_dump(payload)

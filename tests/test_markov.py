@@ -234,14 +234,15 @@ def test_stack_kernel_matches_reference_recursion(n, K, seed):
 
 # --- the kernel on distinct rows ----------------------------------------------
 
-def synthesized_strategy(family, n, seed):
-    """The family's synthesized strategy on n nodes for seeded durations (even
-    ones on a bipartite graph), and the durations."""
+def synthesized_strategy(family, n, seed, longest=24):
+    """The family's synthesized strategy on n nodes for seeded durations up
+    to `longest` (even ones on a bipartite graph), and the durations."""
     rng = np.random.default_rng(seed)
     if family == "bipartite":
-        sizes, tau = {"n_p": n // 2, "n_q": n - n // 2}, 2 * rng.integers(1, 13, size=n)
+        sizes = {"n_p": n // 2, "n_q": n - n // 2}
+        tau = 2 * rng.integers(1, longest // 2 + 1, size=n)
     else:
-        sizes, tau = {"n": n}, rng.integers(2, 25, size=n)
+        sizes, tau = {"n": n}, rng.integers(2, longest + 1, size=n)
     return synthesize(build_graph({"family": family, **sizes}), tuple(tau.tolist())).P, tau
 
 
@@ -255,19 +256,44 @@ def repeated_rows(n, r, seed):
     return np.random.default_rng(seed).dirichlet(np.ones(n), size=r)[np.arange(n) % r]
 
 
-@pytest.mark.parametrize("family, rows", [("complete", 1), ("star", 2), ("bipartite", 2)])
-@pytest.mark.parametrize("n", [8, 12, 200])
+def extended_precision_cdf(P, tau):
+    """The distinct-row recursion run in np.longdouble, rows grouped by value
+    and each class mass summed in that precision, rounded to float64 at the
+    end: G_k[c, j] = sum over c' of W[c', c, j] G_{k-1}[c', j]."""
+    rows, index = np.unique(P, axis=0, return_inverse=True)
+    index = index.ravel()
+    member = index == np.arange(len(rows))[:, None]  # member[c', j]
+    rows = rows.astype(np.longdouble)
+    mass = np.array([[row[columns].sum() for row in rows] for columns in member])
+    W = mass[:, :, None] - member[:, None, :] * rows[None]
+    G, running, cdf = rows.copy(), rows.copy(), np.empty_like(rows)
+    for k in range(1, int(tau.max()) + 1):
+        if k > 1:
+            G = (W * G[:, None, :]).sum(axis=0)
+            running += G
+        cdf[:, tau == k] = running[:, tau == k]
+    return cdf[index].astype(np.float64)
+
+
+# a synthesized strategy takes the path from n = 12 r: a complete graph's one
+# row from n = 12, a star's or bipartite graph's two rows from n = 24
+@pytest.mark.parametrize("n, family, rows", [
+    (12, "complete", 1), (24, "star", 2), (24, "bipartite", 2),
+    (200, "complete", 1), (200, "star", 2), (200, "bipartite", 2)])
 def test_synthesized_strategies_take_the_distinct_row_path(family, rows, n):
     P, _ = synthesized_strategy(family, n, n)
     distinct, index = markov._distinct_rows(P[None])
-    # a single row goes in twice, so that its product stays matrix-matrix
-    assert distinct.shape == (max(rows, 2), n)
+    assert distinct.shape == (rows, n)
     assert len(set(index.tolist())) == rows
     assert distinct[index].tobytes() == P.tobytes()
 
 
-@pytest.mark.parametrize("n, rows, fast", [(12, 3, True), (12, 4, False), (4, 1, True),
-                                           (3, 1, False), (200, 50, True), (200, 51, False)])
+# the path's edge, 12 r <= n, at both sides; at r = n / 12 the r x n
+# recursion takes about half the dense product's time at n = 200 and 1000
+@pytest.mark.parametrize("n, rows, fast", [(12, 4, False), (3, 1, False), (200, 51, False),
+                                           (12, 1, True), (11, 1, False), (24, 2, True),
+                                           (23, 2, False), (200, 16, True), (200, 17, False),
+                                           (1000, 83, True), (1000, 84, False)])
 def test_the_distinct_row_path_takes_at_most_a_quarter_of_the_rows(n, rows, fast):
     assert (markov._distinct_rows(repeated_rows(n, rows, n)[None]) is not None) is fast
 
@@ -285,21 +311,27 @@ def test_user_strategies_and_stacks_keep_the_dense_product():
 
 def test_rows_that_share_a_signature_are_not_merged():
     # b's bit patterns are a's with 2 s added to entry 0 and s taken from
-    # entry 1, so sum_j (j + 1) bits_j does not tell the two rows apart
-    a = np.random.default_rng(2).dirichlet(np.ones(8))
+    # entry 1, so a weighted sum of bit patterns, sum_j (j + 1) bits_j, does
+    # not tell the two rows apart; their bytes do, and at n = 24 their two
+    # classes take the distinct-row path
+    a = np.random.default_rng(2).dirichlet(np.ones(24))
     b = a.copy()
     b.view(np.uint64)[:2] += np.array([2, -1], dtype=np.int64).view(np.uint64) << 30
-    P = np.array([a, b] * 4)
-    tau = np.array([2, 3, 4, 5, 6, 7, 8, 9])
+    P = np.array([a, b] * 12)
+    distinct, index = markov._distinct_rows(P[None])
+    assert distinct.tobytes() == P[:2].tobytes()
+    assert index.tolist() == [0, 1] * 12
+    tau = np.arange(2, 26)
     cdf = _capture_cdf_stack(P[None], tau)[0]
-    assert cdf.tobytes() == _capture_cdf_stack(np.stack([P, P]), tau)[0].tobytes()
+    assert ulps_apart(cdf, _capture_cdf_stack(np.stack([P, P]), tau)[0]) <= 64
 
 
-@pytest.mark.parametrize("family", ["complete", "star", "bipartite"])
-@pytest.mark.parametrize("n", [12, 200, 260])
+@pytest.mark.parametrize("n, family", [
+    (12, "complete"), (24, "star"), (24, "bipartite"), (200, "complete"), (200, "star"),
+    (200, "bipartite"), (260, "complete"), (260, "star"), (260, "bipartite")])
 def test_distinct_row_path_agrees_with_the_dense_product(family, n):
-    # past n = 256 BLAS splits the inner sum into blocks, and the two
-    # products may round differently
+    # the r x n recursion adds its terms in another order than the dense
+    # product, so the two agree to a few ulps, not bit for bit
     P, tau = synthesized_strategy(family, n, n)
     assert markov._distinct_rows(P[None]) is not None
     fast = _capture_cdf_stack(P[None], tau)[0]
@@ -309,6 +341,24 @@ def test_distinct_row_path_agrees_with_the_dense_product(family, n):
     reference = running[tau - 1, :, np.arange(n)].T
     assert ulps_apart(fast, dense) <= 64
     assert ulps_apart(fast, reference) <= 64
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                    reason="np.longdouble has no 64-bit mantissa on this platform")
+def test_distinct_row_path_is_more_accurate_than_the_dense_product():
+    # largest ulp errors against the same recursion in long double, 11 bits
+    # finer, for tau up to n; case by case the two paths trade places (in a
+    # seeded scan of 48 cases the distinct-row path's error was at most the
+    # dense product's in 43, and above it by up to 20 ulps in the other 5),
+    # so the six cases are compared as a whole
+    fast, dense = [], []
+    for family in ("complete", "star", "bipartite"):
+        for n in (200, 260):
+            P, tau = synthesized_strategy(family, n, n, longest=n)
+            reference = extended_precision_cdf(P, tau)
+            fast.append(ulps_apart(_capture_cdf_stack(P[None], tau)[0], reference))
+            dense.append(ulps_apart(_capture_cdf_stack(np.stack([P, P]), tau)[0], reference))
+    assert sum(fast) <= sum(dense)
 
 
 def test_bipartite_parity_of_column_minimum():
@@ -389,6 +439,32 @@ def test_capture_report_consistency():
         np.testing.assert_allclose(report.cdf[:, col], F[:t, :, col].sum(axis=0), atol=1e-15)
     payload = json.loads(_dump_json(report))
     assert set(payload) == {"mu", "worst_pair", "cdf"}
+
+
+def test_the_first_tied_pair_is_the_worst_pair():
+    # targets 1, 12, 23 and 34 share tau = 2 and their entry of the one
+    # distinct row, so their CDF columns are bit-equal and the row-major
+    # first pair wins; the dense product's rounding made it (1, 23)
+    tau = ((2, 9, 5, 12, 8, 4, 11, 7, 3, 10, 6) * 4)[:40]
+    P = synthesize(build_graph({"family": "complete", "n": 40}), tau).P
+    report = capture_probability(P, tau)
+    assert len({report.cdf[:, j].tobytes() for j in (0, 11, 22, 33)}) == 1
+    assert report.worst_pair == (1, 1)
+
+
+def test_capture_memory_stays_near_the_answer():
+    # a synthesized n = 1000 strategy: the kernel carries its one distinct
+    # row, so the peak is the n x n answer (7.6 MiB) and a little; the dense
+    # product's four n x n buffers peaked at 38 MiB
+    tau = (50,) + (2,) * 999
+    P = synthesize(build_graph({"family": "complete", "n": 1000}), tau).P
+    tracemalloc.start()
+    try:
+        capture_probability(P, tau)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2**20
 
 
 def test_capture_dimension_mismatch():
