@@ -10,12 +10,13 @@ checkable construction.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import (BudgetOutOfRange, InvalidSpec, InvalidStart, ParityError, TrivialGame,
                      Unsupported)
-from .graphs import BIPARTITE, COMPLETE, GraphTopology
+from .graphs import BIPARTITE, COMPLETE, GraphTopology, check_durations
 from .synthesis import solve_equalized_value
 
 
@@ -25,7 +26,8 @@ class AllocationResult:
 
     `tau` is sorted non-increasing (per side for the two-sided case, with the
     P side first); any permutation performs identically.  `mu` is the capture
-    probability of the matching synthesized strategy, 1 - w.
+    probability of the matching synthesized strategy, 1 - w; for one
+    bipartite side, `allocate_bipartite_side`, it is 1 - w of that side.
     """
 
     tau: tuple[int, ...]
@@ -48,18 +50,15 @@ def _near_uniform(n: int, units: int) -> tuple[int, ...]:
 
 def complete_allocation_value(tau: Sequence[int]) -> float:
     """Game value w of a complete-graph allocation: sum_i w**(1/tau_i) = n - 1."""
-    return solve_equalized_value(tuple(sorted(int(t) for t in tau)))
+    return solve_equalized_value(tuple(sorted(check_durations(tau, len(tau)))))
 
 
 def bipartite_side_value(tau_side: Sequence[int]) -> float:
     """Game value w of one even-valued side: sum_i w**(2/tau_i) = n_side - 1."""
-    exponents = []
-    for t in tau_side:
-        t = int(t)
-        if t % 2 or t < 2:
-            raise InvalidSpec(f"side durations must be even and >= 2: {tuple(tau_side)}")
-        exponents.append(t // 2)
-    return solve_equalized_value(tuple(sorted(exponents)))
+    durations = check_durations(tau_side, len(tau_side))
+    if any(t % 2 or t < 2 for t in durations):
+        raise InvalidSpec(f"side durations must be even and >= 2: {durations}")
+    return solve_equalized_value(tuple(sorted(t // 2 for t in durations)))
 
 
 def complete_split(n: int, B: int) -> tuple[int, ...]:
@@ -68,6 +67,8 @@ def complete_split(n: int, B: int) -> tuple[int, ...]:
     Valid for budgets strictly between n (anything less cannot give every
     node a unit) and n*n (anything more makes the game trivial).
     """
+    if not isinstance(B, numbers.Integral):  # NumPy integers pass
+        raise InvalidSpec(f"budget must be an integer, got {B!r}")
     if n < 2:
         raise InvalidSpec(f"complete-graph allocation needs n >= 2, got {n}")
     if not n < B < n * n:
@@ -82,22 +83,20 @@ def allocate_complete(n: int, B: int) -> AllocationResult:
     return AllocationResult(tau=tau, B=B, w=w, mu=1.0 - w)
 
 
-@dataclass(frozen=True)
-class SideAllocation:
-    """Even-valued allocation for one side of a bipartite graph."""
-
-    tau: tuple[int, ...]
-    B: int
-    w: float
+def _side_value(n: int, units: int) -> float:
+    """w of `units` units of 2 split near-uniformly over a side of n nodes."""
+    return solve_equalized_value(_near_uniform(n, units)[::-1])
 
 
-def allocate_bipartite_side(n_side: int, B_side: int) -> SideAllocation:
+def allocate_bipartite_side(n_side: int, B_side: int) -> AllocationResult:
     """Optimal even placement on one side: B/2 units of 2 split near-uniformly.
 
     Entries are even and differ by at most two.  The degenerate all-twos
     budget B_side = 2*n_side is accepted because the co-optimization
     brackets start there.
     """
+    if not isinstance(B_side, numbers.Integral):  # NumPy integers pass
+        raise InvalidSpec(f"budget must be an integer, got {B_side!r}")
     if n_side < 1:
         raise InvalidSpec(f"side size must be >= 1, got {n_side}")
     if B_side % 2:
@@ -105,9 +104,9 @@ def allocate_bipartite_side(n_side: int, B_side: int) -> SideAllocation:
     if B_side < 2 * n_side:
         raise BudgetOutOfRange(f"side budget {B_side} cannot give {n_side} nodes >= 2 each")
     units = _near_uniform(n_side, B_side // 2)
+    w = solve_equalized_value(units[::-1])
     # tuple() of a list: from a generator, bipartite sweeps kept ~1 MB more resident
-    return SideAllocation(tau=tuple([2 * u for u in units]), B=B_side,
-                          w=solve_equalized_value(units[::-1]))
+    return AllocationResult(tau=tuple([2 * u for u in units]), B=B_side, w=w, mu=1.0 - w)
 
 
 def co_optimize_bipartite(n_p: int, n_q: int, B: int) -> AllocationResult:
@@ -116,9 +115,11 @@ def co_optimize_bipartite(n_p: int, n_q: int, B: int) -> AllocationResult:
     Bisects on the P-side sub-budget, counted in units of 2: the P-side value
     falls and the Q-side value rises as budget moves to P, so the overall
     value max(w_p, w_q) is minimized where they cross.  Both surviving
-    bracket ends are evaluated and the better one returned (ties go to the
-    smaller sub-budget).
+    bracket ends are evaluated; the larger sub-budget wins only when its
+    value is lower by more than 1e-12, so ties go to the smaller one.
     """
+    if not isinstance(B, numbers.Integral):  # NumPy integers pass
+        raise InvalidSpec(f"budget must be an integer, got {B!r}")
     if n_p < 1 or n_q < 1:
         raise InvalidSpec(f"side sizes must be >= 1, got ({n_p}, {n_q})")
     if B % 2:
@@ -130,24 +131,19 @@ def co_optimize_bipartite(n_p: int, n_q: int, B: int) -> AllocationResult:
     if not lo_limit < B < hi_limit:
         raise BudgetOutOfRange(f"budget must satisfy {lo_limit} < B < {hi_limit}, got {B}")
 
-    lb, ub = n_p, B // 2 - n_q
+    half = B // 2
+    lb, ub = n_p, half - n_q
     while ub - lb > 1:
         mid = (lb + ub + 1) // 2
-        side_p = allocate_bipartite_side(n_p, 2 * mid)
-        side_q = allocate_bipartite_side(n_q, B - 2 * mid)
-        if side_p.w < side_q.w:
+        if _side_value(n_p, mid) < _side_value(n_q, half - mid):
             ub = mid
         else:
             lb = mid
 
-    best = None
-    for units in sorted({lb, ub}):
-        side_p = allocate_bipartite_side(n_p, 2 * units)
-        side_q = allocate_bipartite_side(n_q, B - 2 * units)
-        w = max(side_p.w, side_q.w)
-        if best is None or w < best[0] - 1e-12:
-            best = (w, side_p, side_q)
-    w, side_p, side_q = best
+    w_lb, w_ub = (max(_side_value(n_p, u), _side_value(n_q, half - u)) for u in (lb, ub))
+    w, units = (w_ub, ub) if w_ub < w_lb - 1e-12 else (w_lb, lb)
+    side_p = allocate_bipartite_side(n_p, 2 * units)
+    side_q = allocate_bipartite_side(n_q, B - 2 * units)
     return AllocationResult(
         tau=side_p.tau + side_q.tau, B=B, w=w, mu=1.0 - w,
         B_p=side_p.B, B_q=side_q.B, tau_p=side_p.tau, tau_q=side_q.tau,

@@ -15,32 +15,25 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidSpec, NotIrreducible
-from .graphs import GraphTopology, check_durations, is_strongly_connected
+from .graphs import check_durations, is_strongly_connected
 
 ROW_SUM_TOL = 1e-9
 
 
-def check_transition_matrix(P: np.ndarray, graph: GraphTopology | None = None) -> np.ndarray:
-    """Validate a row-stochastic matrix, optionally against a graph's support.
+def check_transition_matrix(P: np.ndarray) -> np.ndarray:
+    """Validate a row-stochastic matrix.
 
     Returns the matrix as a float64 ndarray.  Raises `DimensionMismatch` for
-    a non-square input and `InvalidSpec` when rows do not sum to one, entries
-    leave [0, 1] (NaN included), or mass sits on a non-edge of `graph`.
+    a non-square input and `InvalidSpec` when rows do not sum to one or
+    entries leave [0, 1] (NaN included).
     """
     P = np.asarray(P, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise DimensionMismatch(f"transition matrix must be square, got shape {P.shape}")
-    if graph is not None and P.shape[0] != graph.n:
-        raise DimensionMismatch(f"matrix is {P.shape[0]}x{P.shape[0]} but graph has {graph.n} nodes")
     if not np.all((P >= -ROW_SUM_TOL) & (P <= 1 + ROW_SUM_TOL)):
         raise InvalidSpec("transition probabilities must lie in [0, 1]")
     if np.any(np.abs(P.sum(axis=1) - 1.0) > ROW_SUM_TOL):
         raise InvalidSpec("every row must sum to 1")
-    if graph is not None:
-        off_support = ~graph.adjacency & (P > ROW_SUM_TOL)
-        if off_support.any():
-            i, j = np.argwhere(off_support)[0]
-            raise InvalidSpec(f"probability mass on non-edge ({i + 1}, {j + 1})")
     return P
 
 
@@ -168,11 +161,11 @@ def min_capture_evaluator(tau: Sequence[int]):
     """Reusable evaluator P -> min capture probability for fixed durations.
 
     A thin wrapper over `capture_probability`'s streaming kernel, so its
-    value equals `capture_probability(P, tau).mu` exactly.  The matrix is
-    not validated; optimizers that score many candidates at once call the
-    kernel on a whole stack instead.
+    value equals `capture_probability(P, tau).mu` exactly.  Only tau is
+    checked, by `check_durations`; optimizers that score many candidates at
+    once call the kernel on a whole stack instead.
     """
-    durations = np.asarray([int(t) for t in tau])
+    durations = np.asarray(check_durations(tau, len(tau)))
     return lambda P: float(_capture_cdf_stack(np.asarray(P, dtype=float)[None], durations).min())
 
 

@@ -64,22 +64,20 @@ class OracleReport:
     gap: float | None = None
 
 
-def partitions(total: int, parts: int, minimum: int = 1,
-               maximum: int | None = None) -> Iterator[tuple[int, ...]]:
-    """All non-increasing integer tuples of length `parts` summing to `total`."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
+def partitions(total: int, parts: int, maximum: int | None = None) -> Iterator[tuple[int, ...]]:
+    """All non-increasing tuples of `parts` >= 1 positive integers, none above
+    `maximum` when it is given, that sum to `total`."""
+    if parts < 1:
+        raise InvalidSpec(f"parts must be >= 1, got {parts}")
     if parts == 1:
-        if total >= minimum and (maximum is None or total <= maximum):
+        if 1 <= total and (maximum is None or total <= maximum):
             yield (total,)
         return
-    hi = total - minimum * (parts - 1)
+    hi = total - (parts - 1)
     if maximum is not None:
         hi = min(hi, maximum)
-    for first in range(hi, minimum - 1, -1):
-        for rest in partitions(total - first, parts - 1, minimum, first):
+    for first in range(hi, 0, -1):
+        for rest in partitions(total - first, parts - 1, first):
             yield (first,) + rest
 
 
@@ -192,16 +190,17 @@ def _random_feasible_strategy(rng: np.random.Generator,
     return P
 
 
-def _sweep_candidates(rows: np.ndarray, cols: np.ndarray, down: np.ndarray,
+def _sweep_candidates(rows: np.ndarray, cols: np.ndarray,
                       signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Trial rows of the moves rows[m, cols[m]] += signs[m]; overwrites `rows`.
 
     Returns the positions of the moves a serial sweep would score and their
-    clipped, renormalized rows.  It skips a downward move on a zero entry and
-    a move that leaves its row empty, as the serial sweep does.
+    clipped, renormalized rows.  It skips a downward move (a negative sign)
+    on a zero entry and a move that leaves its row empty, as the serial
+    sweep does.
     """
     lanes = np.arange(len(rows))
-    tried = ~(down & (rows[lanes, cols] <= 0.0))
+    tried = ~((signs < 0.0) & (rows[lanes, cols] <= 0.0))
     rows[lanes, cols] += signs
     np.maximum(rows, 0.0, out=rows)
     totals = rows.sum(axis=1)
@@ -251,10 +250,7 @@ def local_search_strategy(g: GraphTopology, tau: Sequence[int], restarts: int,
     moves = np.array([(i, c) for i, cols in enumerate(support) if cols.size > 1
                       for c in cols for _ in range(2)], dtype=int).reshape(-1, 2)
     move_row, move_col = moves.T
-    move_down = np.arange(len(moves)) % 2 == 1
-
-    sweep = np.arange(len(moves))
-    sign = np.where(move_down, -1.0, 1.0)
+    sign = np.where(np.arange(len(moves)) % 2, -1.0, 1.0)
 
     # one slot per live restart.  Matrices and values are arrays, because a
     # round gathers from them lane by lane; the rest of a slot's state (its
@@ -288,11 +284,11 @@ def local_search_strategy(g: GraphTopology, tau: Sequence[int], restarts: int,
         # lanes of slot s hold moves start[s], start[s] + 1, ..., in order
         counts = [len(moves) - start[slot] for slot in climbing]
         lane_slot = np.repeat(np.array(climbing, dtype=int), counts)
-        lane_move = np.concatenate([sweep[start[slot]:] for slot in climbing] or [sweep[:0]])
+        lane_move = np.concatenate([np.arange(start[slot], len(moves)) for slot in climbing]
+                                   or [np.arange(0)])
         lane_step = np.repeat([step[slot] for slot in climbing], counts)
         idx, trials = _sweep_candidates(
-            P[lane_slot, move_row[lane_move]], move_col[lane_move], move_down[lane_move],
-            sign[lane_move] * lane_step)
+            P[lane_slot, move_row[lane_move]], move_col[lane_move], sign[lane_move] * lane_step)
         cand_slot, cand_move = lane_slot[idx], lane_move[idx]
         stack = P[np.concatenate((np.array(new, dtype=int), cand_slot))]
         stack[np.arange(len(new), len(stack)), move_row[cand_move]] = trials

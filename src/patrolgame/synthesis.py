@@ -247,7 +247,7 @@ def uniform_bipartite_baseline(n_p: int, n_q: int, tau: int) -> BaselineResult:
     """
     if n_p < 2 or n_q < 2:
         raise InvalidSpec(f"baseline needs both sides >= 2, got ({n_p}, {n_q})")
-    tau = int(tau)
+    (tau,) = check_durations([tau], 1)
     n = n_p + n_q
     if not 2 <= tau <= 2 * n - 4:
         raise TrivialGame(f"tau={tau} outside the nontrivial range [2, {2 * n - 4}]")
@@ -278,9 +278,7 @@ def capture_upper_bound(pi: Sequence[float], tau: Sequence[int],
     reported as an achieved suboptimality factor.
     """
     pi = np.asarray(pi, dtype=float)
-    durations = np.asarray([int(t) for t in tau])
-    if pi.shape[0] != durations.shape[0]:
-        raise DimensionMismatch(f"pi has {pi.shape[0]} entries, tau has {durations.shape[0]}")
+    durations = np.asarray(check_durations(tau, len(pi)))
     stationary = float(np.min(pi * durations))
     generic = generic_capture_bound(durations)
     ratio = None if mu is None else mu / generic

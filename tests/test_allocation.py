@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -217,6 +218,32 @@ def test_co_optimize_parity_and_range():
         co_optimize_bipartite(2, 2, 16)
     with pytest.raises(TrivialGame, match=r"sides \(1, 1\)"):
         co_optimize_bipartite(1, 1, 6)
+
+
+def test_co_optimize_matches_a_scan_of_every_even_split():
+    # every even split of B, each scored by the larger of its two side values
+    for n_p in range(1, 9):
+        for n_q in range(1, 9):
+            if n_p == n_q == 1:
+                continue
+            for B in range(2 * (n_p + n_q) + 2, 2 * (n_p * n_p + n_q * n_q), 2):
+                scan = {B_p: max(allocate_bipartite_side(n_p, B_p).w,
+                                 allocate_bipartite_side(n_q, B - B_p).w)
+                        for B_p in range(2 * n_p, B - 2 * n_q + 1, 2)}
+                result, best = co_optimize_bipartite(n_p, n_q, B), min(scan.values())
+                assert result.w == best, (n_p, n_q, B)
+                assert scan[result.B_p] <= best + 1e-12, (n_p, n_q, B)
+
+
+@pytest.mark.parametrize("allocate_with, sizes, B", [
+    (allocate_complete, (3,), 8),
+    (allocate_bipartite_side, (2,), 8),
+    (co_optimize_bipartite, (2, 2), 12),
+], ids=["allocate_complete", "allocate_bipartite_side", "co_optimize_bipartite"])
+def test_a_budget_must_be_an_integer(allocate_with, sizes, B):
+    with pytest.raises(InvalidSpec, match="budget must be an integer"):
+        allocate_with(*sizes, float(B))
+    assert allocate_with(*sizes, np.int64(B)) == allocate_with(*sizes, B)
 
 
 def test_co_optimize_value_matches_strategy_evaluation():

@@ -252,6 +252,29 @@ def test_validate_rejects_bad_durations():
             validate_attack_durations(g, tau)
 
 
+# each reader of attack durations outside the graph checks, as a function of
+# tau, with durations it must refuse and integral ones it must read
+DURATION_READERS = {
+    "complete_allocation_value": (patrolgame.complete_allocation_value, [[2.5, 3]], [4, 3]),
+    "bipartite_side_value": (patrolgame.bipartite_side_value, [[4, 2.5], [4.5, 2]], [4, 2]),
+    "min_capture_evaluator": (lambda tau: patrolgame.markov.min_capture_evaluator(tau)(
+        np.full((len(tau), len(tau)), 1 / len(tau))), [[2.5, 3]], [4, 3]),
+    "capture_upper_bound": (lambda tau: patrolgame.capture_upper_bound(
+        np.full(len(tau), 1 / len(tau)), tau), [[2.5, 3], [2.7, 3]], [4, 3]),
+    "uniform_bipartite_baseline": (lambda tau: patrolgame.uniform_bipartite_baseline(
+        2, 2, *tau).mu, [[2.5], [2.9]], [4]),
+}
+
+
+@pytest.mark.parametrize("reader", DURATION_READERS)
+def test_every_duration_reader_refuses_fractions_and_reads_integral_floats(reader):
+    read, fractional, integral = DURATION_READERS[reader]
+    for tau in fractional:
+        with pytest.raises(InvalidSpec, match="must be integers"):
+            read(tau)
+    assert read([float(t) for t in integral]) == read(integral)
+
+
 def test_validate_rejects_graph_not_strongly_connected():
     adj = np.zeros((3, 3), dtype=bool)
     adj[0, 1] = adj[1, 2] = True

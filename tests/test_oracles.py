@@ -40,14 +40,11 @@ from patrolgame.oracles import (MONTE_CARLO_FALSE_ALARM, _multiset_values,
 # --- partition enumeration ------------------------------------------------------
 
 def test_partitions_small_case():
-    got = list(partitions(7, 3, minimum=1))
+    got = list(partitions(7, 3))
     assert got == [(5, 1, 1), (4, 2, 1), (3, 3, 1), (3, 2, 2)]
     assert all(sum(p) == 7 for p in got)
-
-
-def test_partitions_respect_minimum():
-    assert list(partitions(6, 3, minimum=2)) == [(2, 2, 2)]
-    assert list(partitions(5, 3, minimum=2)) == []
+    with pytest.raises(InvalidSpec, match="parts must be >= 1"):
+        next(partitions(0, 0))
 
 
 def test_partitions_cover_all_compositions():
@@ -86,7 +83,7 @@ def reference_multiset_values(keys):
     over `partitions`, keeping the first minimum in generator order."""
     values = {}
     for n, units in dict.fromkeys(keys):
-        for parts in partitions(units, n, minimum=1):
+        for parts in partitions(units, n):
             w = solve_equalized_value(parts[::-1])
             if (n, units) not in values or w < values[n, units][0]:
                 values[n, units] = (w, parts)

@@ -415,6 +415,8 @@ def test_baseline_range_checks():
         uniform_bipartite_baseline(2, 2, 5)
     with pytest.raises(InvalidSpec):
         uniform_bipartite_baseline(1, 3, 2)
+    with pytest.raises(InvalidSpec, match=">= 1"):
+        uniform_bipartite_baseline(2, 2, 0)
 
 
 # --- upper bounds -------------------------------------------------------------------
