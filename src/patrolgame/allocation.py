@@ -48,6 +48,17 @@ def _near_uniform(n: int, units: int) -> tuple[int, ...]:
     return (q + 1,) * r + (q,) * (n - r)
 
 
+def _side_value(n: int, units: int) -> float:
+    """w of `units` split near-uniformly over n entries."""
+    return solve_equalized_value(_near_uniform(n, units)[::-1])
+
+
+def _even_side(n: int, units: int) -> tuple[int, ...]:
+    """`units` units of 2 split near-uniformly over a side of n nodes."""
+    # tuple() of a list: from a generator, bipartite sweeps kept ~1 MB more resident
+    return tuple([2 * u for u in _near_uniform(n, units)])
+
+
 def complete_allocation_value(tau: Sequence[int]) -> float:
     """Game value w of a complete-graph allocation: sum_i w**(1/tau_i) = n - 1."""
     return solve_equalized_value(tuple(sorted(check_durations(tau, len(tau)))))
@@ -79,21 +90,15 @@ def complete_split(n: int, B: int) -> tuple[int, ...]:
 def allocate_complete(n: int, B: int) -> AllocationResult:
     """`complete_split` of B with its solved game value."""
     tau = complete_split(n, B)
-    w = solve_equalized_value(tau[::-1])
+    w = _side_value(n, B)
     return AllocationResult(tau=tau, B=B, w=w, mu=1.0 - w)
-
-
-def _side_value(n: int, units: int) -> float:
-    """w of `units` units of 2 split near-uniformly over a side of n nodes."""
-    return solve_equalized_value(_near_uniform(n, units)[::-1])
 
 
 def allocate_bipartite_side(n_side: int, B_side: int) -> AllocationResult:
     """Optimal even placement on one side: B/2 units of 2 split near-uniformly.
 
     Entries are even and differ by at most two.  The degenerate all-twos
-    budget B_side = 2*n_side is accepted because the co-optimization
-    brackets start there.
+    budget B_side = 2*n_side is accepted.
     """
     if not isinstance(B_side, numbers.Integral):  # NumPy integers pass
         raise InvalidSpec(f"budget must be an integer, got {B_side!r}")
@@ -103,10 +108,8 @@ def allocate_bipartite_side(n_side: int, B_side: int) -> AllocationResult:
         raise ParityError(f"side budget must be even, got {B_side}")
     if B_side < 2 * n_side:
         raise BudgetOutOfRange(f"side budget {B_side} cannot give {n_side} nodes >= 2 each")
-    units = _near_uniform(n_side, B_side // 2)
-    w = solve_equalized_value(units[::-1])
-    # tuple() of a list: from a generator, bipartite sweeps kept ~1 MB more resident
-    return AllocationResult(tau=tuple([2 * u for u in units]), B=B_side, w=w, mu=1.0 - w)
+    w = _side_value(n_side, B_side // 2)
+    return AllocationResult(tau=_even_side(n_side, B_side // 2), B=B_side, w=w, mu=1.0 - w)
 
 
 def co_optimize_bipartite(n_p: int, n_q: int, B: int) -> AllocationResult:
@@ -140,15 +143,13 @@ def co_optimize_bipartite(n_p: int, n_q: int, B: int) -> AllocationResult:
         else:
             lb = mid
 
-    w_lb, w_ub = (max(_side_value(n_p, u), _side_value(n_q, half - u)) for u in (lb, ub))
-    w, units = (w_ub, ub) if w_ub < w_lb - 1e-12 else (w_lb, lb)
-    side_p = allocate_bipartite_side(n_p, 2 * units)
-    side_q = allocate_bipartite_side(n_q, B - 2 * units)
+    lower, upper = ((_side_value(n_p, u), _side_value(n_q, half - u), u) for u in (lb, ub))
+    w_p, w_q, units = upper if max(upper[:2]) < max(lower[:2]) - 1e-12 else lower
+    w = max(w_p, w_q)
+    tau_p, tau_q = _even_side(n_p, units), _even_side(n_q, half - units)
     return AllocationResult(
-        tau=side_p.tau + side_q.tau, B=B, w=w, mu=1.0 - w,
-        B_p=side_p.B, B_q=side_q.B, tau_p=side_p.tau, tau_q=side_q.tau,
-        w_p=side_p.w, w_q=side_q.w,
-    )
+        tau=tau_p + tau_q, B=B, w=w, mu=1.0 - w, B_p=2 * units, B_q=B - 2 * units,
+        tau_p=tau_p, tau_q=tau_q, w_p=w_p, w_q=w_q)
 
 
 def allocate(g: GraphTopology, B: int) -> AllocationResult:

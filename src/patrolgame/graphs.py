@@ -8,6 +8,7 @@ two-sided graph with the center as the single P-side node.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
@@ -50,6 +51,10 @@ class GraphTopology:
     n_q: int | None = None
 
     def __post_init__(self):
+        sizes = (self.n, *(k for k in (self.n_p, self.n_q) if k is not None))
+        if not all(isinstance(k, numbers.Integral) for k in sizes):  # NumPy integers pass
+            raise InvalidSpec(f"graph sizes must be integers, got n={self.n!r}, "
+                              f"n_p={self.n_p!r}, n_q={self.n_q!r}")
         adjacency = np.array(self.adjacency, dtype=bool)
         if adjacency.shape != (self.n, self.n):
             raise DimensionMismatch(f"adjacency is {adjacency.shape} but graph has {self.n} nodes")
@@ -109,10 +114,14 @@ def build_general(n: int, edges: Iterable[Sequence[int]]) -> GraphTopology:
 
 
 def _size(spec: Mapping, key: str) -> int:
-    """`spec[key]` as an int, or `InvalidSpec` naming the key."""
+    """`spec[key]` as an int, read as `check_durations` reads a duration (4.0
+    reads as 4, 4.7 is refused), or `InvalidSpec` naming the key."""
     try:
-        return int(spec[key])
-    except (KeyError, TypeError, ValueError):
+        size = int(spec[key])
+        if size != float(spec[key]):
+            raise ValueError
+        return size
+    except (KeyError, TypeError, ValueError, OverflowError):
         raise InvalidSpec(f"graph descriptor needs an integer {key!r}, "
                           f"got {spec.get(key)!r}") from None
 

@@ -9,6 +9,7 @@ leaves i, so the first transition is drawn from row i and a same-node pair
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -184,9 +185,15 @@ def counter_stream(seed: int, index: int) -> np.random.Generator:
 
     Streams for different indices never overlap, so work items (start
     nodes, trials, restarts) can run in any order or in parallel without
-    changing any result.  Raises `InvalidSpec` unless seed and index both lie
-    in [0, 2**64): a value outside would alias one inside.
+    changing any result.  Raises `InvalidSpec` unless seed and index are both
+    integers (NumPy integers pass) in [0, 2**64): a value outside, or a
+    fraction, would alias an integer inside.
     """
+    try:
+        seed, index = operator.index(seed), operator.index(index)
+    except TypeError:
+        raise InvalidSpec(f"seed and stream index must be integers, "
+                          f"got {seed!r} and {index!r}") from None
     if not (0 <= seed < 1 << 64 and 0 <= index < 1 << 64):
         raise InvalidSpec(f"seed and stream index must lie in [0, 2**64), got {seed} and {index}")
     key = np.array([seed, index], dtype=np.uint64)

@@ -38,7 +38,6 @@ from .markov import (
 
 ENUMERATION_GUARD = 10_000_000
 LOCAL_SEARCH_MAX_NODES = 8
-LOCAL_SEARCH_TOLERANCE = 0.02
 # the largest gap between an enumerated optimum and its allocation rule
 ALLOCATION_TOLERANCE = 1e-10
 _IMPROVEMENT_EPS = 1e-7
@@ -54,13 +53,12 @@ _MONTE_CARLO_TAU = (2, 4)
 
 @dataclass(frozen=True, eq=False)
 class OracleReport:
-    """Best value found by an oracle and its agreement with the closed form."""
+    """Best value found by an oracle and its gap to the closed form."""
 
     best_value: float
     best_candidate: object
     candidates_examined: int
     closed_form_value: float | None = None
-    agreement: bool | None = None
     gap: float | None = None
 
 
@@ -126,11 +124,10 @@ def _splits(sizes: tuple[int, ...], B: int) -> tuple[int, list[tuple[int, ...]]]
 
 
 def _report(best_value: float, best_candidate, count: int, closed_form: float) -> OracleReport:
-    gap = abs(closed_form - best_value)
     return OracleReport(
         best_value=best_value, best_candidate=best_candidate,
         candidates_examined=count, closed_form_value=closed_form,
-        agreement=gap <= ALLOCATION_TOLERANCE, gap=gap,
+        gap=abs(closed_form - best_value),
     )
 
 
@@ -330,11 +327,10 @@ def local_search_strategy(g: GraphTopology, tau: Sequence[int], restarts: int,
                     owner[slot] = -1
             start[slot], improved[slot] = 0, False
     best_mu = -best_key[0]
-    gap = None if reference is None else abs(reference - best_mu)
     return OracleReport(
         best_value=best_mu, best_candidate=best_P,
         candidates_examined=evaluations, closed_form_value=reference,
-        agreement=None if gap is None else gap <= LOCAL_SEARCH_TOLERANCE, gap=gap,
+        gap=None if reference is None else abs(reference - best_mu),
     )
 
 
@@ -492,7 +488,7 @@ def allocation_agreement_suite(nmax: int = 4) -> SuiteReport:
         report = oracle(*args, values=values)
         checks.append(CheckResult(instance=instance,
                                   expected=f"gap <= {ALLOCATION_TOLERANCE:.12g}",
-                                  actual=report.gap, passed=bool(report.agreement)))
+                                  actual=report.gap, passed=report.gap <= ALLOCATION_TOLERANCE))
     return SuiteReport(name="alloc-oracle", checks=tuple(checks))
 
 

@@ -221,18 +221,32 @@ def test_co_optimize_parity_and_range():
 
 
 def test_co_optimize_matches_a_scan_of_every_even_split():
-    # every even split of B, each scored by the larger of its two side values
+    # every even split of B, each scored by the larger of its two side values;
+    # the answer's sides are the split it picks, each with its own value
     for n_p in range(1, 9):
         for n_q in range(1, 9):
             if n_p == n_q == 1:
                 continue
+            g = build_bipartite(n_p, n_q)
             for B in range(2 * (n_p + n_q) + 2, 2 * (n_p * n_p + n_q * n_q), 2):
+                case = (n_p, n_q, B)
                 scan = {B_p: max(allocate_bipartite_side(n_p, B_p).w,
                                  allocate_bipartite_side(n_q, B - B_p).w)
                         for B_p in range(2 * n_p, B - 2 * n_q + 1, 2)}
                 result, best = co_optimize_bipartite(n_p, n_q, B), min(scan.values())
-                assert result.w == best, (n_p, n_q, B)
-                assert scan[result.B_p] <= best + 1e-12, (n_p, n_q, B)
+                assert result.w == best, case
+                assert scan[result.B_p] <= best + 1e-12, case
+                assert result.B_p + result.B_q == B, case
+                assert result.tau == result.tau_p + result.tau_q, case
+                sides = ((n_p, result.B_p, result.tau_p, result.w_p),
+                         (n_q, result.B_q, result.tau_q, result.w_q))
+                for n_side, B_side, tau_side, w_side in sides:
+                    assert len(tau_side) == n_side and sum(tau_side) == B_side, case
+                    assert all(t % 2 == 0 and t >= 2 for t in tau_side), case
+                    assert max(tau_side) - min(tau_side) <= 2, case
+                    assert w_side == bipartite_side_value(tau_side), case
+                assert result.w == max(result.w_p, result.w_q), case
+                assert synthesize(g, result.tau).w == result.w, case
 
 
 @pytest.mark.parametrize("allocate_with, sizes, B", [

@@ -81,10 +81,20 @@ def test_build_graph_json_descriptors():
     ({"family": "complete"}, "n"),
     ({"family": "star", "n": None}, "n"),
     ({"family": "general", "n": [3], "edges": []}, "n"),
+    ({"family": "complete", "n": 4.7}, "n"),
+    ({"family": "bipartite", "n_p": 2.9, "n_q": 3}, "n_p"),
 ])
 def test_malformed_descriptor_names_the_key(spec, key):
     with pytest.raises(InvalidSpec, match=f"integer '{key}'"):
         build_graph(spec)
+
+
+@pytest.mark.parametrize("size", [4, 4.0, np.int64(4)], ids=["int", "float", "int64"])
+def test_an_integral_descriptor_size_reads_as_an_int(size):
+    g = build_graph({"family": "complete", "n": size})
+    assert g == build_complete(4) and type(g.n) is int
+    g = build_graph({"family": "bipartite", "n_p": size, "n_q": 3, "n": size + 3})
+    assert g == build_bipartite(4, 3) and (type(g.n), type(g.n_p)) == (int, int)
 
 
 @pytest.mark.parametrize("edges", [[[1]], 5, [["a", 1]], [[1, 2, 3]], [[1.5, 2], [2, 1]]])
@@ -289,6 +299,27 @@ def test_validate_rejects_node_without_out_edge():
     g = patrolgame.graphs.GraphTopology(family="general", n=1, adjacency=np.zeros((1, 1)))
     with pytest.raises(InvalidSpec, match="edge out of each node"):
         validate_attack_durations(g, [1])
+
+
+@pytest.mark.parametrize("build, sizes", [
+    (build_bipartite, (2.0, 2)),
+    (build_bipartite, (2, 2.5)),
+    (build_star, (3.5,)),
+], ids=["bipartite-float", "bipartite-fraction", "star-fraction"])
+def test_a_builder_refuses_a_size_that_is_not_an_integer(build, sizes):
+    with pytest.raises(InvalidSpec, match="graph sizes must be integers"):
+        build(*sizes)
+
+
+def test_a_topology_refuses_a_size_that_is_not_an_integer_before_its_shape():
+    topology = patrolgame.graphs.GraphTopology
+    with pytest.raises(InvalidSpec, match="graph sizes must be integers"):
+        topology(family="general", n=3.0, adjacency=np.ones((3, 3)))
+    with pytest.raises(InvalidSpec, match="graph sizes must be integers"):
+        topology(family="general", n=2.5, adjacency=np.ones((2, 2)))
+    with pytest.raises(InvalidSpec, match="graph sizes must be integers"):
+        topology(family="bipartite", n=3, adjacency=np.ones((3, 3)), n_p=1.5, n_q=1.5)
+    assert topology(family="general", n=np.int64(2), adjacency=np.ones((2, 2))).n == 2
 
 
 def test_adjacency_must_be_n_by_n():

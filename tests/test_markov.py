@@ -616,6 +616,20 @@ def test_the_largest_seed_and_index_are_keys():
     assert counter_stream(largest, largest).random() != counter_stream(0, 0).random()
 
 
+@pytest.mark.parametrize("seed, index", [(7.9, 0), (0, 1.5), (np.float64(3.0), 0), (None, 0)])
+def test_a_seed_or_index_that_is_not_an_integer_is_refused(seed, index):
+    # cast to uint64, 7.9 would key seed 7's stream
+    with pytest.raises(InvalidSpec, match="^seed and stream index must be integers"):
+        counter_stream(seed, index)
+    if index == 0:
+        with pytest.raises(InvalidSpec, match="^seed and stream index must be integers"):
+            simulate_capture(TWO_CYCLE, [2, 2], trials=10, seed=seed)
+
+
+def test_numpy_integer_seeds_key_the_python_integer_stream():
+    assert counter_stream(np.int64(7), np.uint64(2)).random() == counter_stream(7, 2).random()
+
+
 def test_simulation_memory_does_not_grow_with_n():
     # a step counts one threshold column at a time, never a (walkers x n) block
     def peak_bytes(n):

@@ -33,7 +33,7 @@ from patrolgame import (
 )
 from patrolgame.cli import _dump_json
 from patrolgame.markov import counter_stream, min_capture_evaluator
-from patrolgame.oracles import (MONTE_CARLO_FALSE_ALARM, _multiset_values,
+from patrolgame.oracles import (ALLOCATION_TOLERANCE, MONTE_CARLO_FALSE_ALARM, _multiset_values,
                                 _random_feasible_strategy)
 
 
@@ -60,7 +60,6 @@ def test_exhaustive_complete_reference():
     report = exhaustive_allocation(build_complete(3), 7)
     assert report.best_candidate == (3, 2, 2)
     assert report.candidates_examined == 15
-    assert report.agreement
     assert report.gap <= 1e-12
 
 
@@ -75,7 +74,7 @@ def test_exhaustive_bipartite_reference():
     assert b_p == 14
     assert tau_p == (6, 4, 4)
     assert tau_q == (4, 2)
-    assert report.agreement
+    assert report.gap <= ALLOCATION_TOLERANCE
 
 
 def reference_multiset_values(keys):
@@ -186,7 +185,7 @@ def test_complete_rule_agrees_with_enumeration():
     for n in (2, 3, 4):
         for B in range(n + 1, n * n):
             report = exhaustive_allocation(build_complete(n), B)
-            assert report.agreement, (n, B, report.gap)
+            assert report.gap <= ALLOCATION_TOLERANCE, (n, B, report.gap)
             assert report.best_candidate == allocate_complete(n, B).tau
 
 
@@ -194,7 +193,7 @@ def test_side_rule_agrees_with_enumeration():
     for n_side in (2, 3):
         for B_side in range(2 * n_side, 2 * n_side * n_side, 2):
             report = exhaustive_side_allocation(n_side, B_side)
-            assert report.agreement, (n_side, B_side, report.gap)
+            assert report.gap <= ALLOCATION_TOLERANCE, (n_side, B_side, report.gap)
 
 
 def test_bipartite_split_agrees_with_enumeration():
@@ -203,7 +202,7 @@ def test_bipartite_split_agrees_with_enumeration():
         hi = 2 * (n_p * n_p + n_q * n_q)
         for B in range(lo + 2, hi, 2):
             report = exhaustive_allocation(build_bipartite(n_p, n_q), B)
-            assert report.agreement, (n_p, n_q, B, report.gap)
+            assert report.gap <= ALLOCATION_TOLERANCE, (n_p, n_q, B, report.gap)
             assert report.best_candidate[0] == co_optimize_bipartite(n_p, n_q, B).B_p
 
 
@@ -244,7 +243,6 @@ def test_local_search_bipartite_gap():
     g = build_bipartite(3, 2)
     report = local_search_strategy(g, (6, 4, 4, 4, 2), restarts=40, seed=3)
     assert report.gap is not None and report.gap <= 0.02
-    assert report.agreement
 
 
 def serial_restarts(g, tau, restarts, seed):
@@ -391,7 +389,7 @@ def test_oracle_report_json():
     report = exhaustive_allocation(build_complete(3), 7)
     payload = json.loads(_dump_json(report))
     assert set(payload) == {"best_value", "best_candidate", "candidates_examined",
-                            "closed_form_value", "agreement", "gap"}
+                            "closed_form_value", "gap"}
 
 
 # --- bound suite ----------------------------------------------------------------
@@ -454,6 +452,17 @@ def test_monte_carlo_suite_refuses_a_seed_past_64_bits_before_any_walk(monkeypat
     monkeypatch.setattr(patrolgame.oracles, "simulate_capture", must_not_walk)
     with pytest.raises(InvalidSpec, match=rf"seed must lie in \[0, 2\*\*64 - {instances}\]"):
         monte_carlo_suite(trials=10, seed=seed, instances=instances)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: local_search_strategy(build_star(3), (2, 2, 2), restarts=1, seed=1.5),
+    lambda: bound_suite(BoundSuiteConfig(seed=2.5)),
+    lambda: monte_carlo_suite(trials=100, seed=3.5, instances=1),
+], ids=["local_search_strategy", "bound_suite", "monte_carlo_suite"])
+def test_a_fractional_seed_is_refused_not_rounded_down(run):
+    # cast to uint64, seed s would replay seed floor(s) bit for bit
+    with pytest.raises(InvalidSpec, match="seed and stream index must be integers"):
+        run()
 
 
 def test_monte_carlo_suite_walks_its_largest_seed():

@@ -36,3 +36,8 @@ def test_readme_flag_table_lists_exactly_each_subcommands_flags():
     assert {command: sorted(re.findall(r"--([\w-]+)", flags))
             for command, flags in rows.items()} == {
         command: sorted(flags.split()) for command, (_, _, flags) in _COMMANDS.items()}
+
+
+def test_readme_quick_tour_runs_as_written():
+    # the first ```python block, matched as the CI step matched it
+    exec(re.search(r"```python\n(.*?)```", README, re.S).group(1), {})
