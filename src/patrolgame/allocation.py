@@ -42,6 +42,14 @@ class AllocationResult:
     w_q: float | None = None
 
 
+def _check_integers(**values) -> None:
+    """`InvalidSpec` naming the first of `values` that is not an integer."""
+    for name, value in values.items():
+        # a plain int skips the slower ABC check; NumPy integers pass it
+        if type(value) is not int and not isinstance(value, numbers.Integral):
+            raise InvalidSpec(f"{name} must be an integer, got {value!r}")
+
+
 def _near_uniform(n: int, units: int) -> tuple[int, ...]:
     """`units` split over n entries as evenly as possible, largest first."""
     q, r = divmod(units, n)
@@ -78,8 +86,7 @@ def complete_split(n: int, B: int) -> tuple[int, ...]:
     Valid for budgets strictly between n (anything less cannot give every
     node a unit) and n*n (anything more makes the game trivial).
     """
-    if not isinstance(B, numbers.Integral):  # NumPy integers pass
-        raise InvalidSpec(f"budget must be an integer, got {B!r}")
+    _check_integers(budget=B, n=n)
     if n < 2:
         raise InvalidSpec(f"complete-graph allocation needs n >= 2, got {n}")
     if not n < B < n * n:
@@ -100,8 +107,7 @@ def allocate_bipartite_side(n_side: int, B_side: int) -> AllocationResult:
     Entries are even and differ by at most two.  The degenerate all-twos
     budget B_side = 2*n_side is accepted.
     """
-    if not isinstance(B_side, numbers.Integral):  # NumPy integers pass
-        raise InvalidSpec(f"budget must be an integer, got {B_side!r}")
+    _check_integers(budget=B_side, n_side=n_side)
     if n_side < 1:
         raise InvalidSpec(f"side size must be >= 1, got {n_side}")
     if B_side % 2:
@@ -121,8 +127,7 @@ def co_optimize_bipartite(n_p: int, n_q: int, B: int) -> AllocationResult:
     bracket ends are evaluated; the larger sub-budget wins only when its
     value is lower by more than 1e-12, so ties go to the smaller one.
     """
-    if not isinstance(B, numbers.Integral):  # NumPy integers pass
-        raise InvalidSpec(f"budget must be an integer, got {B!r}")
+    _check_integers(budget=B, n_p=n_p, n_q=n_q)
     if n_p < 1 or n_q < 1:
         raise InvalidSpec(f"side sizes must be >= 1, got ({n_p}, {n_q})")
     if B % 2:

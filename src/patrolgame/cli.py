@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .allocation import allocate, complete_split
 from .errors import InvalidSpec, PatrolGameError, SearchSpaceExceeded, Unsupported
-from .graphs import BIPARTITE, COMPLETE, GENERAL, build_graph, validate_attack_durations
+from .graphs import COMPLETE, GENERAL, build_graph, validate_attack_durations
 from .markov import capture_probability, simulate_capture, walk_work
 from .oracles import (
     BoundSuiteConfig,
@@ -285,8 +285,7 @@ def cmd_allocate(args: argparse.Namespace) -> int:
         # an in-range budget always leaves the uniform split feasible:
         # B > n gives every node >= 1, B > 2n every two-sided node >= 2
         level = budget // graph.n
-        if graph.family == BIPARTITE:
-            level -= level % 2
+        level -= level % len(graph.sides)
         uniform = synthesize(graph, (level,) * graph.n)
         payload["uniform"] = {"tau": (level,) * graph.n, "mu": uniform.mu}
         payload["mu_delta"] = allocation.mu - uniform.mu

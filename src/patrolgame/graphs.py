@@ -66,6 +66,14 @@ class GraphTopology:
                 and (self.family, self.n_p, self.n_q) == (other.family, other.n_p, other.n_q))
 
     @property
+    def sides(self) -> tuple[int, ...] | None:
+        """Sizes of the sides a patrol cycles through, in node order: (n,) on a
+        complete graph, (n_p, n_q) on a bipartite graph or a star, else None."""
+        if self.family in (BIPARTITE, STAR):
+            return (self.n_p, self.n_q)
+        return (self.n,) if self.family == COMPLETE else None
+
+    @property
     def edges(self) -> frozenset:
         """Directed edges as 1-indexed ordered pairs."""
         return frozenset(map(tuple, (np.argwhere(self.adjacency) + 1).tolist()))
@@ -73,8 +81,8 @@ class GraphTopology:
 
 def build_complete(n: int) -> GraphTopology:
     """Complete digraph on n nodes, self-loops included at every node."""
-    if n < 1:
-        raise InvalidSpec(f"complete graph needs n >= 1, got {n}")
+    if not isinstance(n, numbers.Integral) or n < 1:  # before np.ones reads it
+        raise InvalidSpec(f"complete graph needs an integer n >= 1, got {n!r}")
     return GraphTopology(family=COMPLETE, n=n, adjacency=np.ones((n, n), dtype=bool))
 
 
@@ -95,8 +103,8 @@ def build_star(n: int) -> GraphTopology:
 
 def build_general(n: int, edges: Iterable[Sequence[int]]) -> GraphTopology:
     """General digraph from an explicit edge list; must be strongly connected."""
-    if n < 1:
-        raise InvalidSpec(f"graph needs n >= 1, got {n}")
+    if not isinstance(n, numbers.Integral) or n < 1:  # before np.zeros reads it
+        raise InvalidSpec(f"graph needs an integer n >= 1, got {n!r}")
     try:
         pairs = [tuple(map(operator.index, pair)) for pair in edges]
     except TypeError:  # not iterable, or an entry that is not an integer
@@ -189,14 +197,11 @@ def eccentricities(adj: np.ndarray) -> np.ndarray:
 def min_full_tour_length(g: GraphTopology) -> int | None:
     """Minimum length of a closed walk visiting all nodes, or None if not computed.
 
-    Known closed forms for the supported families only; the general case is a
-    Hamiltonian-type search and is deliberately skipped.
+    A closed walk that cycles through k sides enters each side once every k
+    steps, so covering the largest side takes k * max(sides) steps.  The
+    general case is a Hamiltonian-type search and is deliberately skipped.
     """
-    if g.family == COMPLETE:
-        return max(g.n, 1)
-    if g.family in (BIPARTITE, STAR):
-        return 2 * max(g.n_p, g.n_q)
-    return None
+    return None if g.sides is None else len(g.sides) * max(g.sides)
 
 
 def check_durations(tau: Sequence[int], n: int) -> tuple[int, ...]:

@@ -18,8 +18,6 @@ from . import synthesis
 from .allocation import allocate, allocate_bipartite_side, allocate_complete
 from .errors import InfeasibleTau, InvalidSpec, SearchSpaceExceeded
 from .graphs import (
-    COMPLETE,
-    GENERAL,
     GraphTopology,
     build_bipartite,
     build_complete,
@@ -146,7 +144,7 @@ def exhaustive_allocation(g: GraphTopology, B: int, values: dict | None = None) 
     it the search solves its own.
     """
     closed_form = allocate(g, B).mu
-    sizes = (g.n,) if g.family == COMPLETE else (g.n_p, g.n_q)
+    sizes = g.sides
     unit, splits = _splits(sizes, B)
     count = _guarded(sum(math.prod(map(_composition_count, split, sizes)) for split in splits))
     values = values or _multiset_values(key for split in splits for key in zip(sizes, split))
@@ -240,7 +238,7 @@ def local_search_strategy(g: GraphTopology, tau: Sequence[int], restarts: int,
     durations = check_durations(tau, g.n)
     if (feasibility := validate_attack_durations(g, durations)).condition1_violations:
         raise InfeasibleTau(feasibility.notes)
-    reference = None if g.family == GENERAL else synthesis.synthesize(g, durations).mu
+    reference = None if g.sides is None else synthesis.synthesize(g, durations).mu
     support = _support(g)
     # one sweep in order: (row, column) pairs of rows with a choice, each
     # tried upward and then downward

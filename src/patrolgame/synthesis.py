@@ -1,16 +1,18 @@
 """Patrol-strategy synthesis for complete, complete bipartite, and star graphs.
 
-All three families reduce to the same one-dimensional root-finding problem:
-pick the per-node entry probabilities so that every node's individual capture
-term is equal, then spend the remaining simplex mass.  Writing w for the
-common miss probability, the entry probabilities are 1 - w**(1/m_i) with
-m_i = tau_i on complete graphs and m_i = floor(tau_i / 2) on two-sided
-graphs, and w solves sum_i w**(1/m_i) = n - 1 on [0, 1].  A star is the
-two-sided graph with its center as the P side; there the strategy is optimal.
+Each family is k sides that the patrol cycles through (one on a complete
+graph, two on a bipartite graph or a star), so it enters node i at most
+m_i = floor(tau_i / k) times in an attack's window.  Each side equalizes its
+nodes' capture terms with entry probabilities 1 - w**(1/m_i), where its miss
+probability w solves sum_i w**(1/m_i) = (side size) - 1 on [0, 1], and the
+weakest side's w is the game's.  A star is the two-sided graph with its
+center as the P side; there the strategy is optimal.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -18,8 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, InfeasibleTau, InvalidSpec, TrivialGame, Unsupported
-from .graphs import (BIPARTITE, COMPLETE, STAR, GraphTopology, build_star, check_durations,
-                     validate_attack_durations)
+from .graphs import (BIPARTITE, STAR, GraphTopology, build_complete, build_star,
+                     check_durations, validate_attack_durations)
 
 BISECTION_TOL = 1e-12
 
@@ -98,8 +100,8 @@ def solve_equalized_values(rows) -> np.ndarray:
 class StrategyResult:
     """A synthesized patrol strategy with its game value.
 
-    `w` is the solved miss probability, so `mu = 1 - w` on complete and star
-    graphs and `1 - max(w_p, w_q)` on bipartite ones.  `subopt_lb` is a lower
+    `w` is the weakest side's miss probability and `mu = 1 - w`; a bipartite
+    graph also reports each side's as `w_p` and `w_q`.  `subopt_lb` is a lower
     bound on mu divided by the best achievable capture probability.
     """
 
@@ -115,8 +117,13 @@ class StrategyResult:
 
 def generic_capture_bound(tau: Sequence[int]) -> float:
     """Universal upper bound min(1, tau_max / n) on the optimal capture probability."""
-    durations = [int(t) for t in tau]
-    return min(1.0, max(durations) / len(durations))
+    try:  # integer entries: sorted gives the least and the largest at once
+        durations = sorted(map(operator.index, tau))
+    except TypeError:  # other entries as `check_durations` reads them: 4.0 is 4
+        durations = sorted(check_durations(tau, len(tau)))
+    if not durations or durations[0] < 1:
+        raise InvalidSpec(f"attack durations must be integers >= 1, got {tau!r}")
+    return min(1.0, durations[-1] / len(durations))
 
 
 def _entry_probabilities(w: float, exponents: Sequence[int]) -> np.ndarray:
@@ -149,80 +156,66 @@ def complete_values(taus: Sequence[Sequence[int]]) -> np.ndarray:
     return solve_equalized_values(rows) if rows else np.empty(0)
 
 
-def synthesize_complete(tau: Sequence[int]) -> StrategyResult:
-    """Strategy for a complete graph: every row equals the tuned distribution pi.
+def _assemble(xs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Cyclic strategy over the sides' entry distributions `xs`, in node
+    order: side s's rows play side (s + 1) mod k's, and pi = concat(xs) / k."""
+    k = len(xs)
+    cuts = list(itertools.accumulate(map(len, xs), initial=0))
+    P = np.zeros((cuts[-1], cuts[-1]))
+    for s in range(k):
+        t = (s + 1) % k
+        P[cuts[s]:cuts[s + 1], cuts[t]:cuts[t + 1]] = xs[t]
+    return P, np.concatenate(xs) / k
 
-    Equalizes the per-node capture terms 1 - (1 - pi_i)**tau_i, which makes
-    the worst case independent of the attacked node.
+
+def synthesize(g: GraphTopology, tau: Sequence[int]) -> StrategyResult:
+    """The strategy for `g` that cycles through its k sides, durations read in
+    node order (P side first): a heuristic with a certified suboptimality
+    bound, optimal on a star.  Raises `DimensionMismatch` when tau does not
+    match the graph, `Unsupported` for the general family, which has no
+    sides, and `InfeasibleTau` when some tau_i < k.
     """
-    durations = _complete_durations(tau)
-    w = solve_equalized_value(durations)
-    pi = _entry_probabilities(w, durations)
-    P = np.tile(pi, (len(durations), 1))
+    if len(tau) != g.n:
+        raise DimensionMismatch(f"expected {g.n} durations, got {len(tau)}")
+    sides = g.sides
+    if sides is None:
+        raise Unsupported(f"no strategy synthesis for the {g.family} family")
+    durations = check_durations(tau, g.n)
+    k = len(sides)
+    if k == 1 and g.n < 2:
+        raise InvalidSpec("complete-graph synthesis needs n >= 2")
+    if min(durations) < k:
+        # below a node's k-step return: the feasibility report names it
+        raise InfeasibleTau(validate_attack_durations(g, durations).notes)
+    cuts = list(itertools.accumulate(sides, initial=0))
+    exponents = [tuple([t // k for t in durations[a:b]]) for a, b in zip(cuts, cuts[1:])]
+    ws = [solve_equalized_value(m) for m in exponents]
+    P, pi = _assemble([_entry_probabilities(w, m) for w, m in zip(ws, exponents)])
+    w = max(ws)
     mu = 1.0 - w
+    if g.family == STAR:  # the one-node center side solves to w = 0
+        return StrategyResult(P=P, pi=pi, mu=mu, w=w, subopt_lb=1.0, optimality=OPTIMAL)
+    w_p, w_q = ws if k == 2 else (None, None)
     return StrategyResult(P=P, pi=pi, mu=mu, w=w, subopt_lb=_subopt_lb(mu, durations),
-                          optimality=HEURISTIC)
+                          optimality=HEURISTIC, w_p=w_p, w_q=w_q)
 
 
-def _assemble_two_sided(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Block strategy (P-side rows play q, Q-side rows play p) and its stationary pi."""
-    n_p, n_q = len(p), len(q)
-    P = np.zeros((n_p + n_q, n_p + n_q))
-    P[:n_p, n_p:] = q
-    P[n_p:, :n_p] = p
-    return P, np.concatenate([p / 2.0, q / 2.0])
+def synthesize_complete(tau: Sequence[int]) -> StrategyResult:
+    """`synthesize` on the complete graph of len(tau) nodes: every row plays pi."""
+    return synthesize(build_complete(len(tau)), tau)
 
 
 def synthesize_bipartite(g: GraphTopology, tau_p: Sequence[int],
                          tau_q: Sequence[int]) -> StrategyResult:
-    """Strategy for a two-sided graph, alternating sides every step.
-
-    Each side is tuned independently: entering probabilities equalize the
-    side's capture terms 1 - (1 - x_i)**floor(tau_i / 2), and the game value
-    is set by the weaker side: a heuristic with a certified suboptimality
-    bound.  A star is the two-sided graph with its center as the P side; its
-    center's duration only has to reach 2, and the strategy is optimal.
-    """
+    """`synthesize` on a bipartite graph or a star, given each side's durations."""
     if g.family not in (BIPARTITE, STAR):
         raise InvalidSpec(f"expected a bipartite or star graph, got {g.family!r}")
-    durations_p = check_durations(tau_p, g.n_p)
-    durations_q = check_durations(tau_q, g.n_q)
-    if any(t < 2 for t in durations_p + durations_q):
-        # below a node's two-step return: the feasibility report names it
-        raise InfeasibleTau(validate_attack_durations(g, durations_p + durations_q).notes)
-    m_p, m_q = (tuple(t // 2 for t in side) for side in (durations_p, durations_q))
-    w_p, w_q = solve_equalized_value(m_p), solve_equalized_value(m_q)
-    P, pi = _assemble_two_sided(_entry_probabilities(w_p, m_p), _entry_probabilities(w_q, m_q))
-    if g.family == STAR:
-        return StrategyResult(P=P, pi=pi, mu=1.0 - w_q, w=w_q, subopt_lb=1.0,
-                              optimality=OPTIMAL)
-    w = max(w_p, w_q)
-    mu = 1.0 - w
-    return StrategyResult(P=P, pi=pi, mu=mu, w=w,
-                          subopt_lb=_subopt_lb(mu, durations_p + durations_q),
-                          optimality=HEURISTIC, w_p=w_p, w_q=w_q)
+    return synthesize(g, check_durations(tau_p, g.n_p) + check_durations(tau_q, g.n_q))
 
 
 def synthesize_star(tau: Sequence[int]) -> StrategyResult:
-    """Optimal strategy for a star graph (center is node 1): the two-sided
-    strategy of `synthesize_bipartite` with the center as the P side."""
-    return synthesize_bipartite(build_star(len(tau)), tau[:1], tau[1:])
-
-
-def synthesize(g: GraphTopology, tau: Sequence[int]) -> StrategyResult:
-    """The family's strategy for `g`: complete, star or bipartite.
-
-    Two-sided durations are read P side first, as the graph numbers its
-    nodes.  Raises `Unsupported` for the general family, which has no
-    synthesis, and `DimensionMismatch` when tau does not match the graph.
-    """
-    if len(tau) != g.n:
-        raise DimensionMismatch(f"expected {g.n} durations, got {len(tau)}")
-    if g.family == COMPLETE:
-        return synthesize_complete(tau)
-    if g.family in (BIPARTITE, STAR):
-        return synthesize_bipartite(g, tau[:g.n_p], tau[g.n_p:])
-    raise Unsupported(f"no strategy synthesis for the {g.family} family")
+    """Optimal strategy for a star graph: `synthesize` with the center, node 1, first."""
+    return synthesize(build_star(len(tau)), tau)
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,7 +244,7 @@ def uniform_bipartite_baseline(n_p: int, n_q: int, tau: int) -> BaselineResult:
     n = n_p + n_q
     if not 2 <= tau <= 2 * n - 4:
         raise TrivialGame(f"tau={tau} outside the nontrivial range [2, {2 * n - 4}]")
-    P, pi = _assemble_two_sided(np.full(n_p, 1.0 / n_p), np.full(n_q, 1.0 / n_q))
+    P, pi = _assemble([np.full(n_p, 1.0 / n_p), np.full(n_q, 1.0 / n_q)])
     mu = 1.0 - (1.0 - 1.0 / max(n_p, n_q)) ** (tau // 2)
     ratio = mu / (tau / n)
     guarantee = ODD_TAU_GUARANTEE if tau % 2 else EVEN_TAU_GUARANTEE

@@ -28,6 +28,7 @@ from patrolgame import (
     exhaustive_allocation,
     synthesize,
 )
+from patrolgame.allocation import complete_split
 from patrolgame.cli import _dump_json
 
 GOLDEN_W = (3 - math.sqrt(5)) / 2
@@ -258,6 +259,21 @@ def test_a_budget_must_be_an_integer(allocate_with, sizes, B):
     with pytest.raises(InvalidSpec, match="budget must be an integer"):
         allocate_with(*sizes, float(B))
     assert allocate_with(*sizes, np.int64(B)) == allocate_with(*sizes, B)
+
+
+@pytest.mark.parametrize("allocate_with, sizes, B", [
+    (complete_split, (3,), 5),
+    (allocate_complete, (3,), 5),
+    (allocate_bipartite_side, (2,), 8),
+    (co_optimize_bipartite, (2, 3), 20),
+], ids=["complete_split", "allocate_complete", "allocate_bipartite_side", "co_optimize_bipartite"])
+def test_a_size_must_be_an_integer(allocate_with, sizes, B):
+    for at, size in enumerate(sizes):
+        for bad in (float(size), size + 0.5):
+            args = sizes[:at] + (bad,) + sizes[at + 1:]
+            with pytest.raises(InvalidSpec, match="must be an integer"):
+                allocate_with(*args, B)
+    assert allocate_with(*map(np.int64, sizes), B) == allocate_with(*sizes, B)
 
 
 def test_co_optimize_value_matches_strategy_evaluation():

@@ -273,6 +273,7 @@ DURATION_READERS = {
         np.full(len(tau), 1 / len(tau)), tau), [[2.5, 3], [2.7, 3]], [4, 3]),
     "uniform_bipartite_baseline": (lambda tau: patrolgame.uniform_bipartite_baseline(
         2, 2, *tau).mu, [[2.5], [2.9]], [4]),
+    "generic_capture_bound": (patrolgame.generic_capture_bound, [[2.5, 3], [3, 2.7]], [4, 3]),
 }
 
 
@@ -309,6 +310,18 @@ def test_validate_rejects_node_without_out_edge():
 def test_a_builder_refuses_a_size_that_is_not_an_integer(build, sizes):
     with pytest.raises(InvalidSpec, match="graph sizes must be integers"):
         build(*sizes)
+
+
+@pytest.mark.parametrize("build, args", [
+    (build_complete, (4.0,)),
+    (build_complete, ("4",)),
+    (build_general, (2.5, [[1, 2], [2, 1]])),
+    (build_general, (2.0, [[1, 2], [2, 1]])),
+], ids=["complete-float", "complete-text", "general-fraction", "general-float"])
+def test_a_builder_refuses_a_size_that_is_not_an_integer_before_allocating(build, args):
+    with pytest.raises(InvalidSpec, match="needs an integer n >= 1"):
+        build(*args)
+    assert build(np.int64(2), *args[1:]) == build(2, *args[1:])
 
 
 def test_a_topology_refuses_a_size_that_is_not_an_integer_before_its_shape():

@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import patrolgame.graphs
 import patrolgame.synthesis
 
 from patrolgame import (
@@ -209,6 +211,9 @@ def test_huge_equal_durations_give_a_finite_uniform_strategy(synth):
 def test_complete_rejects_single_node():
     with pytest.raises(InvalidSpec):
         synthesize_complete([3])
+    empty = patrolgame.graphs.GraphTopology(family="complete", n=0, adjacency=np.ones((0, 0)))
+    with pytest.raises(InvalidSpec, match="needs n >= 2"):
+        synthesize(empty, ())
 
 
 def test_complete_equalization_and_recursion_agreement():
@@ -330,6 +335,53 @@ def test_synthesize_dispatches_on_family(graph, tau, direct):
                                                         expected.optimality)
 
 
+def reference_strategy(g, tau):
+    """(P, pi) as the constructions `synthesize` replaced built them: a
+    complete graph tiles its pi, a two-sided graph fills two blocks (P-side
+    rows play q, Q-side rows play p) with pi = (p/2, q/2)."""
+    def entry(m):  # equalized entry probabilities of one side's exponents
+        w = solve_equalized_value(tuple(m))
+        if w == 0.0:
+            return np.ones(1)
+        probs = -np.expm1(np.log(w) / np.asarray(m, dtype=float))
+        return probs / probs.sum()
+
+    if g.family == "complete":
+        pi = entry(tau)
+        return np.tile(pi, (g.n, 1)), pi
+    p, q = entry([t // 2 for t in tau[:g.n_p]]), entry([t // 2 for t in tau[g.n_p:]])
+    P = np.zeros((g.n, g.n))
+    P[:g.n_p, g.n_p:] = q
+    P[g.n_p:, :g.n_p] = p
+    return P, np.concatenate([p / 2.0, q / 2.0])
+
+
+def test_one_construction_matches_the_per_family_constructions_bitwise():
+    rng = np.random.default_rng(30)
+    graphs = [build_complete(n) for n in range(2, 13)]
+    graphs += [build_bipartite(n_p, n_q) for n_p in range(1, 7) for n_q in range(1, 7)]
+    graphs += [build_star(n) for n in range(2, 13)]
+    assert len(graphs) == 58
+    for g in graphs:
+        low = 1 if g.family == "complete" else 2
+        tau = tuple(int(t) for t in rng.integers(low, 3 * g.n, size=g.n))
+        result = synthesize(g, tau)
+        P, pi = reference_strategy(g, tau)
+        assert (result.P.tobytes(), result.pi.tobytes()) == (P.tobytes(), pi.tobytes()), (g, tau)
+
+
+def test_sides_follow_the_family():
+    assert build_complete(4).sides == (4,)
+    assert build_bipartite(3, 2).sides == (3, 2)
+    assert build_star(5).sides == (1, 4)
+    assert replace(build_bipartite(1, 4), family="star").sides == (1, 4)
+    assert build_general(2, [(1, 2), (2, 1)]).sides is None
+    # keyed on the family, not on whether side sizes are set
+    topology = patrolgame.graphs.GraphTopology(family="general", n=2,
+                                               adjacency=np.ones((2, 2)), n_p=1, n_q=1)
+    assert topology.sides is None
+
+
 def test_synthesize_rejects_general_and_wrong_length():
     with pytest.raises(InvalidSpec):
         synthesize(build_general(3, [(1, 2), (2, 3), (3, 1)]), (3, 3, 3))
@@ -449,3 +501,11 @@ def test_bound_dimension_check():
 def test_generic_bound_values():
     assert generic_capture_bound([2, 2, 2]) == pytest.approx(2 / 3)
     assert generic_capture_bound([9, 1]) == 1.0
+    assert generic_capture_bound(np.array([2, 4, 1, 3])) == 1.0
+
+
+@pytest.mark.parametrize("tau", [[2.5, 3], [0, 0], [], [3, None], [3, math.nan]],
+                         ids=["fraction", "zeros", "empty", "none-entry", "nan-entry"])
+def test_generic_bound_refuses_what_is_not_a_duration_vector(tau):
+    with pytest.raises(InvalidSpec):
+        generic_capture_bound(tau)
