@@ -1,0 +1,87 @@
+"""Record a checkout's end-to-end benchmark metrics in one BENCH file.
+
+    python bench/record.py [CHECKOUT]
+
+Runs CHECKOUT's own `perfbench/run.py --trace 0` (CHECKOUT defaults to this
+repository) in a subprocess for every workload and every seed in SEEDS, one
+run at a time, each for SECONDS.  It then writes BENCH_<commit>.json at
+CHECKOUT's root, where <commit> is `git describe --always --dirty` there, so
+uncommitted changes on top of commit abc1234 record as abc1234-dirty.  Per
+workload the file holds each metric's unit, median, quartiles and per-run
+values; each run's verdict (correct, attempted, failed); and each run's
+`perfbench env` line, whose `src_sha256` identifies the source measured.
+The recorder exits 1, after writing the file, when a run is not correct or
+failed an operation.
+
+It records the workload metrics only; CLI command wall times and the Tier-1
+wall time are not recorded yet.
+"""
+
+from __future__ import annotations
+
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+WORKLOADS = ("exact-large", "oracle-search", "verify-sweep")
+SEEDS = (31, 32, 33)
+SECONDS = 8
+ENV_PREFIX = "perfbench env "
+
+
+def parse_run(stdout: str, checkout: Path) -> tuple[dict, dict]:
+    """(env, verdict) from one run's stdout: its `perfbench env` line, with
+    the package path made relative to the checkout, and its last line."""
+    lines = stdout.splitlines()
+    env = json.loads(next(line for line in lines if line.startswith(ENV_PREFIX))
+                     [len(ENV_PREFIX):])
+    package = Path(env["patrolgame_file"])
+    if package.is_relative_to(checkout):
+        env["patrolgame_file"] = str(package.relative_to(checkout))
+    return env, json.loads(lines[-1])
+
+
+def summarize(values: list[float]) -> dict:
+    """Median and quartiles (inclusive method) of one metric's runs."""
+    q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                      if len(values) > 1 else values * 3)
+    return {"median": median, "q1": q1, "q3": q3, "runs": values}
+
+
+def record(checkout: Path, workload: str) -> dict:
+    """Every seed's run of `workload`, summarized metric by metric."""
+    envs, verdicts = [], []
+    for seed in SEEDS:
+        argv = [sys.executable, "perfbench/run.py", "--workload", workload,
+                "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
+        proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=True)
+        env, verdict = parse_run(proc.stdout, checkout)
+        envs.append(env)
+        verdicts.append(verdict)
+    metrics = {name: {"unit": verdicts[0]["metrics"][name]["unit"],
+                      **summarize([v["metrics"][name]["value"] for v in verdicts])}
+               for name in verdicts[0]["metrics"]}
+    runs = [{"seed": seed, **{k: v[k] for k in ("correct", "attempted", "failed")}}
+            for seed, v in zip(SEEDS, verdicts)]
+    return {"metrics": metrics, "runs": runs, "env": envs}
+
+
+def main(argv: list[str]) -> int:
+    checkout = Path(argv[0] if argv else Path(__file__).resolve().parent.parent).resolve()
+    commit = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=checkout,
+                            capture_output=True, text=True, check=True).stdout.strip()
+    workloads = {workload: record(checkout, workload) for workload in WORKLOADS}
+    report = {"commit": commit, "seeds": list(SEEDS), "seconds": SECONDS,
+              "workloads": workloads}
+    out = checkout / f"BENCH_{commit}.json"
+    out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    print(out)
+    ok = all(run["correct"] and not run["failed"]
+             for data in workloads.values() for run in data["runs"])
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .errors import (BudgetOutOfRange, InvalidSpec, InvalidStart, ParityError, TrivialGame,
                      Unsupported)
-from .graphs import BIPARTITE, COMPLETE, GraphTopology, check_durations
+from .graphs import BIPARTITE, COMPLETE, GraphTopology, check_durations, read_integers
 from .synthesis import solve_equalized_value
 
 
@@ -200,7 +200,7 @@ def pairwise_balance(tau: Sequence[int], step: int) -> BalancingTrace:
     """
     if step not in (1, 2):
         raise InvalidSpec(f"step must be 1 or 2, got {step}")
-    current = [int(t) for t in tau]
+    current = read_integers(tau, "allocation entries")
     if not current:
         raise InvalidSpec("allocation must be nonempty")
     if any(t < step or t % step for t in current):

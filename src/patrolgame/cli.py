@@ -71,8 +71,10 @@ RECURSION_FLOP_LIMIT = 10**11
 # at trials = 1 on the same host; the limit is 7.7 times the bound on a default
 # montecarlo suite (1.29e8) and 155 times a 1e5-trial simulate at n = 4, tau 4
 WALK_WORK_LIMIT = 10**9
-# the largest closed-form vs recursion gap that solve and simulate accept
-CLOSED_FORM_TOL = 1e-9
+# the largest closed-form vs recursion gap that solve, simulate and allocate
+# accept; the largest measured over the CLI's range is 1.3e-11, the
+# recursion's rounding over 6e5 steps (star n = 4, tau_max 613296)
+CLOSED_FORM_TOL = 1e-10
 _CSV_COLUMNS = ("family", "n", "n_p", "n_q", "tau", "B", "mu", "w", "bound", "ratio")
 
 
@@ -238,6 +240,17 @@ def _graph(family: str, sizes: dict):
     return build_graph({"family": family, **sizes})
 
 
+def _checked_capture(P: np.ndarray, tau, mu: float):
+    """The recursion's report on strategy P, or None, with a one-line error
+    on stderr, when its value is further than CLOSED_FORM_TOL from the
+    closed form `mu` that the command prints."""
+    capture = capture_probability(P, tau)
+    if abs(capture.mu - mu) <= CLOSED_FORM_TOL:
+        return capture
+    print(f"error: closed form {mu} disagrees with recursion {capture.mu}", file=sys.stderr)
+    return None
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     """solve and simulate: the family's strategy, its closed form checked
     against the hitting-time recursion, then either the strategy (with the
@@ -258,10 +271,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         sys.stderr.write(_dump_json(report))
         return EXIT_INFEASIBLE
     result = synthesize(graph, tau)
-    capture = capture_probability(result.P, tau)
-    if abs(capture.mu - result.mu) > CLOSED_FORM_TOL:
-        print(f"error: closed form {result.mu} disagrees with recursion {capture.mu}",
-              file=sys.stderr)
+    capture = _checked_capture(result.P, tau, result.mu)
+    if capture is None:
         return EXIT_FAILURE
     if args.command == "simulate":
         sim = simulate_capture(result.P, tau, trials=args.trials, seed=args.seed)
@@ -279,6 +290,8 @@ def cmd_allocate(args: argparse.Namespace) -> int:
     budget = int(args.B)
     allocation = allocate(graph, budget)
     strategy = synthesize(graph, allocation.tau)
+    if _checked_capture(strategy.P, allocation.tau, allocation.mu) is None:
+        return EXIT_FAILURE
     payload = _fields(allocation)
     payload.update(P=strategy.P, pi=strategy.pi, optimality=strategy.optimality)
     if args.compare_uniform:
@@ -286,8 +299,11 @@ def cmd_allocate(args: argparse.Namespace) -> int:
         # B > n gives every node >= 1, B > 2n every two-sided node >= 2
         level = budget // graph.n
         level -= level % len(graph.sides)
-        uniform = synthesize(graph, (level,) * graph.n)
-        payload["uniform"] = {"tau": (level,) * graph.n, "mu": uniform.mu}
+        tau = (level,) * graph.n
+        uniform = synthesize(graph, tau)
+        if _checked_capture(uniform.P, tau, uniform.mu) is None:
+            return EXIT_FAILURE
+        payload["uniform"] = {"tau": tau, "mu": uniform.mu}
         payload["mu_delta"] = allocation.mu - uniform.mu
     _write_output(_dump_json(payload), args.out)
     return EXIT_OK
@@ -296,6 +312,13 @@ def cmd_allocate(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.suite is None:
         raise InvalidSpec("verify needs --suite")
+    reads = _SUITES[args.suite]
+    stray = [flag for flag in _SUITE_FLAGS if flag not in reads and getattr(args, flag) is not None]
+    if stray:
+        raise InvalidSpec(f"the {args.suite} suite does not read --{stray[0]}")
+    for flag, default in reads.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
     if args.suite == "bounds":
         report = bound_suite(BoundSuiteConfig(seed=args.seed))
     elif args.suite == "alloc-oracle":
@@ -321,7 +344,7 @@ def _sweep_cell(graph, budgets, taus) -> list[tuple]:
     uniform = [(tau,) * graph.n for tau in taus]
     if graph.family == COMPLETE:
         # every point passes the checks of allocate and synthesize before one
-        # batched bisection solves the cell
+        # batched Newton iteration solves the cell
         durations = [complete_split(graph.n, B) for B in budgets] + uniform
         ws = complete_values(durations).tolist()
         return list(zip(points, durations, [1.0 - w for w in ws], ws))
@@ -357,14 +380,23 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# each verify suite's flags and their defaults: verify leaves _SUITE_FLAGS
+# unset, so that a suite refuses one it does not read, and sets its own
+_SUITE_FLAGS = ("trials", "seed", "nmax")
+_SUITES = {
+    "bounds": {"seed": 0},
+    "alloc-oracle": {"nmax": 4},
+    "montecarlo": {"trials": 100_000, "seed": 0},
+}
+
 # every flag; sizes, budget and tau take "4", "2,3,5", or "2..6" (ranges only in sweep)
 _FLAGS = {
     "family": {"choices": ("complete", "bipartite", "star", "general")},
     "n": {}, "np": {}, "nq": {}, "tau": {}, "B": {},
-    "suite": {"choices": ("bounds", "alloc-oracle", "montecarlo")},
+    "suite": {"choices": tuple(_SUITES)},
     "trials": {"type": int, "default": 100_000},
     "seed": {"type": int, "default": 0},
-    "nmax": {"type": int, "default": 4},
+    "nmax": {"type": int},
     "emit-cdf": {"action": "store_true"},
     "compare-uniform": {"action": "store_true"},
     "out": {}, "config": {},
@@ -426,7 +458,8 @@ def build_parser(scenario: dict[str, dict] | None = None) -> argparse.ArgumentPa
         command = commands.add_parser(name, help=help_text, allow_abbrev=False)
         for flag in flags.split():
             command.add_argument(f"--{flag}", **_FLAGS[flag])
-        command.set_defaults(**(scenario or {}).get(name, {}))
+        unset = dict.fromkeys(_SUITE_FLAGS) if name == "verify" else {}
+        command.set_defaults(**{**unset, **(scenario or {}).get(name, {})})
     return parser
 
 

@@ -122,14 +122,12 @@ def build_general(n: int, edges: Iterable[Sequence[int]]) -> GraphTopology:
 
 
 def _size(spec: Mapping, key: str) -> int:
-    """`spec[key]` as an int, read as `check_durations` reads a duration (4.0
-    reads as 4, 4.7 is refused), or `InvalidSpec` naming the key."""
+    """`spec[key]` as an int, read as `read_integers` reads it (4.0 reads as
+    4, 4.7 and "4" are refused), or `InvalidSpec` naming the key."""
     try:
-        size = int(spec[key])
-        if size != float(spec[key]):
-            raise ValueError
+        (size,) = read_integers([spec[key]], key)
         return size
-    except (KeyError, TypeError, ValueError, OverflowError):
+    except (KeyError, InvalidSpec):
         raise InvalidSpec(f"graph descriptor needs an integer {key!r}, "
                           f"got {spec.get(key)!r}") from None
 
@@ -204,18 +202,41 @@ def min_full_tour_length(g: GraphTopology) -> int | None:
     return None if g.sides is None else len(g.sides) * max(g.sides)
 
 
+def _whole(value) -> int | None:
+    """An integer (NumPy's too) as an int, a real as the int it equals, or
+    None for a fraction; TypeError for text and other values that are not
+    real, ValueError or OverflowError for nan and inf."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        if not isinstance(value, numbers.Real):
+            raise
+    whole = int(value)
+    return whole if whole == value else None
+
+
+def read_integers(values: Iterable, what: str) -> tuple[int, ...]:
+    """`values`, read once, as a tuple of ints: integers as they are (NumPy's
+    too, and past 2**53), integral floats such as 4.0 as the ints they equal.
+    `InvalidSpec` naming `what` refuses text, None, nan, inf and fractions."""
+    try:
+        values = tuple(values)
+        try:  # the common case: every entry is an integer
+            return tuple(map(operator.index, values))
+        except TypeError:
+            out = tuple(map(_whole, values))
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidSpec(f"{what} must be finite integers, got {values!r}") from None
+    if None in out:
+        raise InvalidSpec(f"{what} must be integers, got {values!r}")
+    return out
+
+
 def check_durations(tau: Sequence[int], n: int) -> tuple[int, ...]:
     """Validate an attack-duration vector and return it as a tuple of ints."""
-    try:
-        tau = tuple(tau)  # read once: a generator would skip the integer check
-        out = tuple(int(t) for t in tau)
-        integral = all(t == float(orig) for t, orig in zip(out, tau))
-    except (TypeError, ValueError, OverflowError):  # None, text, nan or inf
-        raise InvalidSpec(f"attack durations must be finite integers, got {tau!r}") from None
+    out = read_integers(tau, "attack durations")
     if len(out) != n:
         raise DimensionMismatch(f"expected {n} durations, got {len(out)}")
-    if not integral:
-        raise InvalidSpec("attack durations must be integers")
     if any(t < 1 for t in out):
         raise InvalidSpec(f"attack durations must all be >= 1: {out}")
     return out

@@ -94,7 +94,7 @@ def _multiset_values(keys: Iterable[tuple[int, int]]) -> dict:
     """For each (n, units) key, the lowest w over the multisets of n positive
     integers summing to `units` and the first one, in `partitions` order, to
     reach it; a complete graph is the one-sided case, keyed (n, B).  The rows
-    of one width are solved together, in one batched bisection."""
+    of one width are solved together, in one batched Newton iteration."""
     widths: dict[int, list[int]] = {}
     for n, units in dict.fromkeys(keys):
         widths.setdefault(n, []).append(units)

@@ -4,15 +4,14 @@ Each family is k sides that the patrol cycles through (one on a complete
 graph, two on a bipartite graph or a star), so it enters node i at most
 m_i = floor(tau_i / k) times in an attack's window.  Each side equalizes its
 nodes' capture terms with entry probabilities 1 - w**(1/m_i), where its miss
-probability w solves sum_i w**(1/m_i) = (side size) - 1 on [0, 1], and the
-weakest side's w is the game's.  A star is the two-sided graph with its
-center as the P side; there the strategy is optimal.
+probability w solves sum_i w**(1/m_i) = (side size) - 1 on [0, 1], by Newton's
+method on log w, and the weakest side's w is the game's.  A star is the
+two-sided graph with its center as the P side; there the strategy is optimal.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -21,15 +20,36 @@ import numpy as np
 
 from .errors import DimensionMismatch, InfeasibleTau, InvalidSpec, TrivialGame, Unsupported
 from .graphs import (BIPARTITE, STAR, GraphTopology, build_complete, build_star,
-                     check_durations, validate_attack_durations)
-
-BISECTION_TOL = 1e-12
+                     check_durations, read_integers, validate_attack_durations)
 
 OPTIMAL = "optimal"
 HEURISTIC = "heuristic"
 
 ODD_TAU_GUARANTEE = 1.0 / 3.0
 EVEN_TAU_GUARANTEE = 0.5 * (1.0 - 1.0 / np.e)
+
+
+def _log_equalized_value(m: Sequence[int]) -> float:
+    """s = log w for sorted exponents `m`: Newton's method on the convex,
+    increasing f(s) = sum_i exp(s / m_i) - (len(m) - 1) from s = 0, where
+    f = 1 > 0, so the iterates fall to the root; s is the last that falls.
+    f is summed as exp(s / m_1) + sum_{i>1} expm1(s / m_i), m_1 the least
+    exponent: no term near 1 cancels against n - 1, and the one term that
+    may be small keeps its digits, so s is within a few ulps of the root.
+    Width 1 gives -inf.  `solve_equalized_values` takes the same steps."""
+    if len(m) == 1:
+        return -np.inf
+    lead, inv = 1.0 / m[0], np.array([1.0 / e for e in m[1:]])
+    slope = float(np.add.reduce(inv))  # f'(s) = first * lead + slope + sum(terms * inv)
+    s = 0.0
+    while True:
+        first, terms = float(np.exp(s * lead)), np.expm1(s * inv)
+        # np.sum wraps this same reduce; calling it directly saves a call a step
+        step = ((first + float(np.add.reduce(terms)))
+                / (first * lead + slope + float(np.add.reduce(terms * inv))))
+        if not s - step < s:
+            return s
+        s -= step
 
 
 @lru_cache(maxsize=None)
@@ -47,34 +67,17 @@ def solve_equalized_value(exponents: tuple[int, ...]) -> float:
     m = tuple(sorted(exponents))
     if m != exponents:
         return solve_equalized_value(m)
-    if len(m) == 1:
-        return 0.0
-    inv = np.array([1.0 / e for e in m])
-    target = float(len(m) - 1)
-    # bisection on [0, 1], where the left side runs from 0 to len(m) > target;
-    # the bracket is below BISECTION_TOL after 41 midpoints
-    lo, hi = 0.0, 1.0
-    while True:
-        mid = 0.5 * (lo + hi)
-        # np.sum wraps this same reduce; calling it directly halves each step
-        value = float(np.add.reduce(mid ** inv))
-        if abs(value - target) <= BISECTION_TOL * target or hi - lo <= BISECTION_TOL:
-            return mid
-        if value < target:
-            lo = mid
-        else:
-            hi = mid
+    # np.exp, as the batch takes it: math.exp may differ in the last bit
+    return float(np.exp(_log_equalized_value(m)))
 
 
 def solve_equalized_values(rows) -> np.ndarray:
     """`solve_equalized_value` of every row of a (k, n) array of exponents.
 
-    One bisection runs in every lane at once.  Each row is sorted as the
-    scalar sorts its multiset, and each lane takes the scalar's midpoints,
-    its stop test and its reduce, so every w is the scalar's bit for bit.
-    A lane that stops closes its bracket on its w, which every later
-    midpoint repeats.  Rows of width 1 give 0.0.
-    """
+    One Newton iteration runs in every lane at once, each row sorted as the
+    scalar sorts its multiset.  Each lane takes the scalar's steps, reduces
+    and stop test, so every w is the scalar's bit for bit; a lane drops out
+    at its first iterate that does not fall.  Rows of width 1 give 0.0."""
     m = np.asarray(rows, dtype=float)
     if m.ndim != 2 or m.shape[1] == 0:
         raise InvalidSpec(f"need a (k, n) array of exponents with n >= 1, got shape {m.shape}")
@@ -83,17 +86,17 @@ def solve_equalized_values(rows) -> np.ndarray:
     m = np.sort(m, axis=1)
     if m.shape[1] == 1:
         return np.zeros(len(m))
-    inv = 1.0 / m
-    target = float(m.shape[1] - 1)
-    lo, hi = np.zeros(len(m)), np.ones(len(m))
-    while True:
-        mid = 0.5 * (lo + hi)
-        value = np.add.reduce(mid[:, None] ** inv, axis=1)
-        done = (np.abs(value - target) <= BISECTION_TOL * target) | (hi - lo <= BISECTION_TOL)
-        if done.all():
-            return mid
-        below = value < target
-        lo, hi = np.where(below | done, mid, lo), np.where(below & ~done, hi, mid)
+    lead, inv = 1.0 / m[:, 0], 1.0 / m[:, 1:]
+    slope, s, live = np.add.reduce(inv, axis=1), np.zeros(len(m)), np.arange(len(m))
+    while live.size:
+        now = s[live]
+        first, terms = np.exp(now * lead[live]), np.expm1(now[:, None] * inv[live])
+        nxt = now - (first + np.add.reduce(terms, axis=1)) / (
+            first * lead[live] + slope[live] + np.add.reduce(terms * inv[live], axis=1))
+        falls = nxt < now
+        live = live[falls]
+        s[live] = nxt[falls]
+    return np.exp(s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,22 +120,10 @@ class StrategyResult:
 
 def generic_capture_bound(tau: Sequence[int]) -> float:
     """Universal upper bound min(1, tau_max / n) on the optimal capture probability."""
-    try:  # integer entries: sorted gives the least and the largest at once
-        durations = sorted(map(operator.index, tau))
-    except TypeError:  # other entries as `check_durations` reads them: 4.0 is 4
-        durations = sorted(check_durations(tau, len(tau)))
+    durations = sorted(read_integers(tau, "attack durations"))  # the least and the largest
     if not durations or durations[0] < 1:
         raise InvalidSpec(f"attack durations must be integers >= 1, got {tau!r}")
     return min(1.0, durations[-1] / len(durations))
-
-
-def _entry_probabilities(w: float, exponents: Sequence[int]) -> np.ndarray:
-    # 1 - w**(1/m) as -expm1(log(w) / m), which keeps its digits where
-    # w**(1/m) rounds to 1; w is 0 only at width 1, where the probability is 1
-    if w == 0.0:
-        return np.ones(1)
-    probs = -np.expm1(np.log(w) / np.asarray(exponents, dtype=float))
-    return probs / probs.sum()
 
 
 def _subopt_lb(mu: float, durations: Sequence[int]) -> float:
@@ -150,7 +141,7 @@ def complete_values(taus: Sequence[Sequence[int]]) -> np.ndarray:
     """Game value w of each complete-graph duration vector, all of one length.
 
     Each vector is checked as `synthesize_complete` checks it, in order,
-    before one batched bisection solves them all.
+    before one batched Newton iteration solves them all.
     """
     rows = [_complete_durations(tau) for tau in taus]
     return solve_equalized_values(rows) if rows else np.empty(0)
@@ -189,8 +180,13 @@ def synthesize(g: GraphTopology, tau: Sequence[int]) -> StrategyResult:
         raise InfeasibleTau(validate_attack_durations(g, durations).notes)
     cuts = list(itertools.accumulate(sides, initial=0))
     exponents = [tuple([t // k for t in durations[a:b]]) for a, b in zip(cuts, cuts[1:])]
-    ws = [solve_equalized_value(m) for m in exponents]
-    P, pi = _assemble([_entry_probabilities(w, m) for w, m in zip(ws, exponents)])
+    # each side's s = log w, uncached, and w = exp(s) as the scalar takes it;
+    # entry probabilities 1 - w**(1/m) = -expm1(s / m) keep their digits
+    # where w**(1/m) rounds to 1 or w underflows, and are 1 at width 1
+    logs = [_log_equalized_value(sorted(m)) for m in exponents]
+    ws = np.exp(logs).tolist()
+    xs = [-np.expm1(s / np.asarray(m, dtype=float)) for s, m in zip(logs, exponents)]
+    P, pi = _assemble([x / x.sum() for x in xs])
     w = max(ws)
     mu = 1.0 - w
     if g.family == STAR:  # the one-node center side solves to w = 0

@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -155,6 +156,49 @@ def test_allocate_bipartite_compare_uniform(capsys):
     assert sorted(payload["tau_q"], reverse=True) == [4, 2]
     assert payload["uniform"]["tau"] == [4, 4, 4, 4, 4]
     assert payload["mu_delta"] == pytest.approx(0.0452, abs=5e-4)
+
+
+def _recursion_off_by(offset, when=lambda tau: True):
+    """capture_probability, with its mu moved by `offset` where `when(tau)`."""
+    def shifted(P, tau):
+        report = capture_probability(P, tau)
+        return dataclasses.replace(report, mu=report.mu + offset) if when(tau) else report
+    return shifted
+
+
+ALLOCATE_UNIFORM = ["allocate", "--family", "bipartite", "--np", "3", "--nq", "2",
+                    "--B", "20", "--compare-uniform"]
+
+
+def test_allocate_checks_each_printed_strategy_against_the_recursion(capsys, monkeypatch):
+    seen = []
+
+    def recording(P, tau):
+        seen.append(tuple(tau))
+        return capture_probability(P, tau)
+
+    monkeypatch.setattr(patrolgame.cli, "capture_probability", recording)
+    assert run_cli(capsys, ALLOCATE_UNIFORM)[0] == 0
+    assert seen == [(6, 4, 4, 4, 2), (4, 4, 4, 4, 4)]
+
+
+@pytest.mark.parametrize("when", [lambda tau: True, lambda tau: len(set(tau)) == 1],
+                         ids=["allocation", "uniform"])
+def test_allocate_fails_when_a_printed_mu_disagrees_with_the_recursion(capsys, monkeypatch,
+                                                                        when):
+    monkeypatch.setattr(patrolgame.cli, "capture_probability", _recursion_off_by(2e-10, when))
+    code, out, err = run_cli(capsys, ALLOCATE_UNIFORM)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: closed form ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("offset, code", [(5e-11, 0), (-5e-11, 0), (2e-10, 1), (-2e-10, 1)])
+def test_the_closed_form_check_holds_at_1e_10(capsys, monkeypatch, offset, code):
+    # the largest gap measured over the CLI's range is 1.3e-11
+    monkeypatch.setattr(patrolgame.cli, "capture_probability", _recursion_off_by(offset))
+    for argv in (["solve", "--family", "star", "--n", "3", "--tau", "2,2,2"],
+                 ["allocate", "--family", "complete", "--n", "3", "--B", "7"]):
+        assert run_cli(capsys, argv)[0] == code
 
 
 def test_allocate_parity_error(capsys):
@@ -722,14 +766,57 @@ def test_unreadable_config_is_a_one_line_error(capsys, tmp_path, content):
 
 
 def test_scenario_trials_and_nmax_apply(capsys, tmp_path):
+    # simulate ignores a scenario's nmax; the alloc-oracle suite would refuse
+    # its trials, so each command reads a scenario of its own
     config = _scenario(tmp_path, family="complete", n=3, tau=[2, 2, 2], trials=50, nmax=2)
     code, out, _ = run_cli(capsys, ["simulate", "--config", config])
     assert code == 0
     assert json.loads(out)["trials"] == 50
     _, expected, _ = run_cli(capsys, ["verify", "--suite", "alloc-oracle", "--nmax", "2"])
+    config = _scenario(tmp_path, family="complete", n=3, tau=[2, 2, 2], nmax=2)
     code, out, _ = run_cli(capsys, ["verify", "--suite", "alloc-oracle", "--config", config])
     assert code == 0
     assert out == expected
+
+
+@pytest.mark.parametrize("suite, flags, stray", [
+    ("bounds", ["--nmax", "9", "--trials", "3"], "trials"),
+    ("bounds", ["--nmax", "4"], "nmax"),
+    ("alloc-oracle", ["--seed", "5"], "seed"),
+    ("alloc-oracle", ["--seed", "5", "--trials", "7"], "trials"),
+    ("montecarlo", ["--nmax", "2"], "nmax"),
+])
+def test_a_suite_refuses_a_flag_it_does_not_read(capsys, monkeypatch, suite, flags, stray):
+    # a default value given on purpose is refused too
+    for name in ("bound_suite", "allocation_agreement_suite", "monte_carlo_suite"):
+        monkeypatch.setattr(patrolgame.cli, name, _must_not_run)
+    assert run_cli(capsys, ["verify", "--suite", suite, *flags]) == (
+        2, "", f"error: the {suite} suite does not read --{stray}\n")
+
+
+def test_a_suite_refuses_a_scenario_flag_it_does_not_read(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(patrolgame.cli, "allocation_agreement_suite", _must_not_run)
+    config = _scenario(tmp_path, suite="alloc-oracle", nmax=2, seed=5)
+    assert run_cli(capsys, ["verify", "--config", config]) == (
+        2, "", "error: the alloc-oracle suite does not read --seed\n")
+
+
+def test_a_suite_reads_its_flags_and_defaults(capsys, monkeypatch):
+    calls = []
+
+    def record(value):
+        calls.append(value)
+        return SimpleNamespace(checks=[], summary="PASS 0/0", passed=True)
+
+    monkeypatch.setattr(patrolgame.cli, "bound_suite", lambda config: record(config.seed))
+    monkeypatch.setattr(patrolgame.cli, "allocation_agreement_suite", lambda nmax: record(nmax))
+    monkeypatch.setattr(patrolgame.cli, "monte_carlo_suite",
+                        lambda trials, seed: record((trials, seed)))
+    for flags in (["bounds"], ["bounds", "--seed", "3"], ["alloc-oracle"],
+                  ["alloc-oracle", "--nmax", "2"], ["montecarlo"],
+                  ["montecarlo", "--trials", "9", "--seed", "1"]):
+        assert run_cli(capsys, ["verify", "--suite", *flags]) == (0, "PASS 0/0\n", "")
+    assert calls == [0, 3, 4, 2, (100_000, 0), (9, 1)]
 
 
 def test_explicit_seed_zero_beats_the_scenario_seed(capsys, tmp_path):
@@ -752,11 +839,7 @@ def test_bad_scenario_value_is_a_one_line_error(capsys, tmp_path, trials):
 
 
 def test_a_scenario_tol_does_not_loosen_the_closed_form_check(capsys, monkeypatch, tmp_path):
-    def off_by_1e_8(P, tau):
-        report = capture_probability(P, tau)
-        return dataclasses.replace(report, mu=report.mu + 1e-8)
-
-    monkeypatch.setattr(patrolgame.cli, "capture_probability", off_by_1e_8)
+    monkeypatch.setattr(patrolgame.cli, "capture_probability", _recursion_off_by(1e-8))
     config = _scenario(tmp_path, family="star", n=3, tau=[2, 2, 2], tol=1)
     code, out, err = run_cli(capsys, ["solve", "--config", config])
     assert (code, out) == (1, "")

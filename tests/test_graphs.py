@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import patrolgame.graphs
+from patrolgame.graphs import check_durations
 from patrolgame import (
     DimensionMismatch,
     InvalidSpec,
@@ -274,6 +275,8 @@ DURATION_READERS = {
     "uniform_bipartite_baseline": (lambda tau: patrolgame.uniform_bipartite_baseline(
         2, 2, *tau).mu, [[2.5], [2.9]], [4]),
     "generic_capture_bound": (patrolgame.generic_capture_bound, [[2.5, 3], [3, 2.7]], [4, 3]),
+    "pairwise_balance": (lambda tau: patrolgame.pairwise_balance(tau, 1).states,
+                         [[2.5, 3], [4, 1.5]], [4, 3]),
 }
 
 
@@ -284,6 +287,30 @@ def test_every_duration_reader_refuses_fractions_and_reads_integral_floats(reade
         with pytest.raises(InvalidSpec, match="must be integers"):
             read(tau)
     assert read([float(t) for t in integral]) == read(integral)
+
+
+@pytest.mark.parametrize("read", [lambda tau: check_durations(tau, len(tau)),
+                                  lambda tau: patrolgame.pairwise_balance(tau, 2)],
+                         ids=["check_durations", "pairwise_balance"])
+def test_a_duration_reader_refuses_text(read):
+    for tau in (["3", 3], [4, "2"], [b"4", 2]):
+        with pytest.raises(InvalidSpec, match="must be finite integers"):
+            read(tau)
+
+
+def test_integers_past_two_to_the_53_read_exactly():
+    big = 2**53 + 1  # float(big) rounds to 2**53
+    assert check_durations([big, 3], 2) == (big, 3)
+    assert check_durations(np.array([big, 3], dtype=np.int64), 2) == (big, 3)
+    assert patrolgame.graphs._size({"n": big}, "n") == big
+    assert patrolgame.graphs._size({"n": np.uint64(big)}, "n") == big
+
+
+def test_integral_floats_and_numpy_integers_read_as_ints():
+    out = check_durations([4.0, np.float64(3.0), np.int32(2), True], 4)
+    assert out == (4, 3, 2, 1) and all(type(t) is int for t in out)
+    with pytest.raises(InvalidSpec, match="graph descriptor needs an integer 'n'"):
+        build_graph({"family": "complete", "n": "4"})
 
 
 def test_validate_rejects_graph_not_strongly_connected():

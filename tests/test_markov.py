@@ -439,14 +439,17 @@ def test_capture_report_consistency():
 
 
 def test_the_first_tied_pair_is_the_worst_pair():
-    # targets 1, 12, 23 and 34 share tau = 2 and their entry of the one
+    # targets 11, 22 and 33 share tau = 6 and their entry of the one
     # distinct row, so their CDF columns are bit-equal and the row-major
-    # first pair wins; the dense product's rounding made it (1, 23)
+    # first pair wins; every pair has value mu in exact arithmetic, so the
+    # rounding picks the tied group: the dense product's made it (1, 23),
+    # the bisection's w (1, 1)
     tau = ((2, 9, 5, 12, 8, 4, 11, 7, 3, 10, 6) * 4)[:40]
     P = synthesize(build_graph({"family": "complete", "n": 40}), tau).P
     report = capture_probability(P, tau)
-    assert len({report.cdf[:, j].tobytes() for j in (0, 11, 22, 33)}) == 1
-    assert report.worst_pair == (1, 1)
+    assert len({report.cdf[:, j].tobytes() for j in (10, 21, 32)}) == 1
+    first = np.flatnonzero(report.cdf == report.cdf.min())[0]
+    assert report.worst_pair == tuple(int(k) + 1 for k in divmod(first, 40)) == (1, 11)
 
 
 def test_capture_memory_stays_near_the_answer():

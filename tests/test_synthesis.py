@@ -1,5 +1,7 @@
 import math
 from dataclasses import replace
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -45,58 +47,104 @@ def cubic_oracle_w322():
     return s[0] ** 6
 
 
-# --- bisection ---------------------------------------------------------------
+# --- equalization ------------------------------------------------------------
 
-def reference_bisection(g, target, lo, hi, tol):
-    """Generic bisection for a strictly increasing g, with bracket checks and
-    an iteration cap: the reference that `solve_equalized_value` folds in."""
-    assert lo <= hi
-    scale = max(1.0, abs(target))
-    g_lo, g_hi = g(lo), g(hi)
-    if g_lo > target:
-        assert g_lo - target <= tol * scale
-        return lo
-    if g_hi < target:
-        assert target - g_hi <= tol * scale
-        return hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        value = g(mid)
-        if abs(value - target) <= tol * scale or hi - lo <= tol:
-            return mid
-        if value < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def reference_equalized_value(exponents):
-    if len(exponents) == 1:
-        return 0.0
-    inv = np.array([1.0 / e for e in sorted(exponents)])
-    return reference_bisection(lambda w: float(np.sum(w ** inv)), float(len(inv) - 1),
-                               0.0, 1.0, 1e-12)
+def decimal_log_root(exponents):
+    """s = log w with sum_i exp(s / m_i) = len(m) - 1, in 50-digit decimal
+    arithmetic: Newton from s = 0 until a step is below 1e-40 of max(1, |s|)."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        inv = [Decimal(1) / m for m in exponents]
+        s = Decimal(0)
+        for _ in range(1000):
+            terms = [(s * x).exp() for x in inv]
+            step = (sum(terms) - (len(inv) - 1)) / sum(t * x for t, x in zip(terms, inv))
+            s -= step
+            if abs(step) < Decimal("1e-40") * max(1, abs(s)):
+                return s
+    raise AssertionError(f"no decimal root of {exponents}")
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(1, 400), min_size=1, max_size=300))
+@given(st.lists(st.integers(1, 400) | st.integers(1, 10**6), min_size=2, max_size=300))
 @example([1] * 300)
 @example(list(range(101, 401)))
-def test_equalized_value_matches_reference_bisection(exponents):
-    # bit for bit: the same midpoints and the same stop test
-    assert solve_equalized_value(tuple(exponents)) == reference_equalized_value(exponents)
+@example([1, 10**6])
+def test_equalized_value_is_within_ulps_of_a_decimal_root(exponents):
+    # s is computed to a few ulps; exp magnifies s's last bit |s| times, so
+    # w's bound scales with max(1, |s|); below the normal range the ulp is
+    # the subnormal one and the bound holds as it is
+    exact = decimal_log_root(exponents)
+    s = patrolgame.synthesis._log_equalized_value(sorted(exponents))
+    assert abs(Decimal(s) - exact) <= 4 * Decimal(math.ulp(float(exact)))
+    w, w_exact = solve_equalized_value(tuple(exponents)), exact.exp()
+    bound = 4 * Decimal(math.ulp(float(w_exact))) * max(1, abs(exact))
+    assert abs(Decimal(w) - w_exact) <= bound
 
 
-# w to the last bit: the 12-digit goldens alone would let a change to the
-# bisection's arithmetic drift its low bits unseen
+def test_equalized_value_prints_the_exact_fraction_of_a_uniform_row():
+    # a uniform row of n exponents m solves to w = ((n - 1) / n)**m; the CLI
+    # prints 12 significant digits
+    assert 1.0 - solve_equalized_value((2, 2, 2)) == 5 / 9
+    assert solve_equalized_value((2, 2)) == 0.25
+    for n in range(2, 41):
+        for m in range(1, 61):
+            exact = Fraction(n - 1, n) ** m
+            assert "%.12g" % solve_equalized_value((m,) * n) == "%.12g" % exact, (n, m)
+
+
+class _CountingNumpy:
+    """numpy, counting the calls of np.expm1: one per Newton evaluation."""
+
+    def __init__(self):
+        self.evaluations = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def expm1(self, *args, **kwargs):
+        self.evaluations += 1
+        return np.expm1(*args, **kwargs)
+
+
+def _cli_range_exponents():
+    """Exponent vectors over the CLI's range (n <= 1000, m <= 1e6): the widest
+    spreads, where Newton's first steps are the slowest, then random ones."""
+    rows = [(1, 10**6), (1, 10**6, 10**6), (1,) + (10**6,) * 999, (1,) * 999 + (10**6,),
+            (10**6,) * 1000, (1,) * 1000, (1, 2), (2, 2, 2)]
+    rng = np.random.default_rng(2032)
+    for n in (2, 3, 10, 100, 1000):
+        for _ in range(40):
+            rows.append(tuple(sorted(np.maximum(1, np.round(10 ** rng.uniform(0, 6, n)))
+                                     .astype(int).tolist())))
+    return rows
+
+
+def test_newton_steps_are_few_over_the_cli_range(monkeypatch):
+    counting = _CountingNumpy()
+    monkeypatch.setattr(patrolgame.synthesis, "np", counting)
+    worst = 0
+    for m in _cli_range_exponents():
+        counting.evaluations = 0
+        patrolgame.synthesis._log_equalized_value(m)
+        worst = max(worst, counting.evaluations)
+    # the most is on (1, 10**6), where each step falls by about 1 until
+    # exp(s) nears 1e-6; a uniform row takes 4 to 7
+    assert worst <= 20
+    for n in (2, 3, 10, 29):
+        counting.evaluations = 0
+        solve_equalized_values([(tau,) * n for tau in range(1, 1001)])
+        assert counting.evaluations <= 7
+
+
+# w to the last bit; each is within two ulps of its 50-digit root
 PINNED_W = [
-    ((1, 2), "0x1.8722191a04000p-2"),
-    ((2, 3, 3, 4), "0x1.c3033119e0000p-2"),
-    ((1, 1, 2, 3, 5, 8), "0x1.649ba40b78000p-1"),
-    ((12,) * 29, "0x1.500a1e5160000p-1"),
+    ((1, 2), "0x1.8722191a02d61p-2"),
+    ((2, 3, 3, 4), "0x1.c3033119df351p-2"),
+    ((1, 1, 2, 3, 5, 8), "0x1.649ba40b7a090p-1"),
+    ((12,) * 29, "0x1.500a1e5153d69p-1"),
     (tuple(int(m) for m in np.random.default_rng(2026).integers(1, 40, size=300)),
-     "0x1.ef9d5acac0000p-1"),
+     "0x1.ef9d5acabde05p-1"),
 ]
 
 
@@ -339,11 +387,9 @@ def reference_strategy(g, tau):
     """(P, pi) as the constructions `synthesize` replaced built them: a
     complete graph tiles its pi, a two-sided graph fills two blocks (P-side
     rows play q, Q-side rows play p) with pi = (p/2, q/2)."""
-    def entry(m):  # equalized entry probabilities of one side's exponents
-        w = solve_equalized_value(tuple(m))
-        if w == 0.0:
-            return np.ones(1)
-        probs = -np.expm1(np.log(w) / np.asarray(m, dtype=float))
+    def entry(m):  # equalized entry probabilities of one side's exponents, from s = log w
+        s = patrolgame.synthesis._log_equalized_value(sorted(m)) if len(m) > 1 else -math.inf
+        probs = -np.expm1(s / np.asarray(m, dtype=float))
         return probs / probs.sum()
 
     if g.family == "complete":
@@ -504,8 +550,9 @@ def test_generic_bound_values():
     assert generic_capture_bound(np.array([2, 4, 1, 3])) == 1.0
 
 
-@pytest.mark.parametrize("tau", [[2.5, 3], [0, 0], [], [3, None], [3, math.nan]],
-                         ids=["fraction", "zeros", "empty", "none-entry", "nan-entry"])
+@pytest.mark.parametrize("tau", [[2.5, 3], [0, 0], [], [3, None], [3, math.nan], [3, "2"]],
+                         ids=["fraction", "zeros", "empty", "none-entry", "nan-entry",
+                              "text-entry"])
 def test_generic_bound_refuses_what_is_not_a_duration_vector(tau):
     with pytest.raises(InvalidSpec):
         generic_capture_bound(tau)
