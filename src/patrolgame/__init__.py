@@ -12,21 +12,18 @@ closed form at desk scale.
 
 from .allocation import (
     AllocationResult,
-    BalancingTrace,
     allocate,
     allocate_bipartite_side,
     allocate_complete,
     bipartite_side_value,
     co_optimize_bipartite,
     complete_allocation_value,
-    pairwise_balance,
 )
 from .errors import (
     BudgetOutOfRange,
     DimensionMismatch,
     InfeasibleTau,
     InvalidSpec,
-    InvalidStart,
     NotIrreducible,
     ParityError,
     PatrolGameError,
@@ -87,7 +84,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AllocationResult",
-    "BalancingTrace",
     "BaselineResult",
     "BoundReport",
     "BoundSuiteConfig",
@@ -99,7 +95,6 @@ __all__ = [
     "GraphTopology",
     "InfeasibleTau",
     "InvalidSpec",
-    "InvalidStart",
     "NotIrreducible",
     "OracleReport",
     "ParityError",
@@ -134,7 +129,6 @@ __all__ = [
     "local_search_strategy",
     "min_full_tour_length",
     "monte_carlo_suite",
-    "pairwise_balance",
     "partitions",
     "simulate_capture",
     "solve_equalized_value",

@@ -4,19 +4,17 @@ Interpreting each attack duration as the strength of the defenses at that
 node, the best split of a total budget B is one rule: count B in units of
 the family's step (1 on complete graphs, 2 on each bipartite side) and split
 the units as evenly as possible, so entries differ by at most one unit.
-The pairwise-balancing procedure justifies the rule and is kept as a
-checkable construction.
+The pairwise-balancing lemma behind the rule (moving a unit from a largest
+to a smallest entry strictly lowers w) is checked in tests/test_allocation.py.
 """
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import (BudgetOutOfRange, InvalidSpec, InvalidStart, ParityError, TrivialGame,
-                     Unsupported)
-from .graphs import BIPARTITE, COMPLETE, GraphTopology, check_durations, read_integers
+from .errors import BudgetOutOfRange, InvalidSpec, ParityError, TrivialGame, Unsupported
+from .graphs import BIPARTITE, COMPLETE, GraphTopology, check_durations, check_integers
 from .synthesis import solve_equalized_value
 
 
@@ -40,14 +38,6 @@ class AllocationResult:
     tau_q: tuple[int, ...] | None = None
     w_p: float | None = None
     w_q: float | None = None
-
-
-def _check_integers(**values) -> None:
-    """`InvalidSpec` naming the first of `values` that is not an integer."""
-    for name, value in values.items():
-        # a plain int skips the slower ABC check; NumPy integers pass it
-        if type(value) is not int and not isinstance(value, numbers.Integral):
-            raise InvalidSpec(f"{name} must be an integer, got {value!r}")
 
 
 def _near_uniform(n: int, units: int) -> tuple[int, ...]:
@@ -86,7 +76,7 @@ def complete_split(n: int, B: int) -> tuple[int, ...]:
     Valid for budgets strictly between n (anything less cannot give every
     node a unit) and n*n (anything more makes the game trivial).
     """
-    _check_integers(budget=B, n=n)
+    check_integers(budget=B, n=n)
     if n < 2:
         raise InvalidSpec(f"complete-graph allocation needs n >= 2, got {n}")
     if not n < B < n * n:
@@ -107,7 +97,7 @@ def allocate_bipartite_side(n_side: int, B_side: int) -> AllocationResult:
     Entries are even and differ by at most two.  The degenerate all-twos
     budget B_side = 2*n_side is accepted.
     """
-    _check_integers(budget=B_side, n_side=n_side)
+    check_integers(budget=B_side, n_side=n_side)
     if n_side < 1:
         raise InvalidSpec(f"side size must be >= 1, got {n_side}")
     if B_side % 2:
@@ -127,7 +117,7 @@ def co_optimize_bipartite(n_p: int, n_q: int, B: int) -> AllocationResult:
     bracket ends are evaluated; the larger sub-budget wins only when its
     value is lower by more than 1e-12, so ties go to the smaller one.
     """
-    _check_integers(budget=B, n_p=n_p, n_q=n_q)
+    check_integers(budget=B, n_p=n_p, n_q=n_q)
     if n_p < 1 or n_q < 1:
         raise InvalidSpec(f"side sizes must be >= 1, got ({n_p}, {n_q})")
     if B % 2:
@@ -168,49 +158,3 @@ def allocate(g: GraphTopology, B: int) -> AllocationResult:
     if g.family == BIPARTITE:
         return co_optimize_bipartite(g.n_p, g.n_q, B)
     raise Unsupported(f"{g.family} allocation is unsupported")
-
-
-@dataclass(frozen=True)
-class BalancingTrace:
-    """States visited by pairwise balancing: (allocation, value) at each step."""
-
-    states: tuple[tuple[tuple[int, ...], float], ...]
-
-    @property
-    def taus(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(s[0] for s in self.states)
-
-    @property
-    def ws(self) -> tuple[float, ...]:
-        return tuple(s[1] for s in self.states)
-
-    @property
-    def final(self) -> tuple[int, ...]:
-        return self.states[-1][0]
-
-
-def pairwise_balance(tau: Sequence[int], step: int) -> BalancingTrace:
-    """Move one unit of `step` from a largest to a smallest entry until the
-    entries, counted in units, differ by at most one.
-
-    Each transfer strictly lowers w, solved on the units, which is how the
-    near-uniform placement rule is proved optimal.  Step 1 balances a
-    complete-graph allocation (entries >= 1), step 2 one even bipartite side
-    (entries even and >= 2).
-    """
-    if step not in (1, 2):
-        raise InvalidSpec(f"step must be 1 or 2, got {step}")
-    current = read_integers(tau, "allocation entries")
-    if not current:
-        raise InvalidSpec("allocation must be nonempty")
-    if any(t < step or t % step for t in current):
-        raise InvalidStart(f"entries must be {'>= 1' if step == 1 else 'even and >= 2'}: {current}")
-    units = [t // step for t in current]
-    states = []
-    while True:
-        states.append((tuple(step * u for u in units),
-                       solve_equalized_value(tuple(sorted(units)))))
-        if max(units) - min(units) <= 1:
-            return BalancingTrace(states=tuple(states))
-        units[units.index(max(units))] -= 1
-        units[units.index(min(units))] += 1

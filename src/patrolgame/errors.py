@@ -37,9 +37,5 @@ class ParityError(PatrolGameError):
     """An even budget was required but an odd one was supplied."""
 
 
-class InvalidStart(PatrolGameError):
-    """Balancing started from an allocation violating the entry minimums."""
-
-
 class SearchSpaceExceeded(PatrolGameError):
     """An oracle was asked to enumerate more candidates than its guard allows."""

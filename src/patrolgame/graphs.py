@@ -232,6 +232,14 @@ def read_integers(values: Iterable, what: str) -> tuple[int, ...]:
     return out
 
 
+def check_integers(**values) -> None:
+    """`InvalidSpec` naming the first of `values` that is not an integer."""
+    for name, value in values.items():
+        # a plain int skips the slower ABC check; NumPy integers pass it
+        if type(value) is not int and not isinstance(value, numbers.Integral):
+            raise InvalidSpec(f"{name} must be an integer, got {value!r}")
+
+
 def check_durations(tau: Sequence[int], n: int) -> tuple[int, ...]:
     """Validate an attack-duration vector and return it as a tuple of ints."""
     out = read_integers(tau, "attack durations")

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidSpec, NotIrreducible
-from .graphs import check_durations, is_strongly_connected
+from .graphs import check_durations, check_integers, is_strongly_connected
 
 ROW_SUM_TOL = 1e-9
 
@@ -216,6 +216,7 @@ def walk_work(n: int, tau_max: int, trials: int) -> int:
     cost counts as `WALK_STEP_WALKERS` more walkers, whatever `trials` is.
     A `trials` below 1 raises `InvalidSpec`, before any guard counts it.
     """
+    check_integers(trials=trials)
     if trials < 1:
         raise InvalidSpec(f"trials must be >= 1, got {trials}")
     return n * tau_max * (trials + WALK_STEP_WALKERS) * n
@@ -236,6 +237,7 @@ def simulate_capture(P: np.ndarray, tau: Sequence[int], trials: int, seed: int) 
     words.  The walkers' memory is O(ceil(n / 64) min(trials, `_WALK_CHUNK`))
     whatever tau is.
     """
+    check_integers(trials=trials)
     if trials < 1:
         raise InvalidSpec(f"trials must be >= 1, got {trials}")
     P = check_transition_matrix(P)

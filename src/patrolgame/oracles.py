@@ -23,6 +23,7 @@ from .graphs import (
     build_complete,
     build_star,
     check_durations,
+    check_integers,
     validate_attack_durations,
 )
 from .markov import (
@@ -174,8 +175,9 @@ def _support(g: GraphTopology) -> list[np.ndarray]:
     return [np.flatnonzero(row) for row in g.adjacency]
 
 
-def _random_feasible_strategy(rng: np.random.Generator,
-                              support: list[np.ndarray], n: int) -> np.ndarray:
+def _random_feasible_strategy(rng: np.random.Generator, support: list[np.ndarray]) -> np.ndarray:
+    """Each row drawn uniformly from the simplex on its `support` columns."""
+    n = len(support)
     P = np.zeros((n, n))
     for i, cols in enumerate(support):
         if cols.size == 1:
@@ -231,6 +233,7 @@ def local_search_strategy(g: GraphTopology, tau: Sequence[int], restarts: int,
     On every family, a tau below some node's first-arrival time raises
     `InfeasibleTau` with the feasibility report before any restart runs.
     """
+    check_integers(restarts=restarts)
     if g.n > LOCAL_SEARCH_MAX_NODES:
         raise SearchSpaceExceeded(f"local search limited to {LOCAL_SEARCH_MAX_NODES} nodes")
     if restarts < 1:
@@ -265,8 +268,7 @@ def local_search_strategy(g: GraphTopology, tau: Sequence[int], restarts: int,
         new = []
         for slot in range(width):
             if owner[slot] < 0 and admitted < restarts:
-                P[slot] = _random_feasible_strategy(counter_stream(seed, admitted),
-                                                    support, g.n)
+                P[slot] = _random_feasible_strategy(counter_stream(seed, admitted), support)
                 owner[slot], step[slot], start[slot], improved[slot] = (
                     admitted, _STEP_INITIAL, 0, False)
                 new.append(slot)
@@ -387,7 +389,7 @@ def _random_instance(rng: np.random.Generator):
                             int(rng.integers(1, n_max // 2 + 1)))
     else:
         g = build_star(int(rng.integers(2, n_max + 1)))
-    P = _random_feasible_strategy(rng, _support(g), g.n)
+    P = _random_feasible_strategy(rng, _support(g))
     tau = tuple(int(t) for t in rng.integers(1, _BOUND_TAU_MAX + 1, size=g.n))
     return g, P, tau
 
@@ -462,6 +464,7 @@ def allocation_agreement_suite(nmax: int = 4) -> SuiteReport:
     stops at n = 7.  An `nmax` below 2 would build no instance and raises
     `InvalidSpec` instead of passing vacuously.
     """
+    check_integers(nmax=nmax)
     if nmax < 2:
         raise InvalidSpec(f"nmax must be >= 2, got {nmax}")
     complete = [(n, B) for n in range(2, nmax + 1) for B in range(n + 1, n * n)
@@ -511,6 +514,7 @@ def monte_carlo_suite(trials: int = 100_000, seed: int = 7,
     worst at 0.91 of the limit.  A pair whose exact value is 0 or 1 must be
     matched exactly.
     """
+    check_integers(trials=trials, instances=instances)
     if instances < 1:
         raise InvalidSpec(f"instances must be >= 1, got {instances}")
     if not 0 <= seed <= (1 << 64) - instances:  # instance i walks on seed + i
@@ -520,7 +524,7 @@ def monte_carlo_suite(trials: int = 100_000, seed: int = 7,
     for idx in range(instances):
         rng = counter_stream(seed, 90_000 + idx)
         n = int(rng.integers(_MONTE_CARLO_NODES[0], _MONTE_CARLO_NODES[1] + 1))
-        P = _random_feasible_strategy(rng, _support(build_complete(n)), n)
+        P = _random_feasible_strategy(rng, _support(build_complete(n)))
         tau = tuple(int(t) for t in rng.integers(_MONTE_CARLO_TAU[0], _MONTE_CARLO_TAU[1] + 1,
                                                  size=n))
         exact = capture_probability(P, tau).cdf

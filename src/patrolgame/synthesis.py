@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, InfeasibleTau, InvalidSpec, TrivialGame, Unsupported
 from .graphs import (BIPARTITE, STAR, GraphTopology, build_complete, build_star,
-                     check_durations, read_integers, validate_attack_durations)
+                     check_durations, check_integers, read_integers,
+                     validate_attack_durations)
 
 OPTIMAL = "optimal"
 HEURISTIC = "heuristic"
@@ -234,6 +235,7 @@ def uniform_bipartite_baseline(n_p: int, n_q: int, tau: int) -> BaselineResult:
     decided by the larger side, and its ratio to the generic bound tau/n is
     at least 1/3 for odd tau and (1/2)(1 - 1/e) for even tau.
     """
+    check_integers(n_p=n_p, n_q=n_q)
     if n_p < 2 or n_q < 2:
         raise InvalidSpec(f"baseline needs both sides >= 2, got ({n_p}, {n_q})")
     (tau,) = check_durations([tau], 1)

@@ -3,12 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from patrolgame import (
     BudgetOutOfRange,
     InvalidSpec,
-    InvalidStart,
     ParityError,
     TrivialGame,
     Unsupported,
@@ -18,7 +17,7 @@ from patrolgame import (
     bipartite_side_value,
     co_optimize_bipartite,
     complete_allocation_value,
-    pairwise_balance,
+    solve_equalized_value,
     synthesize_bipartite,
     synthesize_complete,
     build_bipartite,
@@ -74,67 +73,45 @@ def test_complete_budget_conservation_and_floor():
             assert result.mu < 1 - math.exp(-2)
 
 
-# --- pairwise balancing ----------------------------------------------------------
+# --- the balancing lemma ------------------------------------------------------------
 
-def test_balance_two_transfers():
-    trace = pairwise_balance([5, 1, 1], step=1)
-    assert trace.taus == ((5, 1, 1), (4, 2, 1), (3, 2, 2))
-    ws = trace.ws
-    assert all(b < a for a, b in zip(ws, ws[1:]))
-
-
-def test_balance_already_balanced():
-    trace = pairwise_balance([3, 2, 2], step=1)
-    assert trace.taus == ((3, 2, 2),)
-
-
-def test_balance_even_side():
-    trace = pairwise_balance([8, 2, 2], step=2)
-    assert trace.taus == ((8, 2, 2), (6, 4, 2), (4, 4, 4))
-    assert all(b < a for a, b in zip(trace.ws, trace.ws[1:]))
+def _balancing_walk(units):
+    """`units`, then the units after each transfer of one unit from a first
+    largest entry to a first smallest one, until entries differ by at most one."""
+    units = list(units)
+    walk = [tuple(units)]
+    while max(units) - min(units) > 1:
+        units[units.index(max(units))] -= 1
+        units[units.index(min(units))] += 1
+        walk.append(tuple(units))
+    return walk
 
 
-def test_balance_invalid_starts():
-    with pytest.raises(InvalidStart):
-        pairwise_balance([3, 0, 1], step=1)
-    with pytest.raises(InvalidStart):
-        pairwise_balance([4, 3], step=2)
-    with pytest.raises(InvalidStart):
-        pairwise_balance([4, 0], step=2)
-    with pytest.raises(InvalidSpec):
-        pairwise_balance([3, 2], step=3)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.integers(1, 9), min_size=2, max_size=5))
-def test_balance_conserves_budget_and_reaches_closed_form(tau):
-    B = sum(tau)
-    n = len(tau)
-    trace = pairwise_balance(tau, step=1)
-    assert all(sum(state) == B for state in trace.taus)
-    assert max(trace.final) - min(trace.final) <= 1
-    high, rem = divmod(B, n)
-    expected = sorted([high + 1] * rem + [high] * (n - rem), reverse=True)
-    assert sorted(trace.final, reverse=True) == expected
-    # in the theorem's budget range the value strictly decreases every step
-    if n < B < n * n:
-        assert all(b < a for a, b in zip(trace.ws, trace.ws[1:]))
-
-
-def test_balance_terminal_matches_allocate_complete():
-    trace = pairwise_balance([7, 1, 1, 1], step=1)
-    closed = allocate_complete(4, 10)
-    assert sorted(trace.final, reverse=True) == list(closed.tau)
-    assert trace.ws[-1] == pytest.approx(closed.w, abs=1e-12)
+def _strictly_falling_values(walk):
+    ws = [solve_equalized_value(tuple(sorted(units))) for units in walk]
+    assert all(b < a for a, b in zip(ws, ws[1:])), ws
+    return ws
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(1, 12).map(lambda u: 2 * u), min_size=1, max_size=6))
-def test_two_sided_balance_ends_at_the_side_rule(tau):
-    trace = pairwise_balance(tau, step=2)
-    rule = allocate_bipartite_side(len(tau), sum(tau))
-    assert tuple(sorted(trace.final, reverse=True)) == rule.tau
-    assert trace.ws[-1] == rule.w
+@given(st.lists(st.integers(1, 9), min_size=2, max_size=5))
+def test_every_transfer_lowers_w_down_to_the_complete_split(tau):
+    n, B = len(tau), sum(tau)
+    assume(n < B < n * n)
+    walk = _balancing_walk(tau)
+    ws = _strictly_falling_values(walk)
+    assert tuple(sorted(walk[-1], reverse=True)) == complete_split(n, B)
+    assert ws[-1] == allocate_complete(n, B).w
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 8), min_size=1, max_size=5))
+def test_every_transfer_lowers_w_down_to_the_side_rule(units):
+    walk = _balancing_walk(units)
+    ws = _strictly_falling_values(walk)
+    rule = allocate_bipartite_side(len(units), 2 * sum(units))
+    assert tuple(sorted((2 * u for u in walk[-1]), reverse=True)) == rule.tau
+    assert ws[-1] == rule.w
 
 
 # --- bipartite sides ---------------------------------------------------------------

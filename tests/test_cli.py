@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import patrolgame.cli
+import patrolgame.errors
 import patrolgame.graphs as graphs
 import patrolgame.oracles
 import patrolgame.synthesis
@@ -516,7 +517,9 @@ def test_every_package_error_ends_main_with_the_exit_code_of_its_class(capsys, m
     errors = [PatrolGameError]
     for error in errors:  # grows as it goes: subclasses of subclasses too
         errors += error.__subclasses__()
-    assert len(errors) == len(set(errors)) > 10
+    defined = {value for value in vars(patrolgame.errors).values()
+               if isinstance(value, type) and issubclass(value, PatrolGameError)}
+    assert len(errors) == len(set(errors)) and set(errors) == defined
     verify = patrolgame.cli._COMMANDS["verify"]
     for error in errors:
         def handler(args, error=error):

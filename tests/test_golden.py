@@ -48,8 +48,14 @@ def run_case(argv: list[str], workdir: Path) -> str:
 
 @pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
 def test_cli_output_matches_golden(case, tmp_path):
-    expected = (GOLDEN / f"{case['name']}.txt").read_bytes()
-    assert run_case(case["argv"], tmp_path).encode() == expected
+    # line by line, so that a stale file fails on its first differing line
+    # and not on a diff of the whole output, which under -v can take minutes;
+    # the kept line ends make equal lines and an equal count byte-exact
+    actual = run_case(case["argv"], tmp_path).encode().splitlines(keepends=True)
+    expected = (GOLDEN / f"{case['name']}.txt").read_bytes().splitlines(keepends=True)
+    for number, (got, want) in enumerate(zip(actual, expected), 1):
+        assert got == want, f"line {number} differs"
+    assert len(actual) == len(expected)
 
 
 if __name__ == "__main__":

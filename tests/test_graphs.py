@@ -275,8 +275,6 @@ DURATION_READERS = {
     "uniform_bipartite_baseline": (lambda tau: patrolgame.uniform_bipartite_baseline(
         2, 2, *tau).mu, [[2.5], [2.9]], [4]),
     "generic_capture_bound": (patrolgame.generic_capture_bound, [[2.5, 3], [3, 2.7]], [4, 3]),
-    "pairwise_balance": (lambda tau: patrolgame.pairwise_balance(tau, 1).states,
-                         [[2.5, 3], [4, 1.5]], [4, 3]),
 }
 
 
@@ -289,9 +287,36 @@ def test_every_duration_reader_refuses_fractions_and_reads_integral_floats(reade
     assert read([float(t) for t in integral]) == read(integral)
 
 
+# each library count outside the graph builders, as a function of the count;
+# the parameter it fills names the count in the refusal
+COUNT_READERS = {
+    "local_search_strategy": (lambda k: patrolgame.local_search_strategy(
+        patrolgame.build_star(3), (2, 2, 2), restarts=k, seed=0), "restarts"),
+    "monte_carlo_suite-instances": (lambda k: patrolgame.monte_carlo_suite(instances=k),
+                                    "instances"),
+    "monte_carlo_suite-trials": (lambda k: patrolgame.monte_carlo_suite(trials=k, instances=1),
+                                 "trials"),
+    "simulate_capture": (lambda k: patrolgame.simulate_capture(
+        np.full((3, 3), 1 / 3), (2, 2, 2), trials=k, seed=0), "trials"),
+    "allocation_agreement_suite": (lambda k: patrolgame.allocation_agreement_suite(nmax=k),
+                                   "nmax"),
+    "uniform_bipartite_baseline": (lambda k: patrolgame.uniform_bipartite_baseline(k, 3, 4),
+                                   "n_p"),
+    "walk_work": (lambda k: patrolgame.markov.walk_work(3, 2, k), "trials"),
+}
+
+
+@pytest.mark.parametrize("reader", COUNT_READERS)
+def test_a_count_must_be_an_integer(reader):
+    call, name = COUNT_READERS[reader]
+    for count in (2.5, 4.0, "3"):  # refused before any comparison or allocation
+        with pytest.raises(InvalidSpec, match=f"{name} must be an integer, got {count!r}"):
+            call(count)
+
+
 @pytest.mark.parametrize("read", [lambda tau: check_durations(tau, len(tau)),
-                                  lambda tau: patrolgame.pairwise_balance(tau, 2)],
-                         ids=["check_durations", "pairwise_balance"])
+                                  patrolgame.generic_capture_bound],
+                         ids=["check_durations", "generic_capture_bound"])
 def test_a_duration_reader_refuses_text(read):
     for tau in (["3", 3], [4, "2"], [b"4", 2]):
         with pytest.raises(InvalidSpec, match="must be finite integers"):

@@ -255,7 +255,7 @@ def serial_restarts(g, tau, restarts, seed):
     finals = []
     for restart in range(restarts):
         rng = counter_stream(seed, restart)
-        P = _random_feasible_strategy(rng, support, g.n)
+        P = _random_feasible_strategy(rng, support)
         mu = evaluate(P)
         evaluations = 1
         step = 0.2
