@@ -157,12 +157,13 @@ def build_graph(spec: Mapping) -> GraphTopology:
 
 def _distances(adj: np.ndarray, sources: Sequence[int]) -> np.ndarray:
     """Hop distances (-1 where unreachable) from each of `sources`, 0-indexed,
-    to every node, one row per source.  Level-synchronous: each level advances
+    to every node, one row per source; a (K, n, n) stack of adjacencies gives
+    a (K, len(sources), n) stack.  Level-synchronous: each level advances
     every source's frontier with one float32 product by the adjacency (path
     counts of at most n stay exact), so Python loops once per level."""
     step = adj.astype(np.float32)
-    dist = np.full((len(sources), adj.shape[0]), -1, dtype=np.int32)
-    dist[np.arange(len(sources)), sources] = 0
+    dist = np.full((*adj.shape[:-2], len(sources), adj.shape[-1]), -1, dtype=np.int32)
+    dist[..., np.arange(len(sources)), sources] = 0
     frontier = dist == 0
     unreached = ~frontier
     level = 0
@@ -180,8 +181,9 @@ def _patrollable(adj: np.ndarray, strongly_connected: bool) -> bool:
 
 
 def is_strongly_connected(adj: np.ndarray) -> bool:
-    """True if every node reaches every node along directed edges."""
-    return bool(adj.size) and all((_distances(a, [0]) >= 0).all() for a in (adj, adj.T))
+    """True if every node reaches every node along directed edges, in each slice of a stack."""
+    return bool(adj.size) and all((_distances(a, [0]) >= 0).all()
+                                  for a in (adj, adj.swapaxes(-1, -2)))
 
 
 def eccentricities(adj: np.ndarray) -> np.ndarray:

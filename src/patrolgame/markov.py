@@ -31,9 +31,14 @@ def check_transition_matrix(P: np.ndarray) -> np.ndarray:
     P = np.asarray(P, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise DimensionMismatch(f"transition matrix must be square, got shape {P.shape}")
+    return _check_rows(P)
+
+
+def _check_rows(P: np.ndarray) -> np.ndarray:
+    """`check_transition_matrix`'s row check, on a matrix or on a stack."""
     if not np.all((P >= -ROW_SUM_TOL) & (P <= 1 + ROW_SUM_TOL)):
         raise InvalidSpec("transition probabilities must lie in [0, 1]")
-    if np.any(np.abs(P.sum(axis=1) - 1.0) > ROW_SUM_TOL):
+    if np.any(np.abs(P.sum(axis=-1) - 1.0) > ROW_SUM_TOL):
         raise InvalidSpec("every row must sum to 1")
     return P
 
@@ -42,25 +47,27 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     """Stationary distribution pi of an irreducible row-stochastic matrix.
 
     Solves the balance equations (P^T - I) pi = 0 with the last one replaced
-    by the normalization sum(pi) = 1, one direct solve for every chain size.
-    Irreducibility makes that square system nonsingular.
+    by the normalization sum(pi) = 1, one direct solve for every chain size,
+    as the one-slice case of the stacked solve the bound suite runs on each
+    of its groups.  Irreducibility makes that square system nonsingular.
 
     Raises
     ------
     NotIrreducible
         If the support digraph of P is not strongly connected.
     """
-    P = check_transition_matrix(P)
-    n = P.shape[0]
+    return _stationary_stack(check_transition_matrix(P)[None])[0]
+
+
+def _stationary_stack(P: np.ndarray) -> np.ndarray:
+    """Each slice's `stationary_distribution`, bit for bit, of a checked stack."""
+    n = P.shape[-1]
     if not is_strongly_connected(P > 0.0):
         raise NotIrreducible("transition matrix support is not strongly connected")
-    A = P.T - np.eye(n)
-    A[-1] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    pi = np.linalg.solve(A, b)
-    pi = np.clip(pi, 0.0, None)
-    return pi / pi.sum()
+    A = P.swapaxes(1, 2) - np.eye(n)
+    A[:, -1] = 1.0
+    pi = np.clip(np.linalg.solve(A, np.eye(n)[:, -1:])[..., 0], 0.0, None)
+    return pi / pi.sum(axis=1, keepdims=True)
 
 
 def _distinct_rows(P: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -79,24 +86,28 @@ def _distinct_rows(P: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return np.array([np.frombuffer(key, P.dtype) for key in first]), np.array(index)
 
 
-def _capture_cdf_stack(P: np.ndarray, durations: Sequence[int]) -> np.ndarray:
-    """Capture CDFs of a (K, n, n) stack of strategies for shared durations.
+def _capture_cdf_stack(P: np.ndarray, durations: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Capture CDFs of a (K, n, n) stack of strategies, for durations shared
+    by every slice, (n,), or a (K, n) array with one row per slice.
 
     F_k[i, j], the probability that the first arrival at j after leaving i
     takes exactly k steps, follows F_1 = P and F_k = P offdiag(F_{k-1}).
     The kernel streams F_k through two ping-pong buffers into a running sum
-    F_1 + ... + F_k and copies column j out of it at k = tau_j, so memory
-    stays O(K n^2) for any tau.  The dense product takes 2 n^3 flops a step
-    per strategy, and each slice the same products and additions, in the
-    same order, as the dense product of that slice alone.  A one-strategy
-    stack with r <= n / 12 distinct rows (a synthesized strategy has 1 or 2)
-    keeps only those: G_k[c, j] is the sum over c', in order, of W[c', c, j]
-    G_{k-1}[c', j], where W[c', c, j] = mass(c, c') - [class(j) = c'] P_c[j]
-    and mass(c, c') is row c's total over class c'; 2 r^2 n flops a step,
-    bit-equal columns for targets of equal tau and entry, n x n at the end.
+    F_1 + ... + F_k and copies column j of slice s out of it at k = tau_sj
+    (masked, for per-slice durations), so memory stays O(K n^2) for any tau.
+    The dense product takes 2 n^3 flops a step per strategy, and each slice
+    the same products and additions, in the same order, as the dense product
+    of that slice alone.  A one-strategy stack with r <= n / 12 distinct rows
+    (a synthesized strategy has 1 or 2) keeps only those: G_k[c, j] is the
+    sum over c', in order, of W[c', c, j] G_{k-1}[c', j], where W[c', c, j] =
+    mass(c, c') - [class(j) = c'] P_c[j] and mass(c, c') is row c's total over
+    class c'; 2 r^2 n flops a step, bit-equal columns for targets of equal
+    tau and entry, n x n at the end.
     """
     K, n, _ = P.shape
     durations = np.asarray(durations)
+    if K == 1:  # one slice's durations are shared
+        durations = durations.reshape(n)
     compressed = _distinct_rows(P)
     front, index = (P.copy(), None) if compressed is None else compressed
     if compressed is not None:
@@ -112,7 +123,7 @@ def _capture_cdf_stack(P: np.ndarray, durations: Sequence[int]) -> np.ndarray:
         term = np.empty_like(front)
     running, back, cdf = front.copy(), np.empty_like(front), np.empty_like(front)
     k = 1
-    for t in sorted(set(durations.tolist())):
+    for t in sorted(set(durations.ravel().tolist())):
         for _ in range(k, t):
             if compressed is None:
                 front.reshape(K, n * n)[:, ::n + 1] = 0.0
@@ -125,7 +136,10 @@ def _capture_cdf_stack(P: np.ndarray, durations: Sequence[int]) -> np.ndarray:
             running += front
         k = t
         ending = durations == t
-        cdf[..., ending] = running[..., ending]
+        if ending.ndim == 1:
+            cdf[..., ending] = running[..., ending]
+        else:
+            np.copyto(cdf, running, where=ending[:, None])
     return cdf if compressed is None else cdf[index][None]
 
 

@@ -7,6 +7,7 @@ and the bound suite sweeps every claimed inequality over finite ranges.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
@@ -28,10 +29,11 @@ from .graphs import (
 )
 from .markov import (
     _capture_cdf_stack,
+    _check_rows,
+    _stationary_stack,
     capture_probability,
     counter_stream,
     simulate_capture,
-    stationary_distribution,
     walk_work,
 )
 
@@ -176,14 +178,14 @@ def _support(g: GraphTopology) -> list[np.ndarray]:
 
 
 def _random_feasible_strategy(rng: np.random.Generator, support: list[np.ndarray]) -> np.ndarray:
-    """Each row drawn uniformly from the simplex on its `support` columns."""
+    """Each row drawn uniformly from the simplex on its `support` columns; one
+    Dirichlet call draws a run of m-column rows (m > 1) as one call a row would."""
     n = len(support)
     P = np.zeros((n, n))
-    for i, cols in enumerate(support):
-        if cols.size == 1:
-            P[i, cols[0]] = 1.0
-        else:
-            P[i, cols] = rng.dirichlet(np.ones(cols.size))
+    for m, run in itertools.groupby(range(n), key=lambda i: support[i].size):
+        rows = list(run)
+        P[np.array(rows)[:, None], np.array([support[i] for i in rows])] = (
+            1.0 if m == 1 else rng.dirichlet(np.ones(m), size=len(rows)))
     return P
 
 
@@ -400,17 +402,22 @@ def bound_suite(config: BoundSuiteConfig | None = None) -> SuiteReport:
     Covers the stationary upper bound on random irreducible strategies, the
     suboptimality ratio of synthesized complete-graph strategies, the
     e**-2 floor on solved allocation values, and the constant-factor
-    guarantees of the uniform two-sided baseline.
+    guarantees of the uniform two-sided baseline.  The random instances are
+    drawn one by one and checked, each as if alone, in one batch per node count.
     """
     seed = (config or BoundSuiteConfig()).seed
     checks: list[CheckResult] = []
 
-    for idx in range(_BOUND_RANDOM_INSTANCES):
-        rng = counter_stream(seed, idx)
-        g, P, tau = _random_instance(rng)
-        pi = stationary_distribution(P)
-        mu = capture_probability(P, tau).mu
-        bound = float(np.min(pi * np.asarray(tau)))
+    instances = [_random_instance(counter_stream(seed, i)) for i in range(_BOUND_RANDOM_INSTANCES)]
+    values = {}
+    for n in {g.n for g, _, _ in instances}:
+        group = [idx for idx, (g, _, _) in enumerate(instances) if g.n == n]
+        P, tau = (np.array([instances[idx][part] for idx in group]) for part in (1, 2))
+        mus = _capture_cdf_stack(_check_rows(P), tau).min(axis=(1, 2))
+        bounds = (_stationary_stack(P) * tau).min(axis=1)
+        values.update(zip(group, zip(mus.tolist(), bounds.tolist())))
+    for idx, (g, _, tau) in enumerate(instances):
+        mu, bound = values[idx]
         checks.append(CheckResult(
             instance=f"stationary-bound[{idx}] {g.family} n={g.n} tau={list(tau)}",
             expected=f"mu <= {bound:.12g}", actual=mu,
@@ -495,7 +502,11 @@ def allocation_agreement_suite(nmax: int = 4) -> SuiteReport:
 
 def monte_carlo_suite_work(trials: int, instances: int = 20) -> int:
     """An upper bound on `monte_carlo_suite`'s walk work: `walk_work` with
-    every instance at its largest size."""
+    every instance at its largest size.  `InvalidSpec` refuses a `trials`
+    or `instances` that is not an integer >= 1, as the suite does."""
+    check_integers(trials=trials, instances=instances)
+    if instances < 1:
+        raise InvalidSpec(f"instances must be >= 1, got {instances}")
     return instances * walk_work(_MONTE_CARLO_NODES[1], _MONTE_CARLO_TAU[1], trials)
 
 
@@ -514,9 +525,7 @@ def monte_carlo_suite(trials: int = 100_000, seed: int = 7,
     worst at 0.91 of the limit.  A pair whose exact value is 0 or 1 must be
     matched exactly.
     """
-    check_integers(trials=trials, instances=instances)
-    if instances < 1:
-        raise InvalidSpec(f"instances must be >= 1, got {instances}")
+    monte_carlo_suite_work(trials, instances)  # refuses what the suite cannot run
     if not 0 <= seed <= (1 << 64) - instances:  # instance i walks on seed + i
         raise InvalidSpec(f"seed must lie in [0, 2**64 - {instances}], got {seed}")
     pairs = 0

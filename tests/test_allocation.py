@@ -94,7 +94,10 @@ def _strictly_falling_values(walk):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(1, 9), min_size=2, max_size=5))
+@given(st.integers(2, 5).flatmap(
+    # an entry above n^2 - n puts B at n^2 or more, so capping the entries
+    # there keeps every list with n < B < n^2 and filters out fewer
+    lambda n: st.lists(st.integers(1, min(9, n * n - n)), min_size=n, max_size=n)))
 def test_every_transfer_lowers_w_down_to_the_complete_split(tau):
     n, B = len(tau), sum(tau)
     assume(n < B < n * n)

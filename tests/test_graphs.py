@@ -186,6 +186,11 @@ def test_bfs_matches_reference_queue_bfs(adj):
     reverse = _reference_distances(adj.T, 0)
     connected = min(reference[0]) >= 0 and min(reverse) >= 0
     assert is_strongly_connected(adj) == connected
+    # a stack searches each slice as it would be searched alone
+    stack = np.stack([adj, adj.T, np.ones_like(adj)])
+    assert patrolgame.graphs._distances(stack, [0]).tolist() == [
+        [reference[0]], [reverse], [[int(j > 0) for j in range(n)]]]
+    assert is_strongly_connected(stack) == connected
     if connected:
         assert eccentricities(adj).tolist() == [max(d) for d in reference]
     else:

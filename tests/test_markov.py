@@ -229,6 +229,20 @@ def test_stack_kernel_matches_reference_recursion(n, K, seed):
             np.testing.assert_array_equal(got[:, j], running[t - 1, :, j])
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 6), st.integers(1, 8), st.integers(0, 2 ** 31 - 1))
+def test_per_slice_durations_match_each_slice_alone(K, n, longest, seed):
+    # a (K, n) duration array gives each slice the CDF of its own one-slice
+    # call, bit for bit, however far the other slices' durations run on
+    rng = np.random.default_rng(seed)
+    stack = np.stack([random_stochastic(rng, n) for _ in range(K)])
+    tau = rng.integers(1, longest + 1, size=(K, n))
+    cdf = _capture_cdf_stack(stack, tau)
+    assert cdf.shape == (K, n, n)
+    for P, durations, got in zip(stack, tau, cdf):
+        assert got.tobytes() == _capture_cdf_stack(P[None], durations)[0].tobytes()
+
+
 # --- the kernel on distinct rows ----------------------------------------------
 
 def synthesized_strategy(family, n, seed, longest=24):
@@ -304,6 +318,16 @@ def test_user_strategies_and_stacks_keep_the_dense_product():
     for stack in (random_stochastic(rng, 200)[None], lazy[None],
                   np.stack([complete, complete]), np.stack([repeated_rows(12, 2, 0)] * 3)):
         assert markov._distinct_rows(stack) is None
+
+
+@pytest.mark.parametrize("family", ["complete", "star", "bipartite"])
+def test_one_row_of_durations_is_the_shared_vector(family):
+    # a one-slice stack reads a (1, n) duration array as its (n,) vector and
+    # keeps the distinct-row path, bit for bit
+    P, tau = synthesized_strategy(family, 24, 5)
+    assert markov._distinct_rows(P[None]) is not None
+    shared = _capture_cdf_stack(P[None], tau)
+    assert _capture_cdf_stack(P[None], tau[None]).tobytes() == shared.tobytes()
 
 
 def test_rows_that_share_a_signature_are_not_merged():

@@ -11,6 +11,7 @@ import patrolgame.oracles
 from patrolgame import (
     BoundSuiteConfig,
     BudgetOutOfRange,
+    CheckResult,
     InfeasibleTau,
     InvalidSpec,
     SearchSpaceExceeded,
@@ -22,6 +23,7 @@ from patrolgame import (
     build_complete,
     build_general,
     build_star,
+    capture_probability,
     co_optimize_bipartite,
     exhaustive_allocation,
     exhaustive_side_allocation,
@@ -30,11 +32,12 @@ from patrolgame import (
     partitions,
     simulate_capture,
     solve_equalized_value,
+    stationary_distribution,
 )
 from patrolgame.cli import _dump_json
 from patrolgame.markov import counter_stream, min_capture_evaluator
 from patrolgame.oracles import (ALLOCATION_TOLERANCE, MONTE_CARLO_FALSE_ALARM, _multiset_values,
-                                _random_feasible_strategy)
+                                _random_feasible_strategy, monte_carlo_suite_work)
 
 
 # --- partition enumeration ------------------------------------------------------
@@ -403,6 +406,59 @@ def test_bound_suite_small_config_passes():
     assert all(set(r) == {"instance", "expected", "actual", "pass"} for r in rows)
 
 
+def row_by_row_strategy(rng, support):
+    """Reference: one Dirichlet draw per row with more than one column, in
+    row order; a one-column row puts its mass there and draws nothing."""
+    n = len(support)
+    P = np.zeros((n, n))
+    for i, cols in enumerate(support):
+        if cols.size == 1:
+            P[i, cols[0]] = 1.0
+        else:
+            P[i, cols] = rng.dirichlet(np.ones(cols.size))
+    return P
+
+
+# support sizes 2, 2, 1, 3, 3, 1: runs of two, one, two and one rows
+MIXED_RUNS = build_general(6, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (4, 5), (4, 1), (4, 2),
+                               (5, 6), (5, 1), (5, 3), (6, 1)])
+
+
+@pytest.mark.parametrize("graph", [build_complete(5), build_bipartite(3, 2), build_star(6),
+                                   MIXED_RUNS], ids=["complete5", "bipartite3+2", "star6", "mixed"])
+def test_runs_of_rows_draw_what_row_by_row_draws_do(graph):
+    support = patrolgame.oracles._support(graph)
+    for seed in range(20):
+        rng, reference = counter_stream(seed, 0), counter_stream(seed, 0)
+        P = _random_feasible_strategy(rng, support)
+        assert P.tobytes() == row_by_row_strategy(reference, support).tobytes()
+        assert rng.random() == reference.random()  # both streams stop at the same draw
+
+
+@pytest.mark.parametrize("seed", [1, 7, 2 ** 40])
+def test_bound_suite_equals_the_instance_by_instance_reference(monkeypatch, seed):
+    calls = []
+    kernel = patrolgame.oracles._capture_cdf_stack
+    monkeypatch.setattr(patrolgame.oracles, "_capture_cdf_stack",
+                        lambda P, tau: calls.append(len(P)) or kernel(P, tau))
+    report = bound_suite(BoundSuiteConfig(seed=seed))
+    # the reference draws each instance row by row and checks it alone,
+    # through the public stationary solve and capture probability
+    monkeypatch.setattr(patrolgame.oracles, "_random_feasible_strategy", row_by_row_strategy)
+    reference, sizes = [], set()
+    for idx in range(500):
+        g, P, tau = patrolgame.oracles._random_instance(counter_stream(seed, idx))
+        mu = capture_probability(P, tau).mu
+        bound = float(np.min(stationary_distribution(P) * np.asarray(tau)))
+        reference.append(CheckResult(
+            instance=f"stationary-bound[{idx}] {g.family} n={g.n} tau={list(tau)}",
+            expected=f"mu <= {bound:.12g}", actual=mu, passed=mu <= bound + 1e-9))
+        sizes.add(g.n)
+    assert report.checks[:500] == tuple(reference)
+    # one kernel call per node count covers all 500 instances
+    assert len(calls) == len(sizes) and sum(calls) == 500
+
+
 def test_bound_suite_counts_by_section():
     report = bound_suite()
     assert report.summary == "PASS 1291/1291"
@@ -440,6 +496,16 @@ def test_monte_carlo_suite_limit_follows_the_pair_count():
     assert all(c.expected.endswith(f"<= {z / 3:.6g}") for c in report.checks)
     with pytest.raises(InvalidSpec):
         monte_carlo_suite(instances=0)
+
+
+@pytest.mark.parametrize("instances", [2.5, -3, 0])
+def test_monte_carlo_suite_work_refuses_what_the_suite_refuses(instances):
+    # a fractional count would scale the work and a negative one make it
+    # negative, which any work limit admits
+    with pytest.raises(InvalidSpec, match="instances must be"):
+        monte_carlo_suite_work(100_000, instances)
+    with pytest.raises(InvalidSpec, match="instances must be"):
+        monte_carlo_suite(trials=100, instances=instances)
 
 
 @pytest.mark.parametrize("seed, instances", [((1 << 64) - 1, 20), ((1 << 64) - 2, 3), (-1, 1)])
