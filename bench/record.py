@@ -10,25 +10,32 @@ uncommitted changes on top of commit abc1234 record as abc1234-dirty.  Per
 workload the file holds each metric's unit, median, quartiles and per-run
 values; each run's verdict (correct, attempted, failed); and each run's
 `perfbench env` line, whose `src_sha256` identifies the source measured.
-The recorder exits 1, after writing the file, when a run is not correct or
-failed an operation.
+It then runs the Tier-1 suite once, as CI runs it, and records its wall
+time and its passed, failed and error counts.  The recorder exits 1, after
+writing the file, when a run is not correct or failed an operation, or when
+a Tier-1 test fails or errors.
 
-It records the workload metrics only; CLI command wall times and the Tier-1
-wall time are not recorded yet.
+CLI command wall times are not recorded yet.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 WORKLOADS = ("exact-large", "oracle-search", "verify-sweep")
 SEEDS = (31, 32, 33)
 SECONDS = 8
 ENV_PREFIX = "perfbench env "
+# the Tier-1 command of .github/workflows/tier1.yml, run with src on PYTHONPATH
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-W", "error::RuntimeWarning",
+         "-W", "error::DeprecationWarning", "-W", "error::FutureWarning")
 
 
 def parse_run(stdout: str, checkout: Path) -> tuple[dict, dict]:
@@ -48,6 +55,26 @@ def summarize(values: list[float]) -> dict:
     q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
                       if len(values) > 1 else values * 3)
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
+
+
+def parse_tier1(stdout: str) -> dict:
+    """The passed, failed and error counts on the last line of `pytest -q`,
+    such as "1 failed, 716 passed, 2 errors in 20.10s"; 0 for a count it
+    does not print."""
+    last = (stdout.strip().splitlines() or [""])[-1]
+    counts = {word: int(count)
+              for count, word in re.findall(r"(\d+) (passed|failed|error)s?\b", last)}
+    return {"passed": counts.get("passed", 0), "failed": counts.get("failed", 0),
+            "errors": counts.get("error", 0)}
+
+
+def record_tier1(checkout: Path) -> dict:
+    """One Tier-1 run in `checkout`: its wall seconds and its counts."""
+    path = os.pathsep.join(filter(None, ("src", os.environ.get("PYTHONPATH"))))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=checkout, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    return {"wall_s": time.perf_counter() - start, **parse_tier1(proc.stdout)}
 
 
 def record(checkout: Path, workload: str) -> dict:
@@ -73,13 +100,15 @@ def main(argv: list[str]) -> int:
     commit = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=checkout,
                             capture_output=True, text=True, check=True).stdout.strip()
     workloads = {workload: record(checkout, workload) for workload in WORKLOADS}
+    tier1 = record_tier1(checkout)
     report = {"commit": commit, "seeds": list(SEEDS), "seconds": SECONDS,
-              "workloads": workloads}
+              "workloads": workloads, "tier1": tier1}
     out = checkout / f"BENCH_{commit}.json"
     out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     print(out)
     ok = all(run["correct"] and not run["failed"]
              for data in workloads.values() for run in data["runs"])
+    ok = ok and tier1["passed"] > 0 and not tier1["failed"] and not tier1["errors"]
     return 0 if ok else 1
 
 

@@ -58,22 +58,22 @@ SWEEP_ROW_LIMIT = 10_000
 # 115 MB peak RSS on a 2-core host; the limit admits n = 1000, five times the
 # n = 200 of the largest graph a benchmark request builds
 ADJACENCY_LIMIT = 10**6
-# solve and simulate run the recursion, priced as tau_max - 1 steps of the
-# dense product, 2 n^3 flops, and a fixed cost (5 us at n = 3 on a 2-core host
-# that does 2e10 flop/s at large n); the limit, about 5 s there, is 30 times
-# an n = 200, tau_max = 200 solve.  A strategy with r <= n / 12 distinct rows
-# (a synthesized one has 1 or 2) runs an r x n recursion, 2 r^2 n flops a
-# step, so the dense price is an upper bound for every synthesized strategy
-RECURSION_STEP_FLOPS = 100_000
-RECURSION_FLOP_LIMIT = 10**11
+# solve and simulate run the recursion for tau_max - 1 steps.  A synthesized
+# strategy has r = 1 or 2 distinct rows, so from n = 12 r the kernel carries an
+# r x n recursion, and below it the dense product.  At the limit, on a 2-core
+# host, a solve took 5.5 s (complete n = 1000), 6.5 s (star n = 1000), 11.7 s
+# (500 + 500), 15.5 s (complete n = 11, dense) and 34 s (12 + 11, dense, the
+# slowest measured)
+RECURSION_STEP_LIMIT = 10**6
 # simulate and the montecarlo suite walk: markov.walk_work counts walker-column
 # steps, and a walk at the limit takes 2.7-5.3 s at trials = 1e5 and 2.1-2.8 s
 # at trials = 1 on the same host; the limit is 7.7 times the bound on a default
 # montecarlo suite (1.29e8) and 155 times a 1e5-trial simulate at n = 4, tau 4
 WALK_WORK_LIMIT = 10**9
 # the largest closed-form vs recursion gap that solve, simulate and allocate
-# accept; the largest measured over the CLI's range is 1.3e-11, the
-# recursion's rounding over 6e5 steps (star n = 4, tau_max 613296)
+# accept; the largest measured at the recursion limit, 1e6 steps, is 1.4e-11
+# (complete n = 3, tau (1000001, 2, 2)), the dense product's rounding; on the
+# r x n path, n = 1000, it stays below 1e-16
 CLOSED_FORM_TOL = 1e-10
 _CSV_COLUMNS = ("family", "n", "n_p", "n_q", "tau", "B", "mu", "w", "bound", "ratio")
 
@@ -262,8 +262,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     n = sum(sizes.values())
     # walk_work refuses trials < 1 before either guard; solve walks nothing
     walk = walk_work(n, max(tau, default=1), args.trials) if args.command == "simulate" else 0
-    flops = (max(tau, default=1) - 1) * (2 * n**3 + RECURSION_STEP_FLOPS)
-    _check_work(flops, RECURSION_FLOP_LIMIT, "recursion of {} flops")
+    _check_work(max(tau, default=1) - 1, RECURSION_STEP_LIMIT, "recursion of {} steps")
     _check_work(walk, WALK_WORK_LIMIT, "walk of {} walker-column steps")
     graph = _graph(args.family, sizes)
     report = validate_attack_durations(graph, tau)

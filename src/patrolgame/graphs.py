@@ -88,6 +88,7 @@ def build_complete(n: int) -> GraphTopology:
 
 def build_bipartite(n_p: int, n_q: int) -> GraphTopology:
     """Complete bipartite digraph: all cross-side pairs, no self-loops."""
+    check_integers(n_p=n_p, n_q=n_q)
     if n_p < 1 or n_q < 1:
         raise InvalidSpec(f"bipartite sides must be >= 1, got ({n_p}, {n_q})")
     p_side = np.arange(n_p + n_q) < n_p  # the two blocks: P to Q and Q to P
@@ -96,6 +97,7 @@ def build_bipartite(n_p: int, n_q: int) -> GraphTopology:
 
 def build_star(n: int) -> GraphTopology:
     """Star on n nodes with node 1 as the center (bipartite with n_p = 1)."""
+    check_integers(n=n)
     if n < 2:
         raise InvalidSpec(f"star graph needs n >= 2, got {n}")
     return replace(build_bipartite(1, n - 1), family=STAR)

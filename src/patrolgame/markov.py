@@ -73,7 +73,10 @@ def _stationary_stack(P: np.ndarray) -> np.ndarray:
 def _distinct_rows(P: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """A one-strategy (1, n, n) stack's distinct rows, keyed by their bytes, and
     each row's index among them; None for K > 1 or more than n / 12 distinct
-    rows, past which the r x n recursion stops being ~2x the dense product."""
+    rows.  The switch is not where the paths cross: a step of the r x n
+    recursion took 1.8 us against the dense product's 10.5 (complete n = 11),
+    3.5 against 10.0 (11 + 11), 1.8 against 3.0 (complete n = 4) and 3.5
+    against 2.5 (star n = 5) on a 2-core host, with equal mu."""
     K, n, _ = P.shape
     if K != 1:
         return None

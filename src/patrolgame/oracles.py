@@ -66,8 +66,13 @@ class OracleReport:
 def partitions(total: int, parts: int, maximum: int | None = None) -> Iterator[tuple[int, ...]]:
     """All non-increasing tuples of `parts` >= 1 positive integers, none above
     `maximum` when it is given, that sum to `total`."""
+    check_integers(total=total, parts=parts, maximum=0 if maximum is None else maximum)
     if parts < 1:
         raise InvalidSpec(f"parts must be >= 1, got {parts}")
+    return _partitions(total, parts, maximum)
+
+
+def _partitions(total: int, parts: int, maximum: int | None) -> Iterator[tuple[int, ...]]:
     if parts == 1:
         if 1 <= total and (maximum is None or total <= maximum):
             yield (total,)
@@ -76,7 +81,7 @@ def partitions(total: int, parts: int, maximum: int | None = None) -> Iterator[t
     if maximum is not None:
         hi = min(hi, maximum)
     for first in range(hi, 0, -1):
-        for rest in partitions(total - first, parts - 1, first):
+        for rest in _partitions(total - first, parts - 1, first):
             yield (first,) + rest
 
 
@@ -217,20 +222,20 @@ def local_search_strategy(g: GraphTopology, tau: Sequence[int], restarts: int,
     renormalizes the row.  A move is kept when it raises the capture
     probability by more than 1e-7, and sweeps repeat until none does.
 
-    Restarts climb in lockstep rounds, at most `_LOCKSTEP_WIDTH` at a time;
-    a finished restart hands its slot to the next one, so memory does not
-    grow with `restarts`.  Each round builds every move left in the current
-    sweep of every live restart, from that restart's own P and step, and
-    scores them, with the first P of each newly admitted restart, in one
-    kernel call.  Each restart keeps its first improving move in sweep order
-    and resumes its sweep after it.  Every slice of the stack is computed as
-    it would be alone, and each move before the kept one was scored against
-    the same P a one-move-at-a-time loop would have used, so values, the kept
-    matrix and the evaluation count (the candidates up to and including each
-    kept move) match that loop bit for bit.  Restart r draws from
-    `counter_stream(seed, r)`, and the result is the restart a reduction in
-    restart order keeps: larger value wins, ties go to the lexicographically
-    smaller matrix, then to the earlier restart.
+    Restarts climb in chunks of `_LOCKSTEP_WIDTH`, so memory does not grow
+    with `restarts`.  A chunk scores its restarts' first matrices in one
+    kernel call, then climbs in lockstep rounds until all of them finish:
+    each round builds every move left in the current sweep of every
+    climbing restart, from that restart's own P and step, and scores them in
+    one kernel call.  Each restart keeps its first improving move in sweep
+    order and resumes its sweep after it.  Every slice of the stack is
+    computed as it would be alone, and each move before the kept one was
+    scored against the same P a one-move-at-a-time loop would have used, so
+    values, the kept matrix and the evaluation count (the candidates up to
+    and including each kept move) match that loop bit for bit.  Restart r
+    draws from `counter_stream(seed, r)`, and the result is the restart a
+    reduction in restart order keeps: larger value wins, ties go to the
+    lexicographically smaller matrix, then to the earlier restart.
 
     On every family, a tau below some node's first-arrival time raises
     `InfeasibleTau` with the feasibility report before any restart runs.
@@ -252,82 +257,65 @@ def local_search_strategy(g: GraphTopology, tau: Sequence[int], restarts: int,
     move_row, move_col = moves.T
     sign = np.where(np.arange(len(moves)) % 2, -1.0, 1.0)
 
-    # one slot per live restart.  Matrices and values are arrays, because a
-    # round gathers from them lane by lane; the rest of a slot's state (its
-    # restart, step, next move in the sweep and whether this sweep improved)
-    # is a handful of scalars, kept as lists and stepped in Python
-    width = min(restarts, _LOCKSTEP_WIDTH)
-    P = np.empty((width, g.n, g.n))
-    mu = np.empty(width)
-    owner = [-1] * width
-    step = [0.0] * width
-    start = [0] * width
-    improved = [False] * width
-    admitted = 0
     evaluations = 0
     best_key = best_P = None
-    while True:
-        new = []
-        for slot in range(width):
-            if owner[slot] < 0 and admitted < restarts:
-                P[slot] = _random_feasible_strategy(counter_stream(seed, admitted), support)
-                owner[slot], step[slot], start[slot], improved[slot] = (
-                    admitted, _STEP_INITIAL, 0, False)
-                new.append(slot)
-                admitted += 1
-        climbing = [slot for slot in range(width) if owner[slot] >= 0 and slot not in new]
-        if not new and not climbing:
-            break
+    for first in range(0, restarts, _LOCKSTEP_WIDTH):
+        # restart first + s climbs as slice s of P.  Matrices and values are
+        # arrays, because a round gathers from them lane by lane; the rest of a
+        # restart's state (its step, next move in the sweep and whether this
+        # sweep improved) is a handful of scalars, kept as lists and stepped in
+        # Python.  A restart whose step falls below the last one has finished
+        chunk = range(first, min(first + _LOCKSTEP_WIDTH, restarts))
+        P = np.array([_random_feasible_strategy(counter_stream(seed, r), support) for r in chunk])
+        mu = _capture_cdf_stack(P, durations).min(axis=(1, 2))
+        evaluations += len(P)
+        step = [_STEP_INITIAL] * len(P)
+        start = [0] * len(P)
+        improved = [False] * len(P)
+        while climbing := [s for s in range(len(P)) if step[s] >= _STEP_FINAL]:
+            # the rest of each climbing restart's sweep, restart by restart: the
+            # lanes of restart s hold moves start[s], start[s] + 1, ..., in order
+            counts = [len(moves) - start[s] for s in climbing]
+            lane_restart = np.repeat(climbing, counts)
+            lane_move = np.concatenate([np.arange(start[s], len(moves)) for s in climbing])
+            lane_step = np.repeat([step[s] for s in climbing], counts)
+            idx, trials = _sweep_candidates(P[lane_restart, move_row[lane_move]],
+                                            move_col[lane_move], sign[lane_move] * lane_step)
+            cand_restart, cand_move = lane_restart[idx], lane_move[idx]
+            stack = P[cand_restart]
+            stack[np.arange(len(stack)), move_row[cand_move]] = trials
+            values = _capture_cdf_stack(stack, durations).min(axis=(1, 2))
 
-        # the rest of each climbing restart's sweep, restart by restart: the
-        # lanes of slot s hold moves start[s], start[s] + 1, ..., in order
-        counts = [len(moves) - start[slot] for slot in climbing]
-        lane_slot = np.repeat(np.array(climbing, dtype=int), counts)
-        lane_move = np.concatenate([np.arange(start[slot], len(moves)) for slot in climbing]
-                                   or [np.arange(0)])
-        lane_step = np.repeat([step[slot] for slot in climbing], counts)
-        idx, trials = _sweep_candidates(
-            P[lane_slot, move_row[lane_move]], move_col[lane_move], sign[lane_move] * lane_step)
-        cand_slot, cand_move = lane_slot[idx], lane_move[idx]
-        stack = P[np.concatenate((np.array(new, dtype=int), cand_slot))]
-        stack[np.arange(len(new), len(stack)), move_row[cand_move]] = trials
-        values = _capture_cdf_stack(stack, durations).min(axis=(1, 2))
-        mu[new] = values[:len(new)]
-        values = values[len(new):]
+            # each restart keeps its first improving candidate in sweep order
+            better = np.flatnonzero(values > mu[cand_restart] + _IMPROVEMENT_EPS)
+            kept = {}
+            for candidate, s in zip(better.tolist(), cand_restart[better].tolist()):
+                kept.setdefault(s, candidate)
+            kept_restart, kept_cand = list(kept), list(kept.values())
+            P[kept_restart, move_row[cand_move[kept_cand]]] = trials[kept_cand]
+            mu[kept_restart] = values[kept_cand]
 
-        # each restart keeps its first improving candidate in sweep order
-        better = np.flatnonzero(values > mu[cand_slot] + _IMPROVEMENT_EPS)
-        kept = {}
-        for candidate, slot in zip(better.tolist(), cand_slot[better].tolist()):
-            kept.setdefault(slot, candidate)
-        kept_slot, kept_cand = list(kept), list(kept.values())
-        kept_move = cand_move[kept_cand]
-        P[kept_slot, move_row[kept_move]] = trials[kept_cand]
-        mu[kept_slot] = values[kept_cand]
-        next_move = dict(zip(kept_slot, (kept_move + 1).tolist()))
-
-        # a restart's evaluations are its candidates up to and including the
-        # kept one; the ones after it are scored again against the new P.  A
-        # sweep ends when nothing in it improves or its last move is kept, and
-        # a sweep without a kept move halves the step.
-        evaluations += len(new) + len(cand_slot)
-        per_slot = np.bincount(cand_slot, minlength=width).tolist()
-        end = 0
-        for slot in climbing:
-            end += per_slot[slot]
-            if slot in kept:
-                evaluations -= end - 1 - kept[slot]
-                start[slot], improved[slot] = next_move[slot], True
-                if start[slot] < len(moves):
-                    continue
-            elif not improved[slot]:
-                step[slot] *= 0.5
-                if step[slot] < _STEP_FINAL:
-                    key = (-float(mu[slot]), tuple(P[slot].ravel().tolist()), owner[slot])
-                    if best_key is None or key < best_key:
-                        best_key, best_P = key, P[slot].copy()
-                    owner[slot] = -1
-            start[slot], improved[slot] = 0, False
+            # a restart's evaluations are its candidates up to and including
+            # the kept one; the ones after it are scored again against the new
+            # P.  A sweep ends when nothing in it improves or its last move is
+            # kept, and a sweep without a kept move halves the step
+            evaluations += len(cand_restart)
+            per_restart = np.bincount(cand_restart, minlength=len(P)).tolist()
+            end = 0
+            for s in climbing:
+                end += per_restart[s]
+                if s in kept:
+                    evaluations -= end - 1 - kept[s]
+                    start[s], improved[s] = int(cand_move[kept[s]]) + 1, True
+                    if start[s] < len(moves):
+                        continue
+                elif not improved[s]:
+                    step[s] *= 0.5
+                start[s], improved[s] = 0, False
+        for value, matrix, r in zip(mu.tolist(), P, chunk):
+            key = (-value, tuple(matrix.ravel().tolist()), r)
+            if best_key is None or key < best_key:
+                best_key, best_P = key, matrix
     best_mu = -best_key[0]
     return OracleReport(
         best_value=best_mu, best_candidate=best_P,

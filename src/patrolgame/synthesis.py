@@ -61,11 +61,11 @@ def solve_equalized_value(exponents: tuple[int, ...]) -> float:
     so the root exists and is unique for any positive integer exponents.
     Cached on the sorted multiset since the equation is permutation invariant.
     """
-    if not exponents:
+    m = tuple(sorted(read_integers(exponents, "exponents")))
+    if not m:
         raise InvalidSpec("need at least one exponent")
-    if any(m < 1 for m in exponents):
+    if m[0] < 1:
         raise InvalidSpec(f"exponents must be positive integers: {exponents}")
-    m = tuple(sorted(exponents))
     if m != exponents:
         return solve_equalized_value(m)
     # np.exp, as the batch takes it: math.exp may differ in the last bit
@@ -79,12 +79,14 @@ def solve_equalized_values(rows) -> np.ndarray:
     scalar sorts its multiset.  Each lane takes the scalar's steps, reduces
     and stop test, so every w is the scalar's bit for bit; a lane drops out
     at its first iterate that does not fall.  Rows of width 1 give 0.0."""
-    m = np.asarray(rows, dtype=float)
+    m = np.asarray(rows)
     if m.ndim != 2 or m.shape[1] == 0:
         raise InvalidSpec(f"need a (k, n) array of exponents with n >= 1, got shape {m.shape}")
-    if not (m >= 1).all():  # nan fails too
+    if m.dtype.kind not in "iu":  # floats, text or integers past int64: one by one
+        m = np.array(read_integers(m.ravel(), "exponents")).reshape(m.shape)
+    if not (m >= 1).all():
         raise InvalidSpec("exponents must be positive integers")
-    m = np.sort(m, axis=1)
+    m = np.sort(m.astype(float), axis=1)
     if m.shape[1] == 1:
         return np.zeros(len(m))
     lead, inv = 1.0 / m[:, 0], 1.0 / m[:, 1:]

@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("record", ROOT / "bench" / "record.py")
 record = importlib.util.module_from_spec(_spec)
@@ -26,3 +28,14 @@ def test_a_run_gives_its_env_line_with_a_relative_package_path_and_its_verdict(t
     assert got_env == {"commit": "abc", "patrolgame_file": str(Path("src/patrolgame/x.py"))}
     assert got_verdict == verdict
 
+
+@pytest.mark.parametrize("stdout, counts", [
+    ("....\n718 passed in 19.22s\n", (718, 0, 0)),
+    ("F...\nFAILED tests/x.py::t - 3 passed\n2 failed, 716 passed, 1 warning in 20.01s\n",
+     (716, 2, 0)),
+    ("1 failed, 700 passed, 3 errors in 21.50s", (700, 1, 3)),
+    ("1 error in 0.50s", (0, 0, 1)),
+    ("", (0, 0, 0)),
+], ids=["passed", "failed", "errors", "one-error", "empty"])
+def test_a_tier1_run_gives_the_counts_on_its_last_line(stdout, counts):
+    assert record.parse_tier1(stdout) == dict(zip(("passed", "failed", "errors"), counts))

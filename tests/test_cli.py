@@ -19,8 +19,7 @@ from patrolgame import (InvalidSpec, PatrolGameError, SearchSpaceExceeded, Unsup
                         capture_probability)
 from patrolgame.cli import (
     ADJACENCY_LIMIT,
-    RECURSION_FLOP_LIMIT,
-    RECURSION_STEP_FLOPS,
+    RECURSION_STEP_LIMIT,
     WALK_WORK_LIMIT,
     build_parser,
     main,
@@ -536,7 +535,7 @@ def test_every_package_error_ends_main_with_the_exit_code_of_its_class(capsys, m
     ["solve", "--family", "complete", "--n", "3", "--tau", "1000000000,2,2"],
     ["solve", "--family", "complete", "--n", "3", "--tau", ",".join([str(10 ** 20)] * 3)],
     ["simulate", "--family", "star", "--n", "3", "--tau", "2,2,10000000"],
-    ["solve", "--family", "bipartite", "--np", "300", "--nq", "300", "--tau", "300"],
+    ["solve", "--family", "bipartite", "--np", "300", "--nq", "300", "--tau", "1000002"],
     ["solve", "--family", "complete", "--n", "3", "--tau", f"{10 ** 400},2,2"],
 ], ids=["tau-1e9", "tau-1e20", "simulate", "bipartite-600", "tau-1e400"])
 def test_recursion_past_its_limit_is_refused_before_the_graph(capsys, monkeypatch, argv):
@@ -545,7 +544,7 @@ def test_recursion_past_its_limit_is_refused_before_the_graph(capsys, monkeypatc
     code, out, err = run_cli(capsys, argv)
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (4, "")
-    assert err.startswith("error: recursion of ") and err.endswith(" flops exceeds 1e+11\n")
+    assert err.startswith("error: recursion of ") and err.endswith(" steps exceeds 1e+06\n")
     assert err.count("\n") == 1
 
 
@@ -554,22 +553,29 @@ def _past_the_guard(descriptor):
 
 
 @pytest.mark.parametrize("extra, code, refusal", [(0, 2, "error: past the guard\n"),
-                                                  (1, 4, "error: recursion of 1.01e+11 flops")])
+                                                  (1, 4, "error: recursion of 1.01e+06 steps")])
 def test_recursion_limit_is_inclusive(capsys, monkeypatch, extra, code, refusal):
-    # n = 3: the largest tau_max whose steps fit the limit reaches the graph,
-    # and one more is refused
-    steps = RECURSION_FLOP_LIMIT // (2 * 3 ** 3 + RECURSION_STEP_FLOPS)
+    # the largest tau_max whose steps fit the limit reaches the graph, and one
+    # more is refused
     monkeypatch.setattr(patrolgame.cli, "build_graph", _past_the_guard)
-    argv = ["solve", "--family", "complete", "--tau", f"{steps + 1 + extra},2,2"]
+    argv = ["solve", "--family", "complete", "--tau", f"{RECURSION_STEP_LIMIT + 1 + extra},2,2"]
     exit_code, out, err = run_cli(capsys, argv)
     assert (exit_code, out) == (code, "") and err.startswith(refusal)
+
+
+def test_a_long_recursion_on_a_large_graph_is_admitted(capsys):
+    # 59 steps of the one distinct row's r x n recursion: a price of the
+    # dense n = 1000 product, 1.2e11 flops, refused this cheap solve
+    argv = ["solve", "--family", "complete", "--n", "1000", "--tau", "60" + ",2" * 999]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "") and json.loads(out)["mu"] > 0.0
 
 
 def test_recursion_estimate_past_the_float_range_is_printed(capsys, monkeypatch):
     monkeypatch.setattr(patrolgame.cli, "build_graph", _must_not_run)
     argv = ["solve", "--family", "complete", "--n", "3", "--tau", f"{3 * 10 ** 400},2,2"]
-    # the count, 3.0016e+405 less 100054, is rounded up
-    assert run_cli(capsys, argv) == (4, "", "error: recursion of 3.01e+405 flops exceeds 1e+11\n")
+    # the count, 3e+400 less 1, is rounded up
+    assert run_cli(capsys, argv) == (4, "", "error: recursion of 3e+400 steps exceeds 1e+06\n")
 
 
 # --- walk guard ---------------------------------------------------------------------
@@ -580,7 +586,7 @@ def test_recursion_estimate_past_the_float_range_is_printed(capsys, monkeypatch)
     (["verify", "--suite", "montecarlo", "--trials", str(10 ** 15)],
      "error: walk of 1.29e+18 walker-column steps exceeds 1e+09\n"),
     # one walker, but 1.9e7 start-steps of 30 columns each: its recursion
-    # (1e11 flops less 1e5) fits, and the steps' fixed cost refuses the walk
+    # (649350 steps) fits, and the steps' fixed cost refuses the walk
     (["simulate", "--family", "complete", "--n", "30", "--tau", "649351" + ",1" * 29,
       "--trials", "1"],
      "error: walk of 5.86e+11 walker-column steps exceeds 1e+09\n"),

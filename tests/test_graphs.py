@@ -363,9 +363,11 @@ def test_validate_rejects_node_without_out_edge():
     (build_bipartite, (2.0, 2)),
     (build_bipartite, (2, 2.5)),
     (build_star, (3.5,)),
-], ids=["bipartite-float", "bipartite-fraction", "star-fraction"])
+    (build_bipartite, ("2", 3)),
+    (build_star, ("3",)),
+], ids=["bipartite-float", "bipartite-fraction", "star-fraction", "bipartite-text", "star-text"])
 def test_a_builder_refuses_a_size_that_is_not_an_integer(build, sizes):
-    with pytest.raises(InvalidSpec, match="graph sizes must be integers"):
+    with pytest.raises(InvalidSpec, match="must be an integer"):
         build(*sizes)
 
 

@@ -48,6 +48,10 @@ def test_partitions_small_case():
     assert all(sum(p) == 7 for p in got)
     with pytest.raises(InvalidSpec, match="parts must be >= 1"):
         next(partitions(0, 0))
+    with pytest.raises(InvalidSpec, match="total must be an integer"):
+        next(partitions("3", 2))
+    with pytest.raises(InvalidSpec, match="parts must be an integer"):
+        next(partitions(3, 2.0))
 
 
 def test_partitions_cover_all_compositions():
@@ -305,9 +309,10 @@ def serial_local_search(finals):
     return best_mu, best_P, sum(e for _, _, e in finals)
 
 
-# restart counts up to one past a full lockstep window, so a finished restart
-# hands its slot to a new one while the others still climb
-RESTART_COUNTS = (1, 3, 8, patrolgame.oracles._LOCKSTEP_WIDTH + 1)
+# restart counts within one chunk, and one past one and two full chunks, so
+# the last chunk holds a single restart
+RESTART_COUNTS = (1, 3, 8, patrolgame.oracles._LOCKSTEP_WIDTH + 1,
+                  2 * patrolgame.oracles._LOCKSTEP_WIDTH + 1)
 
 
 @pytest.mark.parametrize("graph, tau", [
@@ -350,6 +355,21 @@ def test_tied_restarts_reduce_to_the_lexicographically_smaller_matrix():
     report = local_search_strategy(graph, tau, restarts=restarts, seed=seed)
     assert report.best_value == best_mu == 1.0
     assert report.best_candidate.tobytes() == best_P.tobytes() == finals[4][1].tobytes()
+    assert report.candidates_examined == evaluations
+
+
+def test_a_tie_across_chunks_reduces_as_the_serial_search_does():
+    # restart 16 opens the second chunk and ties restart 14 of the first on
+    # value; its matrix is the lexicographically smaller one, so it wins
+    graph, tau, seed = build_star(3), (2, 200, 200), 6
+    restarts = patrolgame.oracles._LOCKSTEP_WIDTH + 1
+    finals = serial_restarts(graph, tau, restarts, seed)
+    best_mu, best_P, evaluations = serial_local_search(finals)
+    assert [r for r, (mu, _, _) in enumerate(finals) if mu == best_mu] == [14, 16]
+    assert tuple(finals[16][1].ravel()) < tuple(finals[14][1].ravel())
+    report = local_search_strategy(graph, tau, restarts=restarts, seed=seed)
+    assert report.best_value == best_mu
+    assert report.best_candidate.tobytes() == best_P.tobytes() == finals[16][1].tobytes()
     assert report.candidates_examined == evaluations
 
 

@@ -209,6 +209,15 @@ def test_batch_rejects_what_is_not_positive_exponent_rows(rows):
         solve_equalized_values(rows)
 
 
+@pytest.mark.parametrize("exponents", [(math.nan, 3), (2.5, 3), ("3", 2), (math.inf, 2)],
+                         ids=["nan", "fraction", "text", "inf"])
+@pytest.mark.parametrize("solve", [solve_equalized_value, lambda m: solve_equalized_values([m])],
+                         ids=["scalar", "batch"])
+def test_both_equalization_entry_points_refuse_exponents_that_are_not_integers(solve, exponents):
+    with pytest.raises(InvalidSpec, match="integers"):
+        solve(exponents)
+
+
 def test_equalized_value_against_polynomial_oracle():
     assert solve_equalized_value((3, 2, 2)) == pytest.approx(cubic_oracle_w322(), abs=1e-11)
     assert solve_equalized_value((3, 2, 2)) == pytest.approx(W_322, abs=1e-11)
