@@ -66,9 +66,9 @@ ADJACENCY_LIMIT = 10**6
 # slowest measured)
 RECURSION_STEP_LIMIT = 10**6
 # simulate and the montecarlo suite walk: markov.walk_work counts walker-column
-# steps, and a walk at the limit takes 2.7-5.3 s at trials = 1e5 and 2.1-2.8 s
-# at trials = 1 on the same host; the limit is 7.7 times the bound on a default
-# montecarlo suite (1.29e8) and 155 times a 1e5-trial simulate at n = 4, tau 4
+# steps; at the limit a walk at n = 2-30 takes 1.4-3.9 s at 1e5 trials (0.45 s on
+# equal rows, n = 30) and 1.6-3.4 s at 1 trial on the same host; the limit is
+# 7.7x a default montecarlo suite's bound (1.29e8), 155x a 1e5-trial n = 4, tau 4 walk
 WALK_WORK_LIMIT = 10**9
 # the largest closed-form vs recursion gap that solve, simulate and allocate
 # accept; the largest measured at the recursion limit, 1e6 steps, is 1.4e-11

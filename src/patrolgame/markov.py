@@ -219,9 +219,9 @@ def counter_stream(seed: int, index: int) -> np.random.Generator:
 
 # walkers that walk together: memory stays bounded whatever `trials` is
 _WALK_CHUNK = 1 << 17
-# a start-step's fixed cost, in walkers: at trials = 1 a step takes 8.9 us
-# at n = 2, 23 us at n = 10 and 60 us at n = 30 on a 2-core host, as long
-# as 489, 665 and 645 more walkers take at trials = 1e5
+# a start-step's fixed cost, in walkers: at trials = 1 a step takes 5.8 us at
+# n = 2, 17.5 us at n = 10 and 48 us at n = 30 on a 2-core host, as long as 740,
+# 1000 and 1130 more gathering walkers take at 1e5 (770, 1950, 3700 on equal rows)
 WALK_STEP_WALKERS = 1000
 
 
@@ -242,17 +242,18 @@ def walk_work(n: int, tau_max: int, trials: int) -> int:
 def simulate_capture(P: np.ndarray, tau: Sequence[int], trials: int, seed: int) -> SimulationReport:
     """Monte Carlo estimate of every P(T_ij <= tau_j).
 
-    Each start node i walks one set of `trials` walkers for max tau steps
-    (the first step is drawn from row i), and the estimate for (i, j) is the
-    fraction of them that visit j at some step k <= tau_j, so one walk
-    scores every target.  Start node i consumes the counter-based stream
-    keyed by (seed, i): walkers go in chunks of `_WALK_CHUNK`, and each step
-    of a chunk draws one uniform per walker.  Results are bitwise
-    reproducible and independent of evaluation order.  A walker's next node
-    is the number of cumulative row thresholds its uniform passes, counted
-    one column at a time, and its visits are bits of ceil(n / 64) uint64
-    words.  The walkers' memory is O(ceil(n / 64) min(trials, `_WALK_CHUNK`))
-    whatever tau is.
+    Each start node i walks one set of `trials` walkers for max tau steps,
+    and the estimate for (i, j) is the fraction of them that visit j at some
+    step k <= tau_j, so one walk scores every target.  Start node i consumes
+    the counter-based stream keyed by (seed, i): walkers go in chunks of
+    `_WALK_CHUNK`, and each step of a chunk draws one uniform per walker, so
+    results are bitwise reproducible and independent of evaluation order.  A
+    walker's next node counts the cumulative thresholds of its row that its
+    uniform passes, in the narrowest unsigned dtype that holds n - 1.  At step
+    1, and at every step when all rows are equal, every walker reads row i,
+    and the uniforms meet its thresholds as scalars, with no gather.  Visits
+    are bits of ceil(n / 64) uint64 words; the walkers' memory is
+    O(ceil(n / 64) min(trials, `_WALK_CHUNK`)) whatever tau is.
     """
     check_integers(trials=trials)
     if trials < 1:
@@ -263,7 +264,9 @@ def simulate_capture(P: np.ndarray, tau: Sequence[int], trials: int, seed: int) 
     # u < 1 never passes the last threshold, which would be 1, so counting
     # the first n - 1 keeps every step below n; counting column by column
     # stays exact where a tiny admitted negative entry unsorts a row
-    thresholds = [np.ascontiguousarray(column) for column in np.cumsum(P, axis=1).T[:-1]]
+    cum = np.cumsum(P, axis=1)[:, :-1]
+    thresholds = [np.ascontiguousarray(column) for column in cum.T]
+    shared, counter = bool((P == P[0]).all()), np.min_scalar_type(n - 1)
     steps = int(durations.max())
     # a visit to node j sets bit j % 64 of a walker's word j // 64
     nodes = np.arange(n)
@@ -273,17 +276,17 @@ def simulate_capture(P: np.ndarray, tau: Sequence[int], trials: int, seed: int) 
 
     hits = np.zeros((n, n), dtype=np.int64)
     for i in range(n):
-        rng = counter_stream(seed, i)
+        rng, row = counter_stream(seed, i), cum[i].tolist()
         for start in range(0, trials, _WALK_CHUNK):
             walkers = min(_WALK_CHUNK, trials - start)
-            states = np.full(walkers, i)
             seen = np.zeros((len(bits), walkers), np.uint64)
             for k in range(1, steps + 1):
                 u = rng.random(walkers)
-                nxt = np.zeros(walkers, np.intp)
-                for column in thresholds:
-                    nxt += u >= column[states]
-                states = nxt
+                count = np.zeros(walkers, counter)
+                # at step 1, and at every step when all rows are equal, all read row i
+                for column, threshold in zip(thresholds, row):
+                    count += u >= (threshold if k == 1 or shared else column[states])
+                states = count.astype(np.intp)
                 # indexed, not zipped: a loop name bound to a row of `seen`
                 # would keep the last start's words alive into the next
                 for w in range(len(bits)):

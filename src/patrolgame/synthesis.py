@@ -12,7 +12,9 @@ two-sided graph with its center as the P side; there the strategy is optimal.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import lru_cache
 from typing import Sequence
 
@@ -66,6 +68,8 @@ def solve_equalized_value(exponents: tuple[int, ...]) -> float:
         raise InvalidSpec("need at least one exponent")
     if m[0] < 1:
         raise InvalidSpec(f"exponents must be positive integers: {exponents}")
+    if m[-1] > sys.float_info.max:  # Newton divides by every exponent
+        raise InvalidSpec(f"exponent {Decimal(m[-1]):.3g} is past the float range")
     if m != exponents:
         return solve_equalized_value(m)
     # np.exp, as the batch takes it: math.exp may differ in the last bit
@@ -83,7 +87,10 @@ def solve_equalized_values(rows) -> np.ndarray:
     if m.ndim != 2 or m.shape[1] == 0:
         raise InvalidSpec(f"need a (k, n) array of exponents with n >= 1, got shape {m.shape}")
     if m.dtype.kind not in "iu":  # floats, text or integers past int64: one by one
-        m = np.array(read_integers(m.ravel(), "exponents")).reshape(m.shape)
+        values = read_integers(m.ravel(), "exponents")
+        if max(values, default=0) > sys.float_info.max:  # as the scalar refuses it
+            raise InvalidSpec(f"exponent {Decimal(max(values)):.3g} is past the float range")
+        m = np.array(values).reshape(m.shape)
     if not (m >= 1).all():
         raise InvalidSpec("exponents must be positive integers")
     m = np.sort(m.astype(float), axis=1)

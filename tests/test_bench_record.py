@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,3 +41,37 @@ def test_a_run_gives_its_env_line_with_a_relative_package_path_and_its_verdict(t
 ], ids=["passed", "failed", "errors", "one-error", "empty"])
 def test_a_tier1_run_gives_the_counts_on_its_last_line(stdout, counts):
     assert record.parse_tier1(stdout) == dict(zip(("passed", "failed", "errors"), counts))
+
+
+@pytest.mark.parametrize("status, code", [(0, 0), (1 << 8, 1), (4 << 8, 4), (9, -9)],
+                         ids=["ok", "exit-1", "exit-4", "killed"])
+def test_a_child_gives_its_exit_code_wall_time_and_peak_rss_in_mb(status, code):
+    assert record.parse_child(status, 51200, 1.5) == {"exit": code, "wall_s": 1.5,
+                                                      "peak_rss_mb": 50.0}
+
+
+def test_each_child_reports_its_own_peak_rss():
+    # a child's peak starts at its parent's, so both run from a fresh, small
+    # interpreter; RUSAGE_CHILDREN would give the small child the large one's
+    script = ("import json, sys; sys.path.insert(0, 'bench'); import record; "
+              "print(json.dumps([record.run_child([sys.executable, '-c', code], '.') "
+              "for code in (\"b = b'x' * (64 << 20)\", 'pass')]))")
+    large, small = json.loads(subprocess.run([sys.executable, "-c", script], cwd=ROOT, check=True,
+                                             capture_output=True, text=True).stdout)
+    assert large["exit"] == small["exit"] == 0
+    assert large["peak_rss_mb"] >= 64 > small["peak_rss_mb"] + 32
+    assert large["wall_s"] > 0 and small["wall_s"] > 0
+
+
+def test_cli_commands_record_every_run_of_the_checkout(monkeypatch):
+    monkeypatch.setattr(record, "CLI_REPEATS", 2)
+    monkeypatch.setattr(record, "CLI_COMMANDS", {
+        "solve": ["solve", "--family", "star", "--n", "3", "--tau", "2,2,2"],
+        "refused": ["solve", "--family", "star", "--n", "3", "--tau", "1,2,2"]})
+    got = record.record_cli(ROOT)
+    assert [got[name]["exit"] for name in ("solve", "refused")] == [[0, 0], [2, 2]]
+    assert got["solve"]["argv"] == record.CLI_COMMANDS["solve"]
+    for name in got:
+        assert got[name]["wall_s"]["unit"] == "s" and len(got[name]["wall_s"]["runs"]) == 2
+        assert got[name]["peak_rss_mb"]["unit"] == "MB"
+        assert 0 < got[name]["peak_rss_mb"]["q1"] <= got[name]["peak_rss_mb"]["q3"]

@@ -571,6 +571,11 @@ def test_a_long_recursion_on_a_large_graph_is_admitted(capsys):
     assert (code, err) == (0, "") and json.loads(out)["mu"] > 0.0
 
 
+def test_a_sweep_duration_past_the_float_range_is_a_bad_spec(capsys):
+    argv = ["sweep", "--family", "complete", "--n", "2", "--tau", str(10 ** 400)]
+    assert run_cli(capsys, argv) == (2, "", "error: exponent 1.00e+400 is past the float range\n")
+
+
 def test_recursion_estimate_past_the_float_range_is_printed(capsys, monkeypatch):
     monkeypatch.setattr(patrolgame.cli, "build_graph", _must_not_run)
     argv = ["solve", "--family", "complete", "--n", "3", "--tau", f"{3 * 10 ** 400},2,2"]

@@ -603,6 +603,52 @@ def test_walk_in_chunks_matches_reference_walk_bitwise(monkeypatch, n):
     assert estimates.tobytes() != reference_walk(P, tau, 7, seed).tobytes()
 
 
+def _rank_one_case(n, trials):
+    """`_walk_case`'s durations and seed, with every row equal to one random
+    row; for n >= 3 that row's entry 1 is an admitted -1e-10, which unsorts
+    its thresholds."""
+    _, tau, seed = _walk_case(n, trials)
+    row = np.random.default_rng(seed).dirichlet(np.ones(n))
+    if n >= 3:
+        row[0], row[1] = row[0] + row[1] + 1e-10, -1e-10
+    return np.tile(row, (n, 1)), tau, seed
+
+
+@pytest.mark.parametrize("n, trials", [(n, trials) for n in (1, 2, 3, 5, 70)
+                                       for trials in (1, 7, 500)])
+def test_rank_one_walk_matches_reference_walk_bitwise(n, trials):
+    # every walker reads the one shared row, at every step
+    P, tau, seed = _rank_one_case(n, trials)
+    estimates = simulate_capture(P, tau, trials=trials, seed=seed).estimates
+    assert estimates.tobytes() == reference_walk(P, tau, trials, seed).tobytes()
+
+
+@pytest.mark.parametrize("n", [4, 70])
+def test_rank_one_walk_in_chunks_matches_reference_walk_bitwise(monkeypatch, n):
+    monkeypatch.setattr(markov, "_WALK_CHUNK", 3)
+    P, tau, seed = _rank_one_case(n, 7)
+    estimates = simulate_capture(P, tau, trials=7, seed=seed).estimates
+    assert estimates.tobytes() == reference_walk(P, tau, 7, seed, chunk=3).tobytes()
+    assert estimates.tobytes() != reference_walk(P, tau, 7, seed).tobytes()
+
+
+@pytest.mark.parametrize("n, trials", [(n, trials) for n in (3, 4, 8, 70) for trials in (7, 500)])
+def test_one_step_walk_matches_reference_walk_bitwise(n, trials):
+    # at tau_max = 1 each start's walkers read only the start's own row
+    P, _, seed = _walk_case(n, trials)
+    estimates = simulate_capture(P, [1] * n, trials=trials, seed=seed).estimates
+    assert estimates.tobytes() == reference_walk(P, [1] * n, trials, seed).tobytes()
+
+
+@pytest.mark.parametrize("case", [_walk_case, _rank_one_case], ids=["random", "rank-one"])
+def test_a_walk_on_257_nodes_counts_past_one_byte(case):
+    P, tau, seed = case(257, 7)
+    P = 0.5 * P + 0.5 * np.eye(257)[-1]  # half of every row's mass on node 257
+    estimates = simulate_capture(P, tau, trials=7, seed=seed).estimates
+    assert estimates[:, -1].any()  # some walker counted 256 passed thresholds
+    assert estimates.tobytes() == reference_walk(P, tau, 7, seed).tobytes()
+
+
 def test_each_start_node_draws_its_stream_once(monkeypatch):
     # n = 70 needs two visit words, and both fill in the same walk
     keys = []

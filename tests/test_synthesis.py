@@ -218,6 +218,14 @@ def test_both_equalization_entry_points_refuse_exponents_that_are_not_integers(s
         solve(exponents)
 
 
+@pytest.mark.parametrize("solve", [solve_equalized_value, lambda m: solve_equalized_values([m])],
+                         ids=["scalar", "batch"])
+def test_both_equalization_entry_points_refuse_an_exponent_past_the_float_range(solve):
+    # Newton divides by each exponent, and no float holds 10**400
+    with pytest.raises(InvalidSpec, match=r"^exponent 1\.00e\+400 is past the float range$"):
+        solve((10 ** 400, 2))
+
+
 def test_equalized_value_against_polynomial_oracle():
     assert solve_equalized_value((3, 2, 2)) == pytest.approx(cubic_oracle_w322(), abs=1e-11)
     assert solve_equalized_value((3, 2, 2)) == pytest.approx(W_322, abs=1e-11)
