@@ -14,7 +14,8 @@ It then runs each of CLI_COMMANDS, CLI_REPEATS times, as `python -m
 patrolgame.cli` from CHECKOUT's src, each run in a process of its own, and
 records the median and quartiles of its wall seconds and of its peak RSS,
 read from the child's own rusage.  Last it runs the Tier-1 suite once, as CI
-runs it, and records its wall time and its passed, failed and error counts.
+runs it, and records its wall time and its passed, failed and error counts,
+and the line count of each `src/patrolgame/*.py` file and their total.
 The recorder exits 1, after writing the file, when a run is not correct or
 failed an operation, when a CLI command exits nonzero, or when a Tier-1 test
 fails or errors.
@@ -150,6 +151,14 @@ def record(checkout: Path, workload: str) -> dict:
     return {"metrics": metrics, "runs": runs, "env": envs}
 
 
+def count_src_lines(checkout: Path) -> dict:
+    """Each `src/patrolgame/*.py` file's line count, as `wc -l` counts it,
+    keyed by file name, and their total."""
+    files = {path.name: path.read_bytes().count(b"\n")
+             for path in sorted((checkout / "src" / "patrolgame").glob("*.py"))}
+    return {"files": files, "total": sum(files.values())}
+
+
 def main(argv: list[str]) -> int:
     checkout = Path(argv[0] if argv else Path(__file__).resolve().parent.parent).resolve()
     commit = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=checkout,
@@ -158,7 +167,8 @@ def main(argv: list[str]) -> int:
     cli = record_cli(checkout)
     tier1 = record_tier1(checkout)
     report = {"commit": commit, "seeds": list(SEEDS), "seconds": SECONDS,
-              "workloads": workloads, "cli": cli, "tier1": tier1}
+              "workloads": workloads, "cli": cli, "tier1": tier1,
+              "src_lines": count_src_lines(checkout)}
     out = checkout / f"BENCH_{commit}.json"
     out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     print(out)

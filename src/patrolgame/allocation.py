@@ -97,9 +97,8 @@ def allocate_bipartite_side(n_side: int, B_side: int) -> AllocationResult:
     Entries are even and differ by at most two.  The degenerate all-twos
     budget B_side = 2*n_side is accepted.
     """
-    check_integers(budget=B_side, n_side=n_side)
-    if n_side < 1:
-        raise InvalidSpec(f"side size must be >= 1, got {n_side}")
+    check_integers(budget=B_side)
+    check_integers(1, n_side=n_side)
     if B_side % 2:
         raise ParityError(f"side budget must be even, got {B_side}")
     if B_side < 2 * n_side:
@@ -117,9 +116,8 @@ def co_optimize_bipartite(n_p: int, n_q: int, B: int) -> AllocationResult:
     bracket ends are evaluated; the larger sub-budget wins only when its
     value is lower by more than 1e-12, so ties go to the smaller one.
     """
-    check_integers(budget=B, n_p=n_p, n_q=n_q)
-    if n_p < 1 or n_q < 1:
-        raise InvalidSpec(f"side sizes must be >= 1, got ({n_p}, {n_q})")
+    check_integers(budget=B)
+    check_integers(1, n_p=n_p, n_q=n_q)
     if B % 2:
         raise ParityError(f"total budget must be even, got {B}")
     if n_p == n_q == 1:

@@ -63,7 +63,12 @@ ADJACENCY_LIMIT = 10**6
 # r x n recursion, and below it the dense product.  At the limit, on a 2-core
 # host, a solve took 5.5 s (complete n = 1000), 6.5 s (star n = 1000), 11.7 s
 # (500 + 500), 15.5 s (complete n = 11, dense) and 34 s (12 + 11, dense, the
-# slowest measured)
+# slowest measured).  A faster kernel cannot lift the limit by itself: the
+# closed-form gap is P's rounding magnified by tau, whatever the kernel
+# (complete n = 3, tau (T, 2, 2): 1.38e-11 at T = 1000001, 4.2e-11 at 3000001,
+# about 0.12 T eps), so it would reach CLOSED_FORM_TOL near T = 7e6 on K3, and
+# near 2e6 at the worst slope measured (0.46 tau eps), until the tolerance is
+# derived from tau
 RECURSION_STEP_LIMIT = 10**6
 # simulate and the montecarlo suite walk: markov.walk_work counts walker-column
 # steps; at the limit a walk at n = 2-30 takes 1.4-3.9 s at 1e5 trials (0.45 s on
@@ -257,6 +262,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     recursion's report under --emit-cdf) or a Monte Carlo walk of it."""
     if not args.tau:
         raise InvalidSpec("--tau is required")
+    if args.command == "simulate":
+        _fill(args, _SUITES["montecarlo"])
     tau = _parse_int_list(args.tau)
     sizes = _sizes(args, args.command, int, n=len(tau))
     n = sum(sizes.values())
@@ -315,9 +322,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     stray = [flag for flag in _SUITE_FLAGS if flag not in reads and getattr(args, flag) is not None]
     if stray:
         raise InvalidSpec(f"the {args.suite} suite does not read --{stray[0]}")
-    for flag, default in reads.items():
-        if getattr(args, flag) is None:
-            setattr(args, flag, default)
+    _fill(args, reads)
     if args.suite == "bounds":
         report = bound_suite(BoundSuiteConfig(seed=args.seed))
     elif args.suite == "alloc-oracle":
@@ -379,8 +384,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# each verify suite's flags and their defaults: verify leaves _SUITE_FLAGS
-# unset, so that a suite refuses one it does not read, and sets its own
+# each verify suite's flags and their defaults; simulate walks with the
+# montecarlo suite's.  Every flag parses to None when it is not given, so a
+# suite refuses one it does not read, and a --config scenario, then these
+# defaults, fill only the flags the command line left unset
 _SUITE_FLAGS = ("trials", "seed", "nmax")
 _SUITES = {
     "bounds": {"seed": 0},
@@ -393,11 +400,9 @@ _FLAGS = {
     "family": {"choices": ("complete", "bipartite", "star", "general")},
     "n": {}, "np": {}, "nq": {}, "tau": {}, "B": {},
     "suite": {"choices": tuple(_SUITES)},
-    "trials": {"type": int, "default": 100_000},
-    "seed": {"type": int, "default": 0},
-    "nmax": {"type": int},
-    "emit-cdf": {"action": "store_true"},
-    "compare-uniform": {"action": "store_true"},
+    "trials": {"type": int}, "seed": {"type": int}, "nmax": {"type": int},
+    "emit-cdf": {"action": "store_true", "default": None},
+    "compare-uniform": {"action": "store_true", "default": None},
     "out": {}, "config": {},
 }
 
@@ -445,8 +450,15 @@ def _scenario_defaults(command: str, path: str) -> dict:
         raise InvalidSpec(f"cannot read --config {path}: {exc}") from exc
 
 
-def build_parser(scenario: dict[str, dict] | None = None) -> argparse.ArgumentParser:
-    """The CLI's parser; `scenario` maps a subcommand to defaults that replace its own."""
+def _fill(args: argparse.Namespace, values: dict) -> None:
+    """Set each flag of `values` that is still unset (None) to its value."""
+    for flag, value in values.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, value)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser; a flag that is not given parses to None."""
     parser = argparse.ArgumentParser(
         prog="patrolgame",
         description="Patrol strategies and defense placement for surveillance games")
@@ -457,8 +469,6 @@ def build_parser(scenario: dict[str, dict] | None = None) -> argparse.ArgumentPa
         command = commands.add_parser(name, help=help_text, allow_abbrev=False)
         for flag in flags.split():
             command.add_argument(f"--{flag}", **_FLAGS[flag])
-        unset = dict.fromkeys(_SUITE_FLAGS) if name == "verify" else {}
-        command.set_defaults(**{**unset, **(scenario or {}).get(name, {})})
     return parser
 
 
@@ -472,10 +482,8 @@ def _default_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _default_parser().parse_args(argv)
     try:
-        if args.config:
-            # parsing again with the scenario as defaults lets every given flag win
-            defaults = _scenario_defaults(args.command, args.config)
-            args = build_parser({args.command: defaults}).parse_args(argv)
+        if args.config:  # every given flag wins over the scenario
+            _fill(args, _scenario_defaults(args.command, args.config))
         if getattr(args, "family", None) == GENERAL:
             raise Unsupported(_GENERAL_REFUSED[args.command])
         return _COMMANDS[args.command][0](args)

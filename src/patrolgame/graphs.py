@@ -88,9 +88,7 @@ def build_complete(n: int) -> GraphTopology:
 
 def build_bipartite(n_p: int, n_q: int) -> GraphTopology:
     """Complete bipartite digraph: all cross-side pairs, no self-loops."""
-    check_integers(n_p=n_p, n_q=n_q)
-    if n_p < 1 or n_q < 1:
-        raise InvalidSpec(f"bipartite sides must be >= 1, got ({n_p}, {n_q})")
+    check_integers(1, n_p=n_p, n_q=n_q)
     p_side = np.arange(n_p + n_q) < n_p  # the two blocks: P to Q and Q to P
     return GraphTopology(BIPARTITE, n_p + n_q, p_side[:, None] != p_side, n_p, n_q)
 
@@ -236,12 +234,16 @@ def read_integers(values: Iterable, what: str) -> tuple[int, ...]:
     return out
 
 
-def check_integers(**values) -> None:
-    """`InvalidSpec` naming the first of `values` that is not an integer."""
+def check_integers(minimum: int | None = None, /, **values) -> None:
+    """`InvalidSpec` naming the first of `values` that is not an integer, then
+    the first below `minimum` when one is given."""
     for name, value in values.items():
         # a plain int skips the slower ABC check; NumPy integers pass it
         if type(value) is not int and not isinstance(value, numbers.Integral):
             raise InvalidSpec(f"{name} must be an integer, got {value!r}")
+    for name, value in values.items():
+        if minimum is not None and value < minimum:
+            raise InvalidSpec(f"{name} must be >= {minimum}, got {value}")
 
 
 def check_durations(tau: Sequence[int], n: int) -> tuple[int, ...]:

@@ -233,9 +233,7 @@ def walk_work(n: int, tau_max: int, trials: int) -> int:
     cost counts as `WALK_STEP_WALKERS` more walkers, whatever `trials` is.
     A `trials` below 1 raises `InvalidSpec`, before any guard counts it.
     """
-    check_integers(trials=trials)
-    if trials < 1:
-        raise InvalidSpec(f"trials must be >= 1, got {trials}")
+    check_integers(1, trials=trials)
     return n * tau_max * (trials + WALK_STEP_WALKERS) * n
 
 
@@ -255,9 +253,7 @@ def simulate_capture(P: np.ndarray, tau: Sequence[int], trials: int, seed: int) 
     are bits of ceil(n / 64) uint64 words; the walkers' memory is
     O(ceil(n / 64) min(trials, `_WALK_CHUNK`)) whatever tau is.
     """
-    check_integers(trials=trials)
-    if trials < 1:
-        raise InvalidSpec(f"trials must be >= 1, got {trials}")
+    check_integers(1, trials=trials)
     P = check_transition_matrix(P)
     n = P.shape[0]
     durations = np.asarray(check_durations(tau, n))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from statistics import NormalDist
 from typing import Iterable, Iterator, Sequence
@@ -63,24 +64,20 @@ class OracleReport:
     gap: float | None = None
 
 
-def partitions(total: int, parts: int, maximum: int | None = None) -> Iterator[tuple[int, ...]]:
-    """All non-increasing tuples of `parts` >= 1 positive integers, none above
-    `maximum` when it is given, that sum to `total`."""
-    check_integers(total=total, parts=parts, maximum=0 if maximum is None else maximum)
-    if parts < 1:
-        raise InvalidSpec(f"parts must be >= 1, got {parts}")
-    return _partitions(total, parts, maximum)
+def partitions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """All non-increasing tuples of `parts` >= 1 positive integers that sum to `total`."""
+    check_integers(total=total)
+    check_integers(1, parts=parts)
+    return _partitions(total, parts, total)
 
 
-def _partitions(total: int, parts: int, maximum: int | None) -> Iterator[tuple[int, ...]]:
+def _partitions(total: int, parts: int, maximum: int) -> Iterator[tuple[int, ...]]:
+    """`partitions` with no part above `maximum`."""
     if parts == 1:
-        if 1 <= total and (maximum is None or total <= maximum):
+        if 1 <= total <= maximum:
             yield (total,)
         return
-    hi = total - (parts - 1)
-    if maximum is not None:
-        hi = min(hi, maximum)
-    for first in range(hi, 0, -1):
+    for first in range(min(total - parts + 1, maximum), 0, -1):
         for rest in _partitions(total - first, parts - 1, first):
             yield (first,) + rest
 
@@ -129,11 +126,13 @@ def _splits(sizes: tuple[int, ...], B: int) -> tuple[int, list[tuple[int, ...]]]
     return 2, [(units, half - units) for units in range(n_p, half - n_q + 1)]
 
 
-def _report(best_value: float, best_candidate, count: int, closed_form: float) -> OracleReport:
+def _report(best_value: float, best_candidate, count: int,
+            closed_form: float | None) -> OracleReport:
+    """An oracle's report; with no closed form to compare, its gap is None."""
     return OracleReport(
         best_value=best_value, best_candidate=best_candidate,
         candidates_examined=count, closed_form_value=closed_form,
-        gap=abs(closed_form - best_value),
+        gap=None if closed_form is None else abs(closed_form - best_value),
     )
 
 
@@ -240,11 +239,9 @@ def local_search_strategy(g: GraphTopology, tau: Sequence[int], restarts: int,
     On every family, a tau below some node's first-arrival time raises
     `InfeasibleTau` with the feasibility report before any restart runs.
     """
-    check_integers(restarts=restarts)
+    check_integers(1, restarts=restarts)
     if g.n > LOCAL_SEARCH_MAX_NODES:
         raise SearchSpaceExceeded(f"local search limited to {LOCAL_SEARCH_MAX_NODES} nodes")
-    if restarts < 1:
-        raise InvalidSpec(f"restarts must be >= 1, got {restarts}")
     durations = check_durations(tau, g.n)
     if (feasibility := validate_attack_durations(g, durations)).condition1_violations:
         raise InfeasibleTau(feasibility.notes)
@@ -316,12 +313,7 @@ def local_search_strategy(g: GraphTopology, tau: Sequence[int], restarts: int,
             key = (-value, tuple(matrix.ravel().tolist()), r)
             if best_key is None or key < best_key:
                 best_key, best_P = key, matrix
-    best_mu = -best_key[0]
-    return OracleReport(
-        best_value=best_mu, best_candidate=best_P,
-        candidates_examined=evaluations, closed_form_value=reference,
-        gap=None if reference is None else abs(reference - best_mu),
-    )
+    return _report(-best_key[0], best_P, evaluations, reference)
 
 
 @dataclass(frozen=True)
@@ -459,9 +451,7 @@ def allocation_agreement_suite(nmax: int = 4) -> SuiteReport:
     stops at n = 7.  An `nmax` below 2 would build no instance and raises
     `InvalidSpec` instead of passing vacuously.
     """
-    check_integers(nmax=nmax)
-    if nmax < 2:
-        raise InvalidSpec(f"nmax must be >= 2, got {nmax}")
+    check_integers(2, nmax=nmax)
     complete = [(n, B) for n in range(2, nmax + 1) for B in range(n + 1, n * n)
                 if _guarded(_composition_count(B, n))]
     sides = range(2, min(nmax, 4) + 1)
@@ -492,9 +482,8 @@ def monte_carlo_suite_work(trials: int, instances: int = 20) -> int:
     """An upper bound on `monte_carlo_suite`'s walk work: `walk_work` with
     every instance at its largest size.  `InvalidSpec` refuses a `trials`
     or `instances` that is not an integer >= 1, as the suite does."""
-    check_integers(trials=trials, instances=instances)
-    if instances < 1:
-        raise InvalidSpec(f"instances must be >= 1, got {instances}")
+    check_integers(trials=trials)
+    check_integers(1, instances=instances)
     return instances * walk_work(_MONTE_CARLO_NODES[1], _MONTE_CARLO_TAU[1], trials)
 
 
@@ -514,7 +503,9 @@ def monte_carlo_suite(trials: int = 100_000, seed: int = 7,
     matched exactly.
     """
     monte_carlo_suite_work(trials, instances)  # refuses what the suite cannot run
-    if not 0 <= seed <= (1 << 64) - instances:  # instance i walks on seed + i
+    # instance i walks on seed + i; a seed that is not a number, or not an
+    # integer, is counter_stream's to refuse
+    if isinstance(seed, numbers.Real) and not 0 <= seed <= (1 << 64) - instances:
         raise InvalidSpec(f"seed must lie in [0, 2**64 - {instances}], got {seed}")
     pairs = 0
     worst_by_instance = []

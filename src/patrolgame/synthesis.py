@@ -55,6 +55,15 @@ def _log_equalized_value(m: Sequence[int]) -> float:
         s -= step
 
 
+def _check_exponents(least, largest) -> None:
+    """`InvalidSpec` unless the exponents from `least` to `largest` are >= 1
+    and within the float range, as Newton divides by each of them."""
+    if least < 1:
+        raise InvalidSpec("exponents must be positive integers")
+    if largest > sys.float_info.max:
+        raise InvalidSpec(f"exponent {Decimal(largest):.3g} is past the float range")
+
+
 @lru_cache(maxsize=None)
 def solve_equalized_value(exponents: tuple[int, ...]) -> float:
     """Common miss probability w with sum_i w**(1/m_i) = len(m) - 1.
@@ -66,10 +75,7 @@ def solve_equalized_value(exponents: tuple[int, ...]) -> float:
     m = tuple(sorted(read_integers(exponents, "exponents")))
     if not m:
         raise InvalidSpec("need at least one exponent")
-    if m[0] < 1:
-        raise InvalidSpec(f"exponents must be positive integers: {exponents}")
-    if m[-1] > sys.float_info.max:  # Newton divides by every exponent
-        raise InvalidSpec(f"exponent {Decimal(m[-1]):.3g} is past the float range")
+    _check_exponents(m[0], m[-1])
     if m != exponents:
         return solve_equalized_value(m)
     # np.exp, as the batch takes it: math.exp may differ in the last bit
@@ -87,12 +93,9 @@ def solve_equalized_values(rows) -> np.ndarray:
     if m.ndim != 2 or m.shape[1] == 0:
         raise InvalidSpec(f"need a (k, n) array of exponents with n >= 1, got shape {m.shape}")
     if m.dtype.kind not in "iu":  # floats, text or integers past int64: one by one
-        values = read_integers(m.ravel(), "exponents")
-        if max(values, default=0) > sys.float_info.max:  # as the scalar refuses it
-            raise InvalidSpec(f"exponent {Decimal(max(values)):.3g} is past the float range")
-        m = np.array(values).reshape(m.shape)
-    if not (m >= 1).all():
-        raise InvalidSpec("exponents must be positive integers")
+        m = np.array(read_integers(m.ravel(), "exponents")).reshape(m.shape)
+    if m.size:
+        _check_exponents(m.min(), m.max())
     m = np.sort(m.astype(float), axis=1)
     if m.shape[1] == 1:
         return np.zeros(len(m))
@@ -133,7 +136,8 @@ def generic_capture_bound(tau: Sequence[int]) -> float:
     durations = sorted(read_integers(tau, "attack durations"))  # the least and the largest
     if not durations or durations[0] < 1:
         raise InvalidSpec(f"attack durations must be integers >= 1, got {tau!r}")
-    return min(1.0, durations[-1] / len(durations))
+    # ints compared before they divide: a duration past the float range gives 1.0
+    return 1.0 if durations[-1] >= len(durations) else durations[-1] / len(durations)
 
 
 def _subopt_lb(mu: float, durations: Sequence[int]) -> float:
@@ -188,6 +192,7 @@ def synthesize(g: GraphTopology, tau: Sequence[int]) -> StrategyResult:
     if min(durations) < k:
         # below a node's k-step return: the feasibility report names it
         raise InfeasibleTau(validate_attack_durations(g, durations).notes)
+    _check_exponents(min(durations) // k, max(durations) // k)
     cuts = list(itertools.accumulate(sides, initial=0))
     exponents = [tuple([t // k for t in durations[a:b]]) for a, b in zip(cuts, cuts[1:])]
     # each side's s = log w, uncached, and w = exp(s) as the scalar takes it;
@@ -244,9 +249,7 @@ def uniform_bipartite_baseline(n_p: int, n_q: int, tau: int) -> BaselineResult:
     decided by the larger side, and its ratio to the generic bound tau/n is
     at least 1/3 for odd tau and (1/2)(1 - 1/e) for even tau.
     """
-    check_integers(n_p=n_p, n_q=n_q)
-    if n_p < 2 or n_q < 2:
-        raise InvalidSpec(f"baseline needs both sides >= 2, got ({n_p}, {n_q})")
+    check_integers(2, n_p=n_p, n_q=n_q)
     (tau,) = check_durations([tau], 1)
     n = n_p + n_q
     if not 2 <= tau <= 2 * n - 4:

@@ -75,3 +75,14 @@ def test_cli_commands_record_every_run_of_the_checkout(monkeypatch):
         assert got[name]["wall_s"]["unit"] == "s" and len(got[name]["wall_s"]["runs"]) == 2
         assert got[name]["peak_rss_mb"]["unit"] == "MB"
         assert 0 < got[name]["peak_rss_mb"]["q1"] <= got[name]["peak_rss_mb"]["q3"]
+
+
+def test_src_lines_count_each_package_file_and_their_total(tmp_path):
+    package = tmp_path / "src" / "patrolgame"
+    package.mkdir(parents=True)
+    (package / "b.py").write_text("x = 1\ny = 2\n")
+    (package / "a.py").write_text("")
+    (package / "notes.txt").write_text("not code\n")
+    assert record.count_src_lines(tmp_path) == {"files": {"a.py": 0, "b.py": 2}, "total": 2}
+    got = record.count_src_lines(ROOT)
+    assert "cli.py" in got["files"] and got["total"] == sum(got["files"].values())

@@ -135,6 +135,30 @@ def test_a_warmed_solve_leaves_no_garbage_for_the_cycle_collector(capsys):
     assert gc.collect() == 0
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["solve", "--config", "{config}"], 0),
+    (["allocate", "--family", "bipartite", "--np", "3", "--nq", "2", "--B", "14",
+      "--compare-uniform"], 0),
+    (["simulate", "--family", "complete", "--n", "3", "--tau", "2,3,3", "--trials", "100"], 0),
+    (["sweep", "--family", "bipartite", "--np", "2..3", "--nq", "2", "--tau", "2..4"], 0),
+    (["verify", "--suite", "bounds", "--out", "{out}"], 0),
+    (["verify", "--suite", "alloc-oracle", "--nmax", "3", "--out", "{out}"], 0),
+    (["verify", "--suite", "montecarlo", "--trials", "100", "--out", "{out}"], 0),
+    (["solve", "--config", "{config}", "--np", "2"], 2),
+    (["solve", "--family", "star", "--n", "3", "--tau", "1,2,2"], 2),
+], ids=["solve-config", "allocate-uniform", "simulate", "sweep", "verify-bounds",
+        "verify-alloc-oracle", "verify-montecarlo", "refused-config", "refused-feasibility"])
+def test_a_warmed_command_leaves_no_garbage_for_the_cycle_collector(capsys, tmp_path, argv, code):
+    # a scenario fills the flags of the command line's one parse: no second
+    # parser is built, so none is left in its reference cycles
+    config = _scenario(tmp_path, family="complete", n=3, tau=[2, 3, 3], emit_cdf=True)
+    argv = [arg.format(config=config, out=tmp_path / "checks.json") for arg in argv]
+    run_cli(capsys, argv)
+    gc.collect()
+    assert run_cli(capsys, argv)[0] == code
+    assert gc.collect() == 0
+
+
 # --- allocate ---------------------------------------------------------------
 
 def test_allocate_complete(capsys):

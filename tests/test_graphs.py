@@ -319,6 +319,28 @@ def test_a_count_must_be_an_integer(reader):
             call(count)
 
 
+def test_a_lower_bound_is_checked_after_every_count_is_read_as_an_integer():
+    check = patrolgame.graphs.check_integers
+    with pytest.raises(InvalidSpec, match=r"^b must be an integer, got 'x'$"):
+        check(1, a=0, b="x")
+    with pytest.raises(InvalidSpec, match=r"^a must be >= 1, got 0$"):
+        check(1, a=0, b=0)
+    check(1, a=1, b=np.int64(5))
+    check(a=-3)  # no bound, only the type
+
+
+@pytest.mark.parametrize("build, sizes, message", [
+    (build_bipartite, (0, 2), "n_p must be >= 1, got 0"),
+    (build_bipartite, (2, -1), "n_q must be >= 1, got -1"),
+    (patrolgame.co_optimize_bipartite, (2, 0, 10), "n_q must be >= 1, got 0"),
+    (patrolgame.allocate_bipartite_side, (0, 4), "n_side must be >= 1, got 0"),
+    (patrolgame.uniform_bipartite_baseline, (1, 3, 4), "n_p must be >= 2, got 1"),
+], ids=["bipartite-p", "bipartite-q", "co-optimize", "side", "baseline"])
+def test_a_side_size_below_its_least_is_refused_by_name(build, sizes, message):
+    with pytest.raises(InvalidSpec, match=f"^{message}$"):
+        build(*sizes)
+
+
 @pytest.mark.parametrize("read", [lambda tau: check_durations(tau, len(tau)),
                                   patrolgame.generic_capture_bound],
                          ids=["check_durations", "generic_capture_bound"])

@@ -305,7 +305,7 @@ def test_synthesized_strategies_take_the_distinct_row_path(family, rows, n):
                                            (12, 1, True), (11, 1, False), (24, 2, True),
                                            (23, 2, False), (200, 16, True), (200, 17, False),
                                            (1000, 83, True), (1000, 84, False)])
-def test_the_distinct_row_path_takes_at_most_a_quarter_of_the_rows(n, rows, fast):
+def test_the_distinct_row_path_takes_at_most_one_distinct_row_in_twelve(n, rows, fast):
     assert (markov._distinct_rows(repeated_rows(n, rows, n)[None]) is not None) is fast
 
 

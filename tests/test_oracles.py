@@ -1,5 +1,6 @@
 import json
 import pickle
+import re
 import time
 import tracemalloc
 from statistics import NormalDist
@@ -406,6 +407,9 @@ def test_infeasible_tau_fails_before_any_restart(monkeypatch):
 def test_local_search_guard_and_validation():
     with pytest.raises(SearchSpaceExceeded):
         local_search_strategy(build_complete(9), (2,) * 9, restarts=1, seed=0)
+    # restarts is read as a count >= 1 before the node limit is
+    with pytest.raises(InvalidSpec, match=r"^restarts must be >= 1, got 0$"):
+        local_search_strategy(build_complete(9), (2,) * 9, restarts=0, seed=0)
 
 
 def test_oracle_report_json():
@@ -549,6 +553,23 @@ def test_a_fractional_seed_is_refused_not_rounded_down(run):
     # cast to uint64, seed s would replay seed floor(s) bit for bit
     with pytest.raises(InvalidSpec, match="seed and stream index must be integers"):
         run()
+
+
+def test_integer_inputs_past_a_rule_are_refused_not_raised():
+    # a duration past the float range and a seed given as text are refused
+    # with InvalidSpec, not a bare OverflowError or TypeError
+    huge = (10 ** 400, 2, 2)
+    for call, message in [
+        (lambda: patrolgame.synthesize_complete(huge), "exponent 1.00e+400 is past the float range"),
+        (lambda: local_search_strategy(build_complete(3), huge, 1, 0),
+         "exponent 1.00e+400 is past the float range"),
+        (lambda: monte_carlo_suite(trials=10, seed="3", instances=1),
+         "seed and stream index must be integers"),
+    ]:
+        with pytest.raises(InvalidSpec, match=re.escape(message)):
+            call()
+    # the bound compares the integers before it divides them
+    assert patrolgame.generic_capture_bound(huge[:2]) == 1.0
 
 
 def test_monte_carlo_suite_walks_its_largest_seed():

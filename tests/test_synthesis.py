@@ -226,6 +226,15 @@ def test_both_equalization_entry_points_refuse_an_exponent_past_the_float_range(
         solve((10 ** 400, 2))
 
 
+@pytest.mark.parametrize("exponents", [(0, 2), (-1, 10 ** 400)], ids=["zero", "negative-and-huge"])
+@pytest.mark.parametrize("solve", [solve_equalized_value, lambda m: solve_equalized_values([m])],
+                         ids=["scalar", "batch"])
+def test_both_equalization_entry_points_refuse_an_exponent_below_one_alike(solve, exponents):
+    # one rule, one message: the least exponent is checked before the largest
+    with pytest.raises(InvalidSpec, match=r"^exponents must be positive integers$"):
+        solve(exponents)
+
+
 def test_equalized_value_against_polynomial_oracle():
     assert solve_equalized_value((3, 2, 2)) == pytest.approx(cubic_oracle_w322(), abs=1e-11)
     assert solve_equalized_value((3, 2, 2)) == pytest.approx(W_322, abs=1e-11)
