@@ -37,7 +37,8 @@ SEEDS = (31, 32, 33)
 SECONDS = 8
 ENV_PREFIX = "perfbench env "
 # fixed CLI commands: the two simulate walks the CI pins by digest, the Monte
-# Carlo and bound suites, and an n = 200 complete solve with its CDF
+# Carlo and bound suites, an n = 200 complete solve with its CDF, a 200 + 200
+# bipartite tau sweep and an n = 1000 complete allocation
 CLI_COMMANDS = {
     "simulate complete n=4": ["simulate", "--family", "complete", "--n", "4", "--tau", "2,3,3,4",
                               "--trials", "100000", "--seed", "3"],
@@ -48,6 +49,9 @@ CLI_COMMANDS = {
                                         ",".join(str(2 + i % 7) for i in range(200)),
                                         "--emit-cdf"],
     "verify bounds": ["verify", "--suite", "bounds", "--seed", "7"],
+    "sweep bipartite 200+200 tau": ["sweep", "--family", "bipartite", "--np", "200", "--nq", "200",
+                                    "--tau", "2..100"],
+    "allocate complete n=1000": ["allocate", "--family", "complete", "--n", "1000", "--B", "5000"],
 }
 CLI_REPEATS = 3
 # the Tier-1 command of .github/workflows/tier1.yml, run with src on PYTHONPATH

@@ -33,7 +33,7 @@ from .oracles import (
     monte_carlo_suite,
     monte_carlo_suite_work,
 )
-from .synthesis import complete_values, generic_capture_bound, synthesize
+from .synthesis import generic_capture_bound, synthesize, values
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -203,6 +203,11 @@ def _parse_range(text: str | None) -> tuple[int, ...] | range:
     return _parse_int_list(text)
 
 
+def _count(points: tuple[int, ...] | range) -> int:
+    """len(points), counted for a range too, where len() stops at sys.maxsize."""
+    return max(0, points.stop - points.start) if isinstance(points, range) else len(points)
+
+
 def _sizes(args: argparse.Namespace, command: str, parse, *extra: str, **fallback) -> dict:
     """The family's sizes, `parse`d and keyed for `build_graph`; an unset
     size flag takes its `fallback`.  `InvalidSpec` names a size flag the
@@ -347,15 +352,13 @@ def _sweep_cell(graph, budgets, taus) -> list[tuple]:
     points = [("B", B) for B in budgets] + [("tau", tau) for tau in taus]
     uniform = [(tau,) * graph.n for tau in taus]
     if graph.family == COMPLETE:
-        # every point passes the checks of allocate and synthesize before one
-        # batched Newton iteration solves the cell
         durations = [complete_split(graph.n, B) for B in budgets] + uniform
-        ws = complete_values(durations).tolist()
-        return list(zip(points, durations, [1.0 - w for w in ws], ws))
-    results = [allocate(graph, B) for B in budgets]
-    durations = [allocation.tau for allocation in results] + uniform
-    results += [synthesize(graph, tau) for tau in uniform]
-    return list(zip(points, durations, [r.mu for r in results], [r.w for r in results]))
+        ws = values(graph, durations).tolist()
+    else:  # a bipartite budget's allocation is solved as it is placed
+        allocations = [allocate(graph, B) for B in budgets]
+        durations = [allocation.tau for allocation in allocations] + uniform
+        ws = [allocation.w for allocation in allocations] + values(graph, uniform).tolist()
+    return list(zip(points, durations, [1.0 - w for w in ws], ws))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -364,7 +367,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     ranges = _sizes(args, "sweep", _parse_range)
     if args.B is None and args.tau is None:
         raise InvalidSpec(f"{args.family} sweep needs --B or --tau")
-    count = math.prod(map(len, ranges.values())) * (len(budgets) + len(taus))
+    count = math.prod(map(_count, ranges.values())) * (_count(budgets) + _count(taus))
     if count > SWEEP_ROW_LIMIT:
         raise SearchSpaceExceeded(f"sweep grid of {count} rows exceeds {SWEEP_ROW_LIMIT}")
     buffer = io.StringIO()

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, InfeasibleTau, InvalidSpec, TrivialGame, Unsupported
+from .errors import InfeasibleTau, InvalidSpec, TrivialGame, Unsupported
 from .graphs import (BIPARTITE, STAR, GraphTopology, build_complete, build_star,
                      check_durations, check_integers, read_integers,
                      validate_attack_durations)
@@ -40,6 +40,7 @@ def _log_equalized_value(m: Sequence[int]) -> float:
     exponent: no term near 1 cancels against n - 1, and the one term that
     may be small keeps its digits, so s is within a few ulps of the root.
     Width 1 gives -inf.  `solve_equalized_values` takes the same steps."""
+    _check_exponents(m[0], m[-1])
     if len(m) == 1:
         return -np.inf
     lead, inv = 1.0 / m[0], np.array([1.0 / e for e in m[1:]])
@@ -75,7 +76,6 @@ def solve_equalized_value(exponents: tuple[int, ...]) -> float:
     m = tuple(sorted(read_integers(exponents, "exponents")))
     if not m:
         raise InvalidSpec("need at least one exponent")
-    _check_exponents(m[0], m[-1])
     if m != exponents:
         return solve_equalized_value(m)
     # np.exp, as the batch takes it: math.exp may differ in the last bit
@@ -140,27 +140,6 @@ def generic_capture_bound(tau: Sequence[int]) -> float:
     return 1.0 if durations[-1] >= len(durations) else durations[-1] / len(durations)
 
 
-def _subopt_lb(mu: float, durations: Sequence[int]) -> float:
-    return min(1.0, mu / generic_capture_bound(durations))
-
-
-def _complete_durations(tau: Sequence[int]) -> tuple[int, ...]:
-    durations = check_durations(tau, len(tau))
-    if len(durations) < 2:
-        raise InvalidSpec("complete-graph synthesis needs n >= 2")
-    return durations
-
-
-def complete_values(taus: Sequence[Sequence[int]]) -> np.ndarray:
-    """Game value w of each complete-graph duration vector, all of one length.
-
-    Each vector is checked as `synthesize_complete` checks it, in order,
-    before one batched Newton iteration solves them all.
-    """
-    rows = [_complete_durations(tau) for tau in taus]
-    return solve_equalized_values(rows) if rows else np.empty(0)
-
-
 def _assemble(xs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Cyclic strategy over the sides' entry distributions `xs`, in node
     order: side s's rows play side (s + 1) mod k's, and pi = concat(xs) / k."""
@@ -173,27 +152,44 @@ def _assemble(xs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return P, np.concatenate(xs) / k
 
 
+def _checked(g: GraphTopology, taus) -> tuple[int, list[int], list[tuple[int, ...]]]:
+    """g's number of sides k, where they start and end in node order, and
+    each of `taus` read and checked in turn as `synthesize` reads one."""
+    cuts, n = list(itertools.accumulate(g.sides or (), initial=0)), g.n
+    k, rows = len(cuts) - 1, []
+    if not k:
+        raise Unsupported(f"no strategy synthesis for the {g.family} family")
+    for tau in taus:
+        durations = check_durations(tau, n)
+        if k == 1 and n < 2:
+            raise InvalidSpec("complete-graph synthesis needs n >= 2")
+        if k > 1:
+            least = min(durations)
+            if least < k:
+                # below a node's k-step return: the feasibility report names it
+                raise InfeasibleTau(validate_attack_durations(g, durations).notes)
+            _check_exponents(least // k, max(durations) // k)
+        rows.append(durations)
+    return k, cuts, rows
+
+
+def values(g: GraphTopology, taus: Sequence[Sequence[int]]) -> np.ndarray:
+    """`synthesize(g, tau).w` of each of `taus`, bit for bit, each checked in
+    turn as there, from one batched Newton iteration per side."""
+    k, cuts, rows = _checked(g, taus)
+    if not rows:
+        return np.empty(0)
+    # one side's tuples go to the batch as they are, which drops its int copy before Newton
+    sides = [rows] if k == 1 else np.split(np.array(rows) // k, cuts[1:-1], axis=1)
+    return np.maximum.reduce([solve_equalized_values(m) for m in sides])
+
+
 def synthesize(g: GraphTopology, tau: Sequence[int]) -> StrategyResult:
     """The strategy for `g` that cycles through its k sides, durations read in
     node order (P side first): a heuristic with a certified suboptimality
-    bound, optimal on a star.  Raises `DimensionMismatch` when tau does not
-    match the graph, `Unsupported` for the general family, which has no
-    sides, and `InfeasibleTau` when some tau_i < k.
-    """
-    if len(tau) != g.n:
-        raise DimensionMismatch(f"expected {g.n} durations, got {len(tau)}")
-    sides = g.sides
-    if sides is None:
-        raise Unsupported(f"no strategy synthesis for the {g.family} family")
-    durations = check_durations(tau, g.n)
-    k = len(sides)
-    if k == 1 and g.n < 2:
-        raise InvalidSpec("complete-graph synthesis needs n >= 2")
-    if min(durations) < k:
-        # below a node's k-step return: the feasibility report names it
-        raise InfeasibleTau(validate_attack_durations(g, durations).notes)
-    _check_exponents(min(durations) // k, max(durations) // k)
-    cuts = list(itertools.accumulate(sides, initial=0))
+    bound, optimal on a star.  Raises `Unsupported` on a graph without sides,
+    `DimensionMismatch` on a tau of another length, `InfeasibleTau` on tau_i < k."""
+    k, cuts, (durations,) = _checked(g, [tau])
     exponents = [tuple([t // k for t in durations[a:b]]) for a, b in zip(cuts, cuts[1:])]
     # each side's s = log w, uncached, and w = exp(s) as the scalar takes it;
     # entry probabilities 1 - w**(1/m) = -expm1(s / m) keep their digits
@@ -207,7 +203,8 @@ def synthesize(g: GraphTopology, tau: Sequence[int]) -> StrategyResult:
     if g.family == STAR:  # the one-node center side solves to w = 0
         return StrategyResult(P=P, pi=pi, mu=mu, w=w, subopt_lb=1.0, optimality=OPTIMAL)
     w_p, w_q = ws if k == 2 else (None, None)
-    return StrategyResult(P=P, pi=pi, mu=mu, w=w, subopt_lb=_subopt_lb(mu, durations),
+    return StrategyResult(P=P, pi=pi, mu=mu, w=w,
+                          subopt_lb=min(1.0, mu / generic_capture_bound(durations)),
                           optimality=HEURISTIC, w_p=w_p, w_q=w_q)
 
 

@@ -14,6 +14,7 @@ from patrolgame import (
     DimensionMismatch,
     InfeasibleTau,
     InvalidSpec,
+    PatrolGameError,
     TrivialGame,
     build_bipartite,
     build_complete,
@@ -32,6 +33,7 @@ from patrolgame import (
     synthesize_star,
     uniform_bipartite_baseline,
 )
+from patrolgame.synthesis import values
 
 # root of s^2 + s = 1 squared: solves sqrt(w) + w = 1, i.e. exponents (2, 1)
 GOLDEN_W = (3 - math.sqrt(5)) / 2
@@ -235,6 +237,11 @@ def test_both_equalization_entry_points_refuse_an_exponent_below_one_alike(solve
         solve(exponents)
 
 
+def test_the_scalar_needs_at_least_one_exponent():
+    with pytest.raises(InvalidSpec, match=r"^need at least one exponent$"):
+        solve_equalized_value(())
+
+
 def test_equalized_value_against_polynomial_oracle():
     assert solve_equalized_value((3, 2, 2)) == pytest.approx(cubic_oracle_w322(), abs=1e-11)
     assert solve_equalized_value((3, 2, 2)) == pytest.approx(W_322, abs=1e-11)
@@ -394,6 +401,11 @@ def test_bipartite_dimension_check():
         synthesize_bipartite(build_bipartite(1, 2), [1], [2])
 
 
+def test_bipartite_entry_refuses_a_graph_without_two_sides():
+    with pytest.raises(InvalidSpec, match=r"^expected a bipartite or star graph, got 'complete'$"):
+        synthesize_bipartite(build_complete(3), [2], [2, 2])
+
+
 # --- family dispatch -------------------------------------------------------------
 
 @pytest.mark.parametrize("graph, tau, direct", [
@@ -459,6 +471,38 @@ def test_synthesize_rejects_general_and_wrong_length():
         synthesize(build_general(3, [(1, 2), (2, 3), (3, 1)]), (3, 3, 3))
     with pytest.raises(DimensionMismatch):
         synthesize(build_complete(3), (2, 2))
+
+
+def _refusal(call):
+    with pytest.raises(PatrolGameError) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+def test_values_are_each_synthesized_w_bit_for_bit_and_refuse_as_synthesize_does():
+    rng = np.random.default_rng(38)
+    graphs = [build_complete(n) for n in range(2, 13)]
+    graphs += [build_bipartite(n_p, n_q) for n_p in range(1, 6) for n_q in range(1, 6)]
+    graphs += [build_star(n) for n in range(2, 13)]
+    for g in graphs:
+        k = len(g.sides)
+        taus = [tuple(int(t) for t in rng.integers(k, 4 * g.n, size=g.n)) for _ in range(6)]
+        taus += [(k,) * g.n, (10 ** 20,) + taus[0][1:]]  # the least, and one past int64
+        got = [float.hex(w) for w in values(g, taus).tolist()]
+        assert got == [float.hex(synthesize(g, tau).w) for tau in taus], (g, taus)
+        assert values(g, []).shape == (0,)
+        # one bad tau among good ones raises what synthesize raises on it
+        good = taus[0]
+        bad = [good[1:], (0,) + good[1:], (2.5,) + good[1:], (10 ** 400,) + good[1:]]
+        bad += [(k - 1,) + good[1:]] if k > 1 else []
+        for tau in bad:
+            at = int(rng.integers(0, len(taus) + 1))
+            expected = _refusal(lambda: synthesize(g, tau))
+            assert _refusal(lambda: values(g, taus[:at] + [tau] + taus[at:])) == expected, tau
+    # graphs that refuse every tau: the general family and a one-node complete graph
+    for g in (build_general(3, [(1, 2), (2, 3), (3, 1)]), build_complete(1)):
+        for tau in ((2,) * g.n, (2,) * (g.n + 1), (0,) * g.n):
+            assert _refusal(lambda: values(g, [tau])) == _refusal(lambda: synthesize(g, tau))
 
 
 # --- star graphs ----------------------------------------------------------------
