@@ -38,7 +38,8 @@ SECONDS = 8
 ENV_PREFIX = "perfbench env "
 # fixed CLI commands: the two simulate walks the CI pins by digest, the Monte
 # Carlo and bound suites, an n = 200 complete solve with its CDF, a 200 + 200
-# bipartite tau sweep and an n = 1000 complete allocation
+# bipartite tau sweep, an n = 1000 complete allocation and verify-sweep's
+# bipartite budget sweep shape, whose stdout the CI pins by digest
 CLI_COMMANDS = {
     "simulate complete n=4": ["simulate", "--family", "complete", "--n", "4", "--tau", "2,3,3,4",
                               "--trials", "100000", "--seed", "3"],
@@ -52,6 +53,9 @@ CLI_COMMANDS = {
     "sweep bipartite 200+200 tau": ["sweep", "--family", "bipartite", "--np", "200", "--nq", "200",
                                     "--tau", "2..100"],
     "allocate complete n=1000": ["allocate", "--family", "complete", "--n", "1000", "--B", "5000"],
+    "sweep bipartite 6..11 x 6..11 B": ["sweep", "--family", "bipartite", "--np", "6..11",
+                                        "--nq", "6..11", "--B",
+                                        ",".join(str(B) for B in range(60, 84, 2))],
 }
 CLI_REPEATS = 3
 # the Tier-1 command of .github/workflows/tier1.yml, run with src on PYTHONPATH

@@ -10,6 +10,7 @@ to a smallest entry strictly lowers w) is checked in tests/test_allocation.py.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -107,8 +108,8 @@ def allocate_bipartite_side(n_side: int, B_side: int) -> AllocationResult:
     return AllocationResult(tau=_even_side(n_side, B_side // 2), B=B_side, w=w, mu=1.0 - w)
 
 
-def co_optimize_bipartite(n_p: int, n_q: int, B: int) -> AllocationResult:
-    """Best even split of B across the two sides of a complete bipartite graph.
+def _co_optimize(n_p: int, n_q: int, budgets: Sequence[int]) -> list[AllocationResult]:
+    """Best even split of each of `budgets` across the sides of K_{n_p, n_q}.
 
     Bisects on the P-side sub-budget, counted in units of 2: the P-side value
     falls and the Q-side value rises as budget moves to P, so the overall
@@ -116,43 +117,51 @@ def co_optimize_bipartite(n_p: int, n_q: int, B: int) -> AllocationResult:
     bracket ends are evaluated; the larger sub-budget wins only when its
     value is lower by more than 1e-12, so ties go to the smaller one.
     """
-    check_integers(budget=B)
-    check_integers(1, n_p=n_p, n_q=n_q)
-    if B % 2:
-        raise ParityError(f"total budget must be even, got {B}")
-    if n_p == n_q == 1:
-        raise TrivialGame("sides (1, 1): two one-node sides capture every attack at any split")
-    lo_limit = 2 * (n_p + n_q)
-    hi_limit = 2 * (n_p * n_p + n_q * n_q)
-    if not lo_limit < B < hi_limit:
-        raise BudgetOutOfRange(f"budget must satisfy {lo_limit} < B < {hi_limit}, got {B}")
+    side = functools.cache(_side_value)  # nearby budgets probe the same sub-budgets
+    results = []
+    for B in budgets:
+        check_integers(budget=B)
+        check_integers(1, n_p=n_p, n_q=n_q)
+        if B % 2:
+            raise ParityError(f"total budget must be even, got {B}")
+        if n_p == n_q == 1:
+            raise TrivialGame("sides (1, 1): two one-node sides capture every attack at any split")
+        lo_limit, hi_limit = 2 * (n_p + n_q), 2 * (n_p * n_p + n_q * n_q)
+        if not lo_limit < B < hi_limit:
+            raise BudgetOutOfRange(f"budget must satisfy {lo_limit} < B < {hi_limit}, got {B}")
+        half = B // 2
+        lb, ub = n_p, half - n_q
+        while ub - lb > 1:
+            mid = (lb + ub + 1) // 2
+            if side(n_p, mid) < side(n_q, half - mid):
+                ub = mid
+            else:
+                lb = mid
+        lower, upper = ((side(n_p, u), side(n_q, half - u), u) for u in (lb, ub))
+        w_p, w_q, units = upper if max(upper[:2]) < max(lower[:2]) - 1e-12 else lower
+        w = max(w_p, w_q)
+        tau_p, tau_q = _even_side(n_p, units), _even_side(n_q, half - units)
+        results.append(AllocationResult(
+            tau=tau_p + tau_q, B=B, w=w, mu=1.0 - w, B_p=2 * units, B_q=B - 2 * units,
+            tau_p=tau_p, tau_q=tau_q, w_p=w_p, w_q=w_q))
+    return results
 
-    half = B // 2
-    lb, ub = n_p, half - n_q
-    while ub - lb > 1:
-        mid = (lb + ub + 1) // 2
-        if _side_value(n_p, mid) < _side_value(n_q, half - mid):
-            ub = mid
-        else:
-            lb = mid
 
-    lower, upper = ((_side_value(n_p, u), _side_value(n_q, half - u), u) for u in (lb, ub))
-    w_p, w_q, units = upper if max(upper[:2]) < max(lower[:2]) - 1e-12 else lower
-    w = max(w_p, w_q)
-    tau_p, tau_q = _even_side(n_p, units), _even_side(n_q, half - units)
-    return AllocationResult(
-        tau=tau_p + tau_q, B=B, w=w, mu=1.0 - w, B_p=2 * units, B_q=B - 2 * units,
-        tau_p=tau_p, tau_q=tau_q, w_p=w_p, w_q=w_q)
+def co_optimize_bipartite(n_p: int, n_q: int, B: int) -> AllocationResult:
+    """Best even split of B across the two sides of a complete bipartite graph."""
+    return _co_optimize(n_p, n_q, [B])[0]
+
+
+def allocate_budgets(g: GraphTopology, budgets: Sequence[int]) -> list[AllocationResult]:
+    """The family's optimal split of each of `budgets` over the nodes of `g`:
+    `allocate_complete` or `_co_optimize`; other families raise `Unsupported`."""
+    if g.family == COMPLETE:
+        return [allocate_complete(g.n, B) for B in budgets]
+    if g.family == BIPARTITE:
+        return _co_optimize(g.n_p, g.n_q, budgets)
+    raise Unsupported(f"{g.family} allocation is unsupported")
 
 
 def allocate(g: GraphTopology, B: int) -> AllocationResult:
-    """The family's optimal split of budget B over the nodes of `g`.
-
-    Complete graphs use `allocate_complete`, bipartite graphs
-    `co_optimize_bipartite`; any other family raises `Unsupported`.
-    """
-    if g.family == COMPLETE:
-        return allocate_complete(g.n, B)
-    if g.family == BIPARTITE:
-        return co_optimize_bipartite(g.n_p, g.n_q, B)
-    raise Unsupported(f"{g.family} allocation is unsupported")
+    """`allocate_budgets` of the one budget B."""
+    return allocate_budgets(g, [B])[0]

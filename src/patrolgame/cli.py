@@ -9,10 +9,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import dataclasses
 import functools
-import io
 import itertools
 import json
 import math
@@ -22,7 +20,7 @@ from decimal import ROUND_CEILING, Context
 import numpy as np
 
 from . import __version__
-from .allocation import allocate, complete_split
+from .allocation import allocate, allocate_budgets, complete_split
 from .errors import InvalidSpec, PatrolGameError, SearchSpaceExceeded, Unsupported
 from .graphs import COMPLETE, GENERAL, build_graph, validate_attack_durations
 from .markov import capture_probability, simulate_capture, walk_work
@@ -354,8 +352,8 @@ def _sweep_cell(graph, budgets, taus) -> list[tuple]:
     if graph.family == COMPLETE:
         durations = [complete_split(graph.n, B) for B in budgets] + uniform
         ws = values(graph, durations).tolist()
-    else:  # a bipartite budget's allocation is solved as it is placed
-        allocations = [allocate(graph, B) for B in budgets]
+    else:  # one call places a cell's bipartite budgets; a star has no placement rule
+        allocations = allocate_budgets(graph, budgets) if budgets else []
         durations = [allocation.tau for allocation in allocations] + uniform
         ws = [allocation.w for allocation in allocations] + values(graph, uniform).tolist()
     return list(zip(points, durations, [1.0 - w for w in ws], ws))
@@ -370,20 +368,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     count = math.prod(map(_count, ranges.values())) * (_count(budgets) + _count(taus))
     if count > SWEEP_ROW_LIMIT:
         raise SearchSpaceExceeded(f"sweep grid of {count} rows exceeds {SWEEP_ROW_LIMIT}")
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=_CSV_COLUMNS, lineterminator="\n")
-    writer.writeheader()
+    lines = [",".join(_CSV_COLUMNS)]
     # product() lists every range, so a grid without points must not call it
     for sizes in itertools.product(*ranges.values()) if budgets or taus else ():
         cell = dict(zip(ranges, sizes))
         graph = _graph(args.family, cell)
+        # fields in _CSV_COLUMNS order, none quoted: each is a family name, an int or a float
+        head = ",".join([args.family, *(str(cell.get(key, "")) for key in _CSV_COLUMNS[1:4])])
         for (key, value), durations, mu, w in _sweep_cell(graph, budgets, taus):
             bound = generic_capture_bound(durations)
-            row = {"family": args.family, **cell, key: value,
-                   "mu": mu, "w": w, "bound": bound, "ratio": mu / bound}
-            writer.writerow({k: f"{v:.12g}" if isinstance(v, float) else v
-                             for k, v in row.items()})
-    _write_output(buffer.getvalue(), args.out)
+            point = f"{value}," if key == "tau" else f",{value}"
+            lines.append(f"{head},{point},{mu:.12g},{w:.12g},{bound:.12g},{mu / bound:.12g}")
+    _write_output("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 

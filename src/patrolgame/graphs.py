@@ -251,7 +251,7 @@ def check_durations(tau: Sequence[int], n: int) -> tuple[int, ...]:
     out = read_integers(tau, "attack durations")
     if len(out) != n:
         raise DimensionMismatch(f"expected {n} durations, got {len(out)}")
-    if any(t < 1 for t in out):
+    if out and min(out) < 1:
         raise InvalidSpec(f"attack durations must all be >= 1: {out}")
     return out
 

@@ -30,6 +30,8 @@ HEURISTIC = "heuristic"
 
 ODD_TAU_GUARANTEE = 1.0 / 3.0
 EVEN_TAU_GUARANTEE = 0.5 * (1.0 - 1.0 / np.e)
+# exponents one Newton chunk holds, so that each of its float arrays takes 2 MB
+_CHUNK_ENTRIES = 2**18
 
 
 def _log_equalized_value(m: Sequence[int]) -> float:
@@ -85,10 +87,10 @@ def solve_equalized_value(exponents: tuple[int, ...]) -> float:
 def solve_equalized_values(rows) -> np.ndarray:
     """`solve_equalized_value` of every row of a (k, n) array of exponents.
 
-    One Newton iteration runs in every lane at once, each row sorted as the
-    scalar sorts its multiset.  Each lane takes the scalar's steps, reduces
-    and stop test, so every w is the scalar's bit for bit; a lane drops out
-    at its first iterate that does not fall.  Rows of width 1 give 0.0."""
+    One Newton iteration runs in every lane of a chunk of rows at once, each
+    row sorted as the scalar sorts its multiset.  Each lane takes the scalar's
+    steps, reduces and stop test, so every w is the scalar's bit for bit; a lane
+    drops out at its first iterate that does not fall.  Width 1 gives 0.0."""
     m = np.asarray(rows)
     if m.ndim != 2 or m.shape[1] == 0:
         raise InvalidSpec(f"need a (k, n) array of exponents with n >= 1, got shape {m.shape}")
@@ -96,20 +98,22 @@ def solve_equalized_values(rows) -> np.ndarray:
         m = np.array(read_integers(m.ravel(), "exponents")).reshape(m.shape)
     if m.size:
         _check_exponents(m.min(), m.max())
-    m = np.sort(m.astype(float), axis=1)
     if m.shape[1] == 1:
         return np.zeros(len(m))
-    lead, inv = 1.0 / m[:, 0], 1.0 / m[:, 1:]
-    slope, s, live = np.add.reduce(inv, axis=1), np.zeros(len(m)), np.arange(len(m))
-    while live.size:
-        now = s[live]
-        first, terms = np.exp(now * lead[live]), np.expm1(now[:, None] * inv[live])
-        nxt = now - (first + np.add.reduce(terms, axis=1)) / (
-            first * lead[live] + slope[live] + np.add.reduce(terms * inv[live], axis=1))
-        falls = nxt < now
-        live = live[falls]
-        s[live] = nxt[falls]
-    return np.exp(s)
+    logs, step = np.zeros(len(m)), max(1, _CHUNK_ENTRIES // m.shape[1])
+    for start in range(0, len(m), step):  # lanes are independent: chunks only bound memory
+        chunk = np.sort(m[start:start + step].astype(float), axis=1)
+        lead, inv, s = 1.0 / chunk[:, 0], 1.0 / chunk[:, 1:], logs[start:start + step]
+        slope, live = np.add.reduce(inv, axis=1), np.arange(len(chunk))
+        while live.size:
+            now = s[live]
+            first, terms = np.exp(now * lead[live]), np.expm1(now[:, None] * inv[live])
+            nxt = now - (first + np.add.reduce(terms, axis=1)) / (
+                first * lead[live] + slope[live] + np.add.reduce(terms * inv[live], axis=1))
+            falls = nxt < now
+            live = live[falls]
+            s[live] = nxt[falls]  # s is a view: logs takes each step
+    return np.exp(logs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,7 +183,7 @@ def values(g: GraphTopology, taus: Sequence[Sequence[int]]) -> np.ndarray:
     k, cuts, rows = _checked(g, taus)
     if not rows:
         return np.empty(0)
-    # one side's tuples go to the batch as they are, which drops its int copy before Newton
+    # one side's tuples go to the batch as they are: no int copy beside the batch's own
     sides = [rows] if k == 1 else np.split(np.array(rows) // k, cuts[1:-1], axis=1)
     return np.maximum.reduce([solve_equalized_values(m) for m in sides])
 

@@ -9,6 +9,7 @@ from patrolgame import (
     BudgetOutOfRange,
     InvalidSpec,
     ParityError,
+    PatrolGameError,
     TrivialGame,
     Unsupported,
     allocate,
@@ -27,7 +28,7 @@ from patrolgame import (
     exhaustive_allocation,
     synthesize,
 )
-from patrolgame.allocation import complete_split
+from patrolgame.allocation import AllocationResult, allocate_budgets, complete_split
 from patrolgame.cli import _dump_json
 
 GOLDEN_W = (3 - math.sqrt(5)) / 2
@@ -228,6 +229,86 @@ def test_co_optimize_matches_a_scan_of_every_even_split():
                     assert w_side == bipartite_side_value(tau_side), case
                 assert result.w == max(result.w_p, result.w_q), case
                 assert synthesize(g, result.tau).w == result.w, case
+
+
+def _reference_co_optimize(n_p, n_q, B):
+    """One budget's bisection as co_optimize_bipartite states it, each side
+    value asked of solve_equalized_value on its sorted near-uniform split."""
+    def split(n, units):
+        q, r = divmod(units, n)
+        return (q + 1,) * r + (q,) * (n - r)
+
+    def side(n, units):
+        return solve_equalized_value(tuple(sorted(split(n, units))))
+
+    half = B // 2
+    lb, ub = n_p, half - n_q
+    while ub - lb > 1:
+        mid = (lb + ub + 1) // 2
+        if side(n_p, mid) < side(n_q, half - mid):
+            ub = mid
+        else:
+            lb = mid
+    lower, upper = ((side(n_p, u), side(n_q, half - u), u) for u in (lb, ub))
+    w_p, w_q, units = upper if max(upper[:2]) < max(lower[:2]) - 1e-12 else lower
+    tau_p = tuple(2 * t for t in split(n_p, units))
+    tau_q = tuple(2 * t for t in split(n_q, half - units))
+    w = max(w_p, w_q)
+    return AllocationResult(tau=tau_p + tau_q, B=B, w=w, mu=1.0 - w, B_p=2 * units,
+                            B_q=B - 2 * units, tau_p=tau_p, tau_q=tau_q, w_p=w_p, w_q=w_q)
+
+
+def _bits(result):
+    """Every field of an allocation, each float as float.hex spells it."""
+    return tuple(float.hex(v) if isinstance(v, float) else v for v in vars(result).values())
+
+
+_SIDES = [(n_p, n_q) for n_p in range(1, 9) for n_q in range(1, 9) if (n_p, n_q) != (1, 1)]
+
+
+def _even_budgets(n_p, n_q):
+    return range(2 * (n_p + n_q) + 2, 2 * (n_p * n_p + n_q * n_q), 2)
+
+
+def test_the_list_form_is_the_reference_bisection_bit_for_bit():
+    for n_p, n_q in _SIDES:
+        budgets = _even_budgets(n_p, n_q)
+        want = [_bits(_reference_co_optimize(n_p, n_q, B)) for B in budgets]
+        got = allocate_budgets(build_bipartite(n_p, n_q), budgets)
+        assert [_bits(result) for result in got] == want, (n_p, n_q)
+        assert [_bits(co_optimize_bipartite(n_p, n_q, B)) for B in budgets] == want, (n_p, n_q)
+
+
+def test_the_list_form_takes_budgets_in_any_order_with_repeats():
+    rng = np.random.default_rng(39)
+    for n_p, n_q in _SIDES:
+        budgets = [int(B) for B in rng.choice(_even_budgets(n_p, n_q), size=30)]
+        budgets += budgets[:10]
+        rng.shuffle(budgets)
+        got = allocate_budgets(build_bipartite(n_p, n_q), budgets)
+        assert [_bits(result) for result in got] == [
+            _bits(_reference_co_optimize(n_p, n_q, B)) for B in budgets], (n_p, n_q)
+
+
+def _refusal(call):
+    with pytest.raises(PatrolGameError) as exc:
+        call()
+    return type(exc.value), str(exc.value)
+
+
+@pytest.mark.parametrize("g", [build_bipartite(3, 2), build_bipartite(1, 1), build_bipartite(1, 4),
+                               build_complete(4)],
+                         ids=["bipartite-3-2", "bipartite-1-1", "bipartite-1-4", "complete-4"])
+def test_a_bad_budget_in_the_list_is_refused_as_allocate_refuses_it(g):
+    rng = np.random.default_rng([39, g.n])
+    good = list(range(g.n + 1, g.n * g.n)) if g.family == "complete" else list(
+        _even_budgets(g.n_p, g.n_q))
+    # n and n^2 are odd or out of range on each graph here: a parity or range error
+    for bad in (-2, 0, g.n, g.n * g.n, 8 * g.n * g.n, 12.0, 12.5, "12", None):
+        budgets = [int(B) for B in rng.choice(good, size=8)] if good else []
+        budgets.insert(int(rng.integers(len(budgets) + 1)), bad)
+        assert _refusal(lambda: allocate_budgets(g, budgets)) == _refusal(
+            lambda: allocate(g, bad)), bad
 
 
 @pytest.mark.parametrize("allocate_with, sizes, B", [

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -195,6 +196,34 @@ def test_batch_equals_scalar_on_uniform_rows(n):
 def test_batch_equals_scalar_on_random_rows(n):
     rng = np.random.default_rng([2026, n])
     _assert_batch_is_the_scalar(np.sort(rng.integers(1, 400, size=(40, n)), axis=1))
+
+
+@pytest.mark.parametrize("entries", [1, 6, 61, 299, 2 ** 18])
+def test_a_batch_in_chunks_is_the_one_batch_bit_for_bit(monkeypatch, entries):
+    # 1 and 6 put each row in a chunk of its own; 61 and 299 leave a short last chunk
+    rng = np.random.default_rng(39)
+    rows = np.concatenate([rng.integers(1, 400, size=(50, 6)),
+                           np.repeat(np.arange(1, 51)[:, None], 6, axis=1)])
+    whole = [float.hex(w) for w in solve_equalized_values(rows).tolist()]
+    monkeypatch.setattr(patrolgame.synthesis, "_CHUNK_ENTRIES", entries)
+    assert [float.hex(w) for w in solve_equalized_values(rows).tolist()] == whole
+
+
+def test_a_large_batch_holds_one_chunk_at_a_time():
+    # the benchmark's complete sweep cells, 25 uniform taus at n <= 29, stay one chunk
+    assert 25 * 29 <= patrolgame.synthesis._CHUNK_ENTRIES
+    # 2000 rows at n = 1000: one batch held about 76 MB of float arrays at once
+    rows = np.full((2000, 1000), 5)
+    rows[:, 0] = np.arange(1, 2001)
+    tracemalloc.start()
+    try:
+        got = solve_equalized_values(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    assert [float.hex(w) for w in got[[0, 999, -1]].tolist()] == [
+        float.hex(solve_equalized_value(tuple(rows[i].tolist()))) for i in (0, 999, -1)]
 
 
 def test_batch_sorts_each_row_and_gives_zero_at_width_one():
