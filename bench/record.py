@@ -38,8 +38,9 @@ SECONDS = 8
 ENV_PREFIX = "perfbench env "
 # fixed CLI commands: the two simulate walks the CI pins by digest, the Monte
 # Carlo and bound suites, an n = 200 complete solve with its CDF, a 200 + 200
-# bipartite tau sweep, an n = 1000 complete allocation and verify-sweep's
-# bipartite budget sweep shape, whose stdout the CI pins by digest
+# bipartite tau sweep, an n = 1000 complete allocation, verify-sweep's
+# bipartite budget and complete tau sweep shapes, whose stdout the CI pins by
+# digest, and the allocation oracle at nmax 5 (111 single-budget allocations)
 CLI_COMMANDS = {
     "simulate complete n=4": ["simulate", "--family", "complete", "--n", "4", "--tau", "2,3,3,4",
                               "--trials", "100000", "--seed", "3"],
@@ -56,6 +57,9 @@ CLI_COMMANDS = {
     "sweep bipartite 6..11 x 6..11 B": ["sweep", "--family", "bipartite", "--np", "6..11",
                                         "--nq", "6..11", "--B",
                                         ",".join(str(B) for B in range(60, 84, 2))],
+    "sweep complete 10..29 x tau 7..31": ["sweep", "--family", "complete", "--n", "10..29",
+                                          "--tau", "7..31"],
+    "verify alloc-oracle nmax=5": ["verify", "--suite", "alloc-oracle", "--nmax", "5"],
 }
 CLI_REPEATS = 3
 # the Tier-1 command of .github/workflows/tier1.yml, run with src on PYTHONPATH

@@ -10,12 +10,12 @@ to a smallest entry strictly lowers w) is checked in tests/test_allocation.py.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import BudgetOutOfRange, InvalidSpec, ParityError, TrivialGame, Unsupported
-from .graphs import BIPARTITE, COMPLETE, GraphTopology, check_durations, check_integers
+from .graphs import (BIPARTITE, COMPLETE, GraphTopology, build_bipartite, check_durations,
+                     check_integers)
 from .synthesis import solve_equalized_value
 
 
@@ -54,7 +54,6 @@ def _side_value(n: int, units: int) -> float:
 
 def _even_side(n: int, units: int) -> tuple[int, ...]:
     """`units` units of 2 split near-uniformly over a side of n nodes."""
-    # tuple() of a list: from a generator, bipartite sweeps kept ~1 MB more resident
     return tuple([2 * u for u in _near_uniform(n, units)])
 
 
@@ -108,25 +107,37 @@ def allocate_bipartite_side(n_side: int, B_side: int) -> AllocationResult:
     return AllocationResult(tau=_even_side(n_side, B_side // 2), B=B_side, w=w, mu=1.0 - w)
 
 
-def _co_optimize(n_p: int, n_q: int, budgets: Sequence[int]) -> list[AllocationResult]:
-    """Best even split of each of `budgets` across the sides of K_{n_p, n_q}.
+def bipartite_splits(g: GraphTopology, budgets: Sequence[int], sides: dict) -> list[tuple]:
+    """(units, w_p, w_q) of the best even split of each of `budgets` across the
+    sides of K_{n_p, n_q} = `g`, 2 * units on the P side, each side value
+    memoized in `sides` by (side size, units); other families are `Unsupported`.
 
-    Bisects on the P-side sub-budget, counted in units of 2: the P-side value
-    falls and the Q-side value rises as budget moves to P, so the overall
-    value max(w_p, w_q) is minimized where they cross.  Both surviving
-    bracket ends are evaluated; the larger sub-budget wins only when its
-    value is lower by more than 1e-12, so ties go to the smaller one.
+    Bisects on the P-side units: the P-side value falls and the Q-side value
+    rises as budget moves to P, so the overall value max(w_p, w_q) is
+    minimized where they cross.  Both surviving bracket ends are evaluated;
+    the larger sub-budget wins only when its value is lower by more than
+    1e-12, so ties go to the smaller one.
     """
-    side = functools.cache(_side_value)  # nearby budgets probe the same sub-budgets
-    results = []
-    for B in budgets:
+    if g.family != BIPARTITE:
+        raise Unsupported(f"{g.family} allocation is unsupported")
+    n_p, n_q = g.n_p, g.n_q
+
+    def side(n: int, units: int) -> float:
+        w = sides.get((n, units))
+        if w is None:
+            w = sides[n, units] = _side_value(n, units)
+        return w
+
+    splits = []
+    for i, B in enumerate(budgets):
         check_integers(budget=B)
-        check_integers(1, n_p=n_p, n_q=n_q)
+        if not i:  # the sizes pass or fail at the first budget: their checks run once
+            check_integers(1, n_p=n_p, n_q=n_q)
+            lo_limit, hi_limit = 2 * (n_p + n_q), 2 * (n_p * n_p + n_q * n_q)
         if B % 2:
             raise ParityError(f"total budget must be even, got {B}")
         if n_p == n_q == 1:
             raise TrivialGame("sides (1, 1): two one-node sides capture every attack at any split")
-        lo_limit, hi_limit = 2 * (n_p + n_q), 2 * (n_p * n_p + n_q * n_q)
         if not lo_limit < B < hi_limit:
             raise BudgetOutOfRange(f"budget must satisfy {lo_limit} < B < {hi_limit}, got {B}")
         half = B // 2
@@ -137,10 +148,21 @@ def _co_optimize(n_p: int, n_q: int, budgets: Sequence[int]) -> list[AllocationR
                 ub = mid
             else:
                 lb = mid
-        lower, upper = ((side(n_p, u), side(n_q, half - u), u) for u in (lb, ub))
-        w_p, w_q, units = upper if max(upper[:2]) < max(lower[:2]) - 1e-12 else lower
+        lower, upper = ((u, side(n_p, u), side(n_q, half - u)) for u in (lb, ub))
+        splits.append(upper if max(upper[1:]) < max(lower[1:]) - 1e-12 else lower)
+    return splits
+
+
+def allocate_budgets(g: GraphTopology, budgets: Sequence[int]) -> list[AllocationResult]:
+    """The family's optimal split of each of `budgets` over the nodes of `g`:
+    `allocate_complete` or `bipartite_splits`, whose side values the call's
+    budgets share; other families raise `Unsupported`."""
+    if g.family == COMPLETE:
+        return [allocate_complete(g.n, B) for B in budgets]
+    results = []
+    for B, (units, w_p, w_q) in zip(budgets, bipartite_splits(g, budgets, {})):
+        tau_p, tau_q = _even_side(g.n_p, units), _even_side(g.n_q, B // 2 - units)
         w = max(w_p, w_q)
-        tau_p, tau_q = _even_side(n_p, units), _even_side(n_q, half - units)
         results.append(AllocationResult(
             tau=tau_p + tau_q, B=B, w=w, mu=1.0 - w, B_p=2 * units, B_q=B - 2 * units,
             tau_p=tau_p, tau_q=tau_q, w_p=w_p, w_q=w_q))
@@ -149,17 +171,7 @@ def _co_optimize(n_p: int, n_q: int, budgets: Sequence[int]) -> list[AllocationR
 
 def co_optimize_bipartite(n_p: int, n_q: int, B: int) -> AllocationResult:
     """Best even split of B across the two sides of a complete bipartite graph."""
-    return _co_optimize(n_p, n_q, [B])[0]
-
-
-def allocate_budgets(g: GraphTopology, budgets: Sequence[int]) -> list[AllocationResult]:
-    """The family's optimal split of each of `budgets` over the nodes of `g`:
-    `allocate_complete` or `_co_optimize`; other families raise `Unsupported`."""
-    if g.family == COMPLETE:
-        return [allocate_complete(g.n, B) for B in budgets]
-    if g.family == BIPARTITE:
-        return _co_optimize(g.n_p, g.n_q, budgets)
-    raise Unsupported(f"{g.family} allocation is unsupported")
+    return allocate(build_bipartite(n_p, n_q), B)
 
 
 def allocate(g: GraphTopology, B: int) -> AllocationResult:

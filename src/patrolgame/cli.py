@@ -20,7 +20,7 @@ from decimal import ROUND_CEILING, Context
 import numpy as np
 
 from . import __version__
-from .allocation import allocate, allocate_budgets, complete_split
+from .allocation import allocate, bipartite_splits, complete_split
 from .errors import InvalidSpec, PatrolGameError, SearchSpaceExceeded, Unsupported
 from .graphs import COMPLETE, GENERAL, build_graph, validate_attack_durations
 from .markov import capture_probability, simulate_capture, walk_work
@@ -31,7 +31,7 @@ from .oracles import (
     monte_carlo_suite,
     monte_carlo_suite_work,
 )
-from .synthesis import generic_capture_bound, synthesize, values
+from .synthesis import capture_bound, synthesize, values
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -344,19 +344,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if report.passed else EXIT_FAILURE
 
 
-def _sweep_cell(graph, budgets, taus) -> list[tuple]:
-    """((column, value), durations, mu, w) of each budget, then each uniform
-    tau, of one size cell; a refusal is the first bad point's, in that order."""
-    points = [("B", B) for B in budgets] + [("tau", tau) for tau in taus]
-    uniform = [(tau,) * graph.n for tau in taus]
+def _sweep_cell(graph, budgets, taus, sides: dict) -> list[tuple]:
+    """((column, value), w, tau_max) of each budget, then each uniform tau, of
+    one size cell, side values memoized in `sides`; a refusal is the first bad point's."""
+    n = graph.n
+    uniform = ((tau,) * n for tau in taus)  # each row read once, by `values`
     if graph.family == COMPLETE:
-        durations = [complete_split(graph.n, B) for B in budgets] + uniform
-        ws = values(graph, durations).tolist()
+        rows = itertools.chain((complete_split(n, B) for B in budgets), uniform)
+        ws, largest = values(graph, rows).tolist(), [-(-B // n) for B in budgets]  # ceil(B/n)
     else:  # one call places a cell's bipartite budgets; a star has no placement rule
-        allocations = allocate_budgets(graph, budgets) if budgets else []
-        durations = [allocation.tau for allocation in allocations] + uniform
-        ws = [allocation.w for allocation in allocations] + values(graph, uniform).tolist()
-    return list(zip(points, durations, [1.0 - w for w in ws], ws))
+        splits = bipartite_splits(graph, budgets, sides) if budgets else []
+        ws = [max(w_p, w_q) for _, w_p, w_q in splits] + values(graph, uniform).tolist()
+        largest = [2 * max(-(-units // graph.n_p), -(-(B // 2 - units) // graph.n_q))
+                   for B, (units, _, _) in zip(budgets, splits)]
+    points = [("B", B) for B in budgets] + [("tau", tau) for tau in taus]
+    return list(zip(points, ws, itertools.chain(largest, taus)))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -369,14 +371,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if count > SWEEP_ROW_LIMIT:
         raise SearchSpaceExceeded(f"sweep grid of {count} rows exceeds {SWEEP_ROW_LIMIT}")
     lines = [",".join(_CSV_COLUMNS)]
+    sides = {}  # bipartite side values by (side size, units), for every cell of this sweep
     # product() lists every range, so a grid without points must not call it
     for sizes in itertools.product(*ranges.values()) if budgets or taus else ():
         cell = dict(zip(ranges, sizes))
         graph = _graph(args.family, cell)
         # fields in _CSV_COLUMNS order, none quoted: each is a family name, an int or a float
         head = ",".join([args.family, *(str(cell.get(key, "")) for key in _CSV_COLUMNS[1:4])])
-        for (key, value), durations, mu, w in _sweep_cell(graph, budgets, taus):
-            bound = generic_capture_bound(durations)
+        for (key, value), w, tau_max in _sweep_cell(graph, budgets, taus, sides):
+            mu, bound = 1.0 - w, capture_bound(tau_max, graph.n)
             point = f"{value}," if key == "tau" else f",{value}"
             lines.append(f"{head},{point},{mu:.12g},{w:.12g},{bound:.12g},{mu / bound:.12g}")
     _write_output("\n".join(lines) + "\n", args.out)

@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -140,8 +140,13 @@ def generic_capture_bound(tau: Sequence[int]) -> float:
     durations = sorted(read_integers(tau, "attack durations"))  # the least and the largest
     if not durations or durations[0] < 1:
         raise InvalidSpec(f"attack durations must be integers >= 1, got {tau!r}")
+    return capture_bound(durations[-1], len(durations))
+
+
+def capture_bound(tau_max: int, n: int) -> float:
+    """`generic_capture_bound` of n durations whose largest is `tau_max`."""
     # ints compared before they divide: a duration past the float range gives 1.0
-    return 1.0 if durations[-1] >= len(durations) else durations[-1] / len(durations)
+    return 1.0 if tau_max >= n else tau_max / n
 
 
 def _assemble(xs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -177,9 +182,9 @@ def _checked(g: GraphTopology, taus) -> tuple[int, list[int], list[tuple[int, ..
     return k, cuts, rows
 
 
-def values(g: GraphTopology, taus: Sequence[Sequence[int]]) -> np.ndarray:
-    """`synthesize(g, tau).w` of each of `taus`, bit for bit, each checked in
-    turn as there, from one batched Newton iteration per side."""
+def values(g: GraphTopology, taus: Iterable[Sequence[int]]) -> np.ndarray:
+    """`synthesize(g, tau).w` of each of `taus`, bit for bit, each read once and
+    checked in turn as there, from one batched Newton iteration per side."""
     k, cuts, rows = _checked(g, taus)
     if not rows:
         return np.empty(0)

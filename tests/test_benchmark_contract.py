@@ -121,7 +121,7 @@ def test_every_sweep_cell_is_under_the_graph_limit(monkeypatch, workload):
 
     requests = _cli_requests(monkeypatch, workload, ("sweep",))
     monkeypatch.setattr(cli, "build_graph", record)
-    monkeypatch.setattr(cli, "_sweep_cell", lambda graph, budgets, taus: [])
+    monkeypatch.setattr(cli, "_sweep_cell", lambda graph, budgets, taus, sides: [])
     for argv in requests:
         assert cli.main(argv) == 0
     # every cell is checked before it is built; the largest is n = 29

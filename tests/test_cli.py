@@ -17,7 +17,8 @@ import patrolgame.graphs as graphs
 import patrolgame.oracles
 import patrolgame.synthesis
 from patrolgame import (InvalidSpec, PatrolGameError, SearchSpaceExceeded, Unsupported,
-                        capture_probability)
+                        allocate, capture_probability, generic_capture_bound)
+from patrolgame.allocation import complete_split
 from patrolgame.cli import (
     ADJACENCY_LIMIT,
     RECURSION_STEP_LIMIT,
@@ -482,6 +483,8 @@ def test_sweep_star_budget_unsupported(capsys):
     assert code == 3
     assert out == ""
     assert "star allocation is unsupported" in err
+    code, out, err = run_cli(capsys, ["sweep", "--family", "star", "--n", "3..4", "--B", "6"])
+    assert (code, out, err) == (3, "", "error: star allocation is unsupported\n")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -552,6 +555,87 @@ def test_sweep_allocation_mode(capsys):
     assert len(lines) == 5
     budgets = [int(line.split(",")[5]) for line in lines[1:]]
     assert budgets == [5, 6, 7, 8]
+
+
+def _allocation_row(allocation) -> str:
+    """mu, w, bound and ratio of an allocation, as a sweep row prints them."""
+    bound = generic_capture_bound(allocation.tau)
+    return f"{allocation.mu:.12g},{allocation.w:.12g},{bound:.12g},{allocation.mu / bound:.12g}"
+
+
+def test_bipartite_sweep_rows_are_the_allocations_allocate_returns(capsys):
+    # a sweep prints each budget row from its split alone; allocate builds
+    # the whole allocation, with its durations, from the same bisection
+    for n_p in range(1, 9):
+        for n_q in range(1, 9):
+            if n_p == n_q == 1:
+                continue
+            g = graphs.build_bipartite(n_p, n_q)
+            budgets = range(2 * (n_p + n_q) + 2, 2 * (n_p * n_p + n_q * n_q), 2)
+            code, out, _ = run_cli(capsys, ["sweep", "--family", "bipartite", "--np", str(n_p),
+                                            "--nq", str(n_q), "--B", ",".join(map(str, budgets))])
+            assert code == 0
+            assert out.splitlines()[1:] == [
+                f"bipartite,,{n_p},{n_q},,{B},{_allocation_row(allocate(g, B))}" for B in budgets]
+
+
+def test_complete_sweep_budget_rows_are_the_complete_split(capsys):
+    for n in range(2, 13):
+        g = graphs.build_complete(n)
+        budgets = range(n + 1, n * n)
+        code, out, _ = run_cli(capsys, ["sweep", "--family", "complete", "--n", str(n),
+                                        "--B", f"{n + 1}..{n * n - 1}"])
+        assert code == 0
+        rows = []
+        for B in budgets:
+            allocation = allocate(g, B)
+            assert allocation.tau == complete_split(n, B)
+            rows.append(f"complete,{n},,,,{B},{_allocation_row(allocation)}")
+        assert out.splitlines()[1:] == rows
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--np", "2..3", "--B", "10", "--tau", "1"],
+     "capture probability is zero: tau below first-arrival time at [1, 2, 3, 4]"),
+    (["--np", "3,2", "--B", "10", "--tau", "1"], "budget must satisfy 10 < B < 26, got 10"),
+    (["--np", "2..3", "--B", "14,11", "--tau", "1"], "total budget must be even, got 11"),
+], ids=["tau-of-the-first-cell", "budget-of-the-first-cell", "second-budget"])
+def test_bipartite_sweep_reports_the_first_bad_point_in_row_order(capsys, argv, message):
+    # B = 10 is in range on 2 + 2 and not on 3 + 2; tau 1 is infeasible on both
+    code, out, err = run_cli(capsys, ["sweep", "--family", "bipartite", "--nq", "2", *argv])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_sweep_side_values_live_for_one_sweep(capsys, monkeypatch):
+    # each sweep solves its side values again once the solver's cache is
+    # cleared: no side value is kept from one sweep to the next
+    calls = []
+    solve = patrolgame.synthesis._log_equalized_value
+    monkeypatch.setattr(patrolgame.synthesis, "_log_equalized_value",
+                        lambda m: calls.append(m) or solve(m))
+    argv = ["sweep", "--family", "bipartite", "--np", "6..8", "--nq", "6..8",
+            "--B", "60,62,60,64"]
+    counts = []
+    for _ in range(2):
+        patrolgame.synthesis.solve_equalized_value.cache_clear()
+        calls.clear()
+        assert run_cli(capsys, argv)[0] == 0
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+def test_a_complete_tau_sweep_holds_its_rows_at_most_twice(capsys):
+    # 1000 rows of 1000 durations take 8 MB as tuples and 8 MB as the batch's
+    # int64 array; the sweep's own copy of every row would add 8 MB more
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, ["sweep", "--family", "complete", "--n", "1000",
+                                        "--tau", "2..1001"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out.count("\n")) == (0, 1001)
+    assert peak < 30 * 2 ** 20
 
 
 # --- exit codes -------------------------------------------------------------------
